@@ -5,6 +5,7 @@ associated point-column linear codes over GF(p^m) and Q."""
 from .errors import (
     AmbientMismatch,
     BadCharacteristic,
+    BadParams,
     BudgetExceeded,
     DegreeMismatch,
     DivisionByZero,

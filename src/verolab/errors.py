@@ -64,3 +64,7 @@ class UnknownCheck(VerolabError, KeyError):
 
 class DuplicateMember(VerolabError, ValueError):
     """A subspace family was given two equal members."""
+
+
+class BadParams(VerolabError, ValueError):
+    """A search parameter lies outside its valid range."""

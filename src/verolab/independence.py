@@ -5,14 +5,13 @@ index set, so reports stay actionable and reproducible.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import AmbientMismatch, BudgetExceeded, DuplicateMember
+from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
 from .field import FieldSpec
-from .linalg import Subspace, span
+from .linalg import Subspace, _echelon_extend, dependent_prefixes
 from .veronese import veronese_subspace
 
 SUBSET_BUDGET = 10 ** 7
@@ -55,16 +54,6 @@ class SubspaceFamily:
         return f"SubspaceFamily({len(self.members)} members in {self.field.name}^{self.ambient_dim})"
 
 
-def _subset_direct(members, idxs) -> bool:
-    rows = []
-    total = 0
-    for i in idxs:
-        rows.extend(members[i].basis.row_list())
-        total += members[i].dim
-    s = span(rows, members[idxs[0]].ambient_dim, members[idxs[0]].field)
-    return s.dim == total
-
-
 def is_r_independent(
     fam: SubspaceFamily,
     r: int,
@@ -74,27 +63,49 @@ def is_r_independent(
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does every r-subset span its direct sum?
 
-    Exhaustive subset enumeration in lexicographic order; the witness of
-    a failure is the first violating index set.  When C(|F|, r) exceeds
-    the budget, a seeded sample of sample_trials subsets is checked
-    instead (the caller opts in by passing sample_trials); otherwise
-    BudgetExceeded is raised.
+    Depth-first search over index prefixes in lexicographic order
+    (linalg.dependent_prefixes).  A prefix is direct exactly when each
+    new member's basis rows extend the prefix's echelon basis; a prefix
+    that is not direct is pruned, because every r-set containing it
+    fails too.  Only indices i <= |F| - (r - depth) are tried, so every
+    prefix visited can still be completed to an r-set.  The first
+    non-direct prefix P + (i,) is reported completed by i+1, i+2, ...:
+    every r-set lexicographically before that one either has all its
+    prefixes visited earlier and found direct, or shares P + (i,) and
+    would need a smaller tail than i+1, i+2, ..., which does not exist.
+    So the witness is the lexicographically first violating r-set.
+
+    When C(|F|, r) exceeds the budget, a seeded sample of sample_trials
+    subsets is checked instead, each by the same extension step (the
+    caller opts in by passing sample_trials); otherwise BudgetExceeded
+    is raised.
     """
-    if not 2 <= r <= len(fam):
-        raise ValueError(f"r={r} outside [2, {len(fam)}]")
-    count = math.comb(len(fam), r)
+    n = len(fam)
+    if not 2 <= r <= n:
+        raise BadParams(f"r={r} outside [2, {n}]")
+    f, m = fam.field, fam.ambient_dim
+    raw = [s.basis.raw_rows() for s in fam.members]
+
+    def rows_of(i, depth):
+        return [list(row) for row in raw[i]]
+
+    count = math.comb(n, r)
     if count > budget:
         if sample_trials is None:
-            raise BudgetExceeded(f"C({len(fam)}, {r}) = {count} subsets exceed budget {budget}")
+            raise BudgetExceeded(f"C({n}, {r}) = {count} subsets exceed budget {budget}")
         rng = random.Random(seed)
         for _ in range(sample_trials):
-            idxs = tuple(sorted(rng.sample(range(len(fam)), r)))
-            if not _subset_direct(fam.members, idxs):
+            idxs = tuple(sorted(rng.sample(range(n), r)))
+            basis: list[list] = []
+            pivots: list[int] = []
+            if not all(
+                _echelon_extend(f, basis, pivots, vec, m) for i in idxs for vec in rows_of(i, 0)
+            ):
                 return False, idxs
         return True, None
-    for idxs in itertools.combinations(range(len(fam)), r):
-        if not _subset_direct(fam.members, idxs):
-            return False, idxs
+    for prefix, _ in dependent_prefixes(f, n, rows_of, m, r, complete=True):
+        last = prefix[-1]
+        return False, prefix + tuple(range(last + 1, last + 1 + r - len(prefix)))
     return True, None
 
 

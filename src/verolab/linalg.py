@@ -69,6 +69,87 @@ def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
+def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: list, width: int) -> bool:
+    """One step of incremental elimination.
+
+    basis holds unit-pivot semi-echelon rows: row k is 1 at pivots[k], 0
+    at every earlier pivot and before its own, and all pivots lie in
+    [0, width).  vec is reduced in place against the rows in order; if
+    vec[:width] stays nonzero it is scaled to a unit pivot and appended
+    (True).  Otherwise vec is left as the zero residue and nothing is
+    appended (False).  Entries past width are carried along but never
+    pivoted on, so a tag there records the combination that was taken.
+    """
+    zero = f.zero_raw
+    mul, sub = f.mul, f.sub
+    n = len(vec)
+    for row, p in zip(basis, pivots):
+        c = vec[p]
+        if c != zero:
+            for j in range(p, n):
+                x = row[j]
+                if x != zero:
+                    vec[j] = sub(vec[j], mul(c, x))
+    for p in range(width):
+        if vec[p] != zero:
+            break
+    else:
+        return False
+    pv = vec[p]
+    if pv != f.one_raw:
+        for j in range(p, n):
+            vec[j] = f.div(vec[j], pv)
+    basis.append(vec)
+    pivots.append(p)
+    return True
+
+
+def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int, complete: bool = False):
+    """Depth-first search over the index tuples of range(n) of size at
+    most max_size, in lexicographic order, yielding each tuple whose
+    last item's rows are dependent on the rows of the items before it.
+
+    rows_of(i, depth) returns fresh rows (mutable lists) for item i
+    placed at position depth.  The search keeps the semi-echelon basis
+    of the current prefix's rows and, to visit prefix + (i,), reduces
+    only item i's rows against it.  When one of them reduces to zero it
+    yields (prefix + (i,), residue) and does not descend, since every
+    extension contains the same dependency; otherwise it descends until
+    max_size.  On backtrack the basis is cut back to its length before
+    the item was added.  With complete=True an index is tried only when
+    the tuple can still be completed to max_size inside range(n), i.e.
+    i <= n - (max_size - depth).
+    """
+    basis: list[list] = []
+    pivots: list[int] = []
+    prefix: list[int] = []
+    marks: list[int] = []
+    i = 0
+    while True:
+        depth = len(prefix)
+        if i > (n - max_size + depth if complete else n - 1):
+            if not prefix:
+                return
+            i = prefix.pop() + 1
+            mark = marks.pop()
+            del basis[mark:], pivots[mark:]
+            continue
+        mark = len(basis)
+        for vec in rows_of(i, depth):
+            if not _echelon_extend(f, basis, pivots, vec, width):
+                del basis[mark:], pivots[mark:]
+                yield tuple(prefix) + (i,), vec
+                break
+        else:
+            if depth + 1 < max_size:
+                prefix.append(i)
+                marks.append(mark)
+                i += 1
+                continue
+            del basis[mark:], pivots[mark:]
+        i += 1
+
+
 def _solve_raw(f: FieldSpec, a_rows: list[list], b: list) -> list | None:
     """One exact solution x of A x = b (free variables 0), or None."""
     nrows = len(a_rows)

@@ -3,11 +3,13 @@ point: either the degree-d monomial evaluation of the point, or the
 coefficients of the d-th power of its linear form.
 
 The minimum distance of such a code is the size of the smallest
-dependent column set.  The search therefore walks subset sizes upward
-and records minimal supports: subsets that are dependent while every
-proper subset is independent.  At the first size where any support
-appears, that size is the minimum weight and the supports carry
-full-support dependency vectors.
+dependent column set.  The search therefore records minimal supports
+(circuits): subsets that are dependent while every proper subset is
+independent.  It walks column prefixes depth first in lexicographic
+order, extends only independent prefixes, and closes a circuit when a
+column reduces to zero against the prefix by a dependency of full
+support.  The smallest size with a support is the minimum weight, and
+each support carries a full-support dependency vector.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import BadParams, BudgetExceeded
 from .field import FieldSpec
-from .linalg import Matrix, Vector, _rref_raw, projective_points, rank, span
+from .linalg import Matrix, Vector, _rref_raw, dependent_prefixes, projective_points, rank, span
 from .monomials import num_monomials
 from .polyalgebra import HomogPoly, linear_form_power
 from .veronese import veronese_vector
@@ -95,28 +97,43 @@ def minimal_supports(
     cm: CheckMatrix, w_max: int, budget: int = SEARCH_BUDGET
 ) -> dict[int, list[tuple[int, ...]]]:
     """Minimal dependent column sets of each size up to w_max: dependent
-    subsets all of whose proper subsets are independent.  Every such
-    subset carries a unique (up to scale) full-support dependency."""
+    subsets all of whose proper subsets are independent, in lexicographic
+    order within each size.  Every such subset carries a unique (up to
+    scale) full-support dependency.
+
+    Circuit enumeration on linalg.dependent_prefixes: only independent
+    prefixes are extended, since a set holding a dependent prefix holds
+    a smaller dependent set and so is not minimal.  Column j is tagged
+    with the unit vector of its position in the prefix, so when it
+    reduces to zero against the prefix basis the tag part of the residue
+    is the dependency among the prefix columns and j, unique up to scale
+    because the prefix is independent.  The set is minimal exactly when
+    that dependency has full support: a dependent proper subset carries
+    a dependency that is zero off the subset, and by uniqueness that is
+    a multiple of this one; conversely the support of this dependency
+    is itself a dependent subset.
+    """
+    if w_max < 1:
+        raise BadParams(f"w_max={w_max} must be >= 1")
     m_cols = cm.n_cols
     total = sum(math.comb(m_cols, w) for w in range(1, w_max + 1))
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    f = cm.field
+    zero = f.zero_raw
+    n_rows = cm.n_rows
+    cols = [list(c) for c in zip(*cm.h.raw_rows())]
+
+    def rows_of(j, depth):
+        vec = cols[j] + [zero] * w_max
+        vec[n_rows + depth] = f.one_raw
+        return [vec]
+
     found: dict[int, list[tuple[int, ...]]] = {}
-    smaller: list[set[int]] = []
-    for w in range(1, w_max + 1):
-        hits = []
-        for idxs in itertools.combinations(range(m_cols), w):
-            s = set(idxs)
-            if any(sup <= s for sup in smaller):
-                continue
-            cols = _columns_raw(cm, idxs)
-            r = len(_rref_raw(cm.field, [list(c) for c in zip(*cols)])[1])
-            if r < w:
-                hits.append(idxs)
-        if hits:
-            found[w] = hits
-            smaller.extend(set(h) for h in hits)
-    return found
+    for sup, residue in dependent_prefixes(f, m_cols, rows_of, n_rows, w_max):
+        if zero not in residue[n_rows:n_rows + len(sup) - 1]:
+            found.setdefault(len(sup), []).append(sup)
+    return {w: found[w] for w in sorted(found)}
 
 
 def min_weight(

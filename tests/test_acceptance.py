@@ -11,6 +11,7 @@ fail rather than being weakened to what is provable.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import time
@@ -245,6 +246,11 @@ def test_criterion_13_three_ten_space_structures():
     )
 
 
+# sha256 of `verolab suite full-desk --out json` (the JSON plus its
+# newline).  It changes only with a MANIFEST_VERSION bump.
+FULL_DESK_SHA256 = "bdd1f5535d2fe4b4f4851fb354f6a91e1868075f9114c12c307ef5236fef7857"
+
+
 def test_criterion_14_reproducibility():
     t0 = time.time()
     results1, code1 = run_suite("full-desk")
@@ -252,10 +258,11 @@ def test_criterion_14_reproducibility():
     results2, code2 = run_suite("full-desk")
     json2 = suite_to_json("full-desk", results2)
     elapsed = time.time() - t0
-    ok = json1 == json2 and elapsed <= 1800 and code1 == code2 == 0
+    digest = hashlib.sha256((json1 + "\n").encode()).hexdigest()
+    ok = json1 == json2 and digest == FULL_DESK_SHA256 and elapsed <= 1800 and code1 == code2 == 0
     assert report(
         14,
         ok,
-        f"two full-desk runs byte-identical={json1 == json2}, exit codes "
-        f"({code1}, {code2}), {elapsed:.1f}s for both (cap 1800s)",
+        f"two full-desk runs byte-identical={json1 == json2}, sha256 pinned={digest == FULL_DESK_SHA256}, "
+        f"exit codes ({code1}, {code2}), {elapsed:.1f}s for both (cap 1800s)",
     )

@@ -70,6 +70,17 @@ def test_cli_reports_budget_errors_cleanly():
     assert out.stdout == "" and out.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("VCODE", "--field", "F3", "--n", "3", "--d", "2", "--wmax", "0"),  # nothing to search
+    ("T5_1", "--field", "F3", "--k", "2", "--d", "2", "--r", "1"),  # r below 2
+])
+def test_cli_reports_bad_params_cleanly(argv):
+    out = _cli("check", *argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
 def test_explore_reports_value_without_asserting():
     res = run_check("EXPLORE_SPREAD_R", {"field": "F2", "k": 2, "d": 2})
     assert res.conclusion_ok and res.data["max_independence"] == 3
