@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, OddQForHyperoval
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, Scalar, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible
 from .independence import SubspaceFamily
 from .linalg import (
     Subspace,
@@ -45,74 +45,23 @@ SUBSET_BUDGET = 10 ** 7
 # extension-field model for Desarguesian spreads
 # ----------------------------------------------------------------------
 
-def _kpoly_trim(f: FieldSpec, c: list) -> list:
-    while c and c[-1] == f.zero_raw:
-        c.pop()
-    return c
-
-
-def _kpoly_mul(f: FieldSpec, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [f.zero_raw] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != f.zero_raw:
-            for j, bj in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-    return _kpoly_trim(f, out)
-
-
-def _kpoly_mod(f: FieldSpec, a: list, g: list) -> list:
-    rem = list(a)
-    while len(rem) >= len(g):
-        if rem[-1] == f.zero_raw:
-            rem.pop()
-            continue
-        shift = len(rem) - len(g)
-        fac = f.div(rem[-1], g[-1])
-        for i, gi in enumerate(g):
-            rem[shift + i] = f.sub(rem[shift + i], f.mul(fac, gi))
-        rem.pop()
-    return _kpoly_trim(f, rem)
-
-
-def _kpoly_irreducible(f: FieldSpec, g: list) -> bool:
-    deg = len(g) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(f.q), repeat=d):
-            cand = list(tail) + [f.one_raw]
-            if not _kpoly_mod(f, list(g), cand):
-                return False
-    return True
-
-
-def _smallest_irreducible_over(f: FieldSpec, k: int) -> list:
-    """Lexicographically first monic irreducible of degree k over f,
-    coefficients compared low-degree-first in element-index order."""
-    for tail in itertools.product(range(f.q), repeat=k):
-        cand = list(tail) + [f.one_raw]
-        if _kpoly_irreducible(f, cand):
-            return cand
-    raise AssertionError(f"no irreducible of degree {k} over {f.name}")
-
-
 def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
     """The q^k + 1 pairwise-disjoint k-spaces of K^2k induced by viewing
     K^2k as a 2-space over the degree-k extension of K: the graphs of
     multiplication by each extension scalar, plus the vertical axis."""
     q = f.q
-    g = _smallest_irreducible_over(f, k)
+    g = _smallest_irreducible(f, k)
     ambient = 2 * k
     zero = f.zero_raw
 
     def mul_ext(a: list, b: list) -> tuple:
-        prod = _kpoly_mod(f, _kpoly_mul(f, a, b), g)
+        prod = _poly_mod(f, _poly_mul(f, a, b), g)
         return tuple(prod + [zero] * (k - len(prod)))
 
     basis_ext = [[zero] * i + [f.one_raw] for i in range(k)]
     members = []
     for lam in itertools.product(range(q), repeat=k):
-        lam_t = _kpoly_trim(f, list(lam))
+        lam_t = _poly_trim(f, list(lam))
         rows = []
         for x in basis_ext:
             left = tuple(x + [zero] * (k - len(x)))
@@ -154,7 +103,7 @@ def elliptic_ovoid(f: FieldSpec) -> list[Subspace]:
     """Projective zeros in K^4 of x1 x2 + x3^2 + a x3 x4 + b x4^2, with
     t^2 + a t + b the first irreducible quadratic over K.  Validated at
     construction: exactly q^2 + 1 points, no three collinear."""
-    g = _smallest_irreducible_over(f, 2)  # b + a t + t^2
+    g = _smallest_irreducible(f, 2)  # b + a t + t^2
     b, a = g[0], g[1]
     mul, add = f.mul, f.add
     pts = []

@@ -12,23 +12,29 @@ value in lowest terms with a positive denominator.
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
 neg, inv, ...) on the underlying representation, and the Scalar wrapper
-gives them operator syntax plus field-mismatch checking.  For small
-finite fields (q <= 64) the raw operations are table lookups built once
-at construction; larger prime fields fall back to modular integer
-arithmetic and larger extension fields to on-the-fly polynomial
-arithmetic modulo the field's irreducible polynomial.
+gives them operator syntax plus field-mismatch checking.  A finite field
+builds log/antilog tables on a primitive element at construction (Lidl &
+Niederreiter, Finite Fields, 9.3); they take O(q) space, so q <= 2^16.
+Above q = 64 the raw operations are lookups in them: mul, inv, div and
+neg always (mul is exp[log[a] + log[b]], or a * b % p for primes), add
+and sub for odd-p extensions (Zech logarithms), while add is XOR for
+p = 2 and mod p for primes.  Up to q = 64 their values fill full q x q
+tables, so every binary op is a single 2-D lookup.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, InfiniteField, NonPrimeP
 
-_TABLE_LIMIT = 64  # build full op tables for q up to this order
+_TABLE_LIMIT = 64  # full 2-D op tables up to this order, log tables above
+_MAX_ORDER = 1 << 16  # the log tables take O(q) space
 
 
 def _is_prime(n: int) -> bool:
@@ -42,69 +48,84 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _check_finite(p: int | None, m: int | None) -> None:
+    if p is None or m is None or m < 1:
+        raise NonPrimeP(f"need a prime p and m >= 1, got p={p}, m={m}")
+    if p > _MAX_ORDER or m > 16 or p ** m > _MAX_ORDER:
+        raise NonPrimeP(f"field order {p}^{m} exceeds the supported 2^16")
+    if not _is_prime(p):
+        raise NonPrimeP(f"p={p} is not prime")
+
+
 # ----------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients low-to-high as tuples
+# polynomials over a FieldSpec: lists of raw coefficients, low to high
 # ----------------------------------------------------------------------
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
+def _poly_trim(k: FieldSpec, c: list) -> list:
+    while c and c[-1] == k.zero_raw:
         c.pop()
-    return tuple(c)
+    return c
 
 
-def _poly_mul_mod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def _poly_mul(k: FieldSpec, a: list, b: list) -> list:
     if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+        return []
+    zero, add, mul = k.zero_raw, k.add, k.mul
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
+        if ai != zero:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+                out[i + j] = add(out[i + j], mul(ai, bj))
+    return _poly_trim(k, out)
 
 
-def _poly_divmod_p(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _poly_mod(k: FieldSpec, a: list, g: list) -> list:
+    zero, sub, mul = k.zero_raw, k.sub, k.mul
     rem = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b) and any(rem):
-        if rem[-1] == 0:
+    while len(rem) >= len(g):
+        if rem[-1] == zero:
             rem.pop()
             continue
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
-        q[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
+        shift = len(rem) - len(g)
+        fac = k.div(rem[-1], g[-1])
+        for i, gi in enumerate(g):
+            rem[shift + i] = sub(rem[shift + i], mul(fac, gi))
         rem.pop()
-    return _poly_trim(q), _poly_trim(rem)
+    return _poly_trim(k, rem)
 
 
-def _poly_is_irreducible(g: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg(g)//2."""
-    deg = len(g) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            cand = tuple(tail) + (1,)
-            _, rem = _poly_divmod_p(g, cand, p)
-            if not rem:
+def _poly_is_irreducible(k: FieldSpec, g: list) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg(g)//2.
+    The linear divisors go first and cheaply: t - r divides g exactly
+    when g(r) = 0, which Horner evaluation tests."""
+    deg, zero, add, mul = len(g) - 1, k.zero_raw, k.add, k.mul
+    if deg >= 2 and g[0] == zero:  # the root 0
+        return False
+    for r in range(1, k.q if deg >= 2 else 1):
+        acc = zero
+        for c in reversed(g):
+            acc = add(mul(acc, r), c)
+        if acc == zero:
+            return False
+    for d in range(2, deg // 2 + 1):
+        for tail in itertools.product(range(k.q), repeat=d):
+            if not _poly_mod(k, g, list(tail) + [k.one_raw]):
                 return False
     return True
 
 
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(p).
+def _smallest_irreducible(k: FieldSpec, m: int) -> list:
+    """Lexicographically smallest monic irreducible of degree m over k.
 
-    Coefficient tuples (c0, ..., c_{m-1}) are compared low-degree-first,
-    so the choice is deterministic across runs and platforms.
+    Coefficient lists (c0, ..., c_{m-1}) are compared low-degree-first in
+    element-index order, so the choice is deterministic across runs and
+    platforms.
     """
-    for tail in itertools.product(range(p), repeat=m):
-        cand = tuple(tail) + (1,)
-        if _poly_is_irreducible(cand, p):
+    for tail in itertools.product(range(k.q), repeat=m):
+        cand = list(tail) + [k.one_raw]
+        if _poly_is_irreducible(k, cand):
             return cand
-    raise AssertionError(f"no irreducible of degree {m} over GF({p})")
+    raise AssertionError(f"no irreducible of degree {m} over {k.name}")
 
 
 # ----------------------------------------------------------------------
@@ -132,15 +153,12 @@ class FieldSpec:
             return
         if self.kind != "finite":
             raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.p is None or not _is_prime(self.p):
-            raise NonPrimeP(f"p={self.p} is not prime")
-        if self.m is None or self.m < 1:
-            raise NonPrimeP(f"extension degree m={self.m} must be >= 1")
+        _check_finite(self.p, self.m)
         if self.m >= 2:
             mod = self.modulus
             if mod is None or len(mod) != self.m + 1 or mod[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not _poly_is_irreducible(mod, self.p):
+            if not _poly_is_irreducible(field_make("finite", self.p, 1), list(mod)):
                 raise ValueError("modulus is reducible")
         object.__setattr__(self, "q", self.p ** self.m)
         self._install_finite_ops()
@@ -162,7 +180,7 @@ class FieldSpec:
     def __repr__(self) -> str:
         return f"FieldSpec({self.name})"
 
-    # -- element digit codecs -------------------------------------------
+    # -- element digits -------------------------------------------------
 
     def _digits(self, idx: int) -> tuple[int, ...]:
         p, m = self.p, self.m
@@ -172,18 +190,13 @@ class FieldSpec:
             out.append(r)
         return tuple(out)
 
-    def _index(self, digits) -> int:
-        p = self.p
-        idx = 0
-        for c in reversed(tuple(digits)):
-            idx = idx * p + (c % p)
-        return idx
-
     # -- raw op installation ---------------------------------------------
 
-    def _install_rational_ops(self) -> None:
-        zero, one = Fraction(0), Fraction(1)
+    def _set_ops(self, **ops) -> None:
+        for nm, fn in ops.items():
+            object.__setattr__(self, nm, fn)
 
+    def _install_rational_ops(self) -> None:
         def inv(a: Fraction) -> Fraction:
             if not a:
                 raise DivisionByZero("inverse of 0")
@@ -194,71 +207,147 @@ class FieldSpec:
                 raise DivisionByZero("division by 0")
             return a / b
 
-        for nm, fn in (
-            ("add", lambda a, b: a + b),
-            ("sub", lambda a, b: a - b),
-            ("mul", lambda a, b: a * b),
-            ("neg", lambda a: -a),
-            ("inv", inv),
-            ("div", div),
-        ):
-            object.__setattr__(self, nm, fn)
-        object.__setattr__(self, "zero_raw", zero)
-        object.__setattr__(self, "one_raw", one)
+        self._set_ops(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
+                      inv=inv, div=div, zero_raw=Fraction(0), one_raw=Fraction(1))
 
     def _install_finite_ops(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        if q <= _TABLE_LIMIT:
+        self._install_log_ops(*self._log_tables())
+        if self.q <= _TABLE_LIMIT:
             self._install_table_ops()
-        elif m == 1:
-            def inv(a: int) -> int:
-                if a == 0:
-                    raise DivisionByZero("inverse of 0")
-                return pow(a, p - 2, p)
+        self._set_ops(zero_raw=0, one_raw=1)
 
-            def div(a: int, b: int) -> int:
-                return (a * inv(b)) % p
+    def _is_primitive(self, g: int, cofactors: list[int]) -> bool:
+        """Whether g^((q-1)/r) != 1 for every prime r | q-1, by square and
+        multiply on coefficient polynomials (the tables do not exist yet)."""
+        if self.m == 1:
+            return all(pow(g, e, self.p) != 1 for e in cofactors)
+        k, mod = field_make("finite", self.p, 1), list(self.modulus)
+        for e in cofactors:
+            out, base = [1], _poly_trim(k, list(self._digits(g)))
+            while e:
+                if e & 1:
+                    out = _poly_mod(k, _poly_mul(k, out, base), mod)
+                base = _poly_mod(k, _poly_mul(k, base, base), mod)
+                e >>= 1
+            if out == [1]:
+                return False
+        return True
 
-            for nm, fn in (
-                ("add", lambda a, b: (a + b) % p),
-                ("sub", lambda a, b: (a - b) % p),
-                ("mul", lambda a, b: (a * b) % p),
-                ("neg", lambda a: (-a) % p),
-                ("inv", inv),
-                ("div", div),
-            ):
-                object.__setattr__(self, nm, fn)
-        else:
-            self._install_generic_ext_ops()
-        object.__setattr__(self, "zero_raw", 0)
-        object.__setattr__(self, "one_raw", 1)
+    def _generator_powers(self):
+        """Yield g^0, ..., g^(q-2) as indices, g the first primitive element
+        in index order.  For m >= 2, g*a is linear in the digits of a: it
+        is lo_t[a % c] + hi_t[a // c] for c = p^h, h = ceil(m/2).  For p = 2
+        the tables hold indices and + is XOR.  For odd p they hold digits
+        packed in bit fields: + adds the fields, one subtraction of p puts
+        each back below p, and a dict decodes each half to an index."""
+        p, m, q = self.p, self.m, self.q
+        cofactors = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+        g = next(a for a in range(1, q) if self._is_primitive(a, cofactors))
+        a = 1
+        if m == 1:
+            for _ in range(q - 1):
+                yield a
+                a = a * g % p
+            return
+        low = self.modulus[:-1]  # x^m = -(c0 + c1 x + ... + c_{m-1} x^(m-1))
+        cols, col = [], list(self._digits(g))  # cols[i] = digits of g x^i
+        for _ in range(m):
+            cols.append(col)
+            col = [(u - col[-1] * c) % p for u, c in zip([0] + col[:-1], low)]
+        width = 1 if p == 2 else (2 * p - 2).bit_length() + 1
 
-    def _raw_mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mul_mod_p(_poly_trim(list(self._digits(a))), _poly_trim(list(self._digits(b))), self.p)
-        if self.m >= 2:
-            _, prod = _poly_divmod_p(prod, self.modulus, self.p)
-        return self._index(prod + (0,) * (self.m - len(prod)))
+        def pack(digits) -> int:
+            return sum(d << (width * i) for i, d in enumerate(digits))
+
+        def image(t: int, first: int) -> int:  # g * t * x^first, packed
+            out = [0] * m
+            for d, col in zip(self._digits(t), cols[first:]):
+                out = [(u + d * v) % p for u, v in zip(out, col)]
+            return pack(out)
+
+        h = (m + 1) // 2
+        c = p ** h
+        lo_t = [image(t, 0) for t in range(c)]
+        hi_t = [image(t, h) for t in range(p ** (m - h))]
+        if p == 2:
+            for _ in range(q - 1):
+                yield a
+                a = lo_t[a & (c - 1)] ^ hi_t[a >> h]
+            return
+        top_bit, shift = width - 1, width * h
+        ones, bias = pack([1] * m), pack([(1 << top_bit) - p] * m)
+        enc = {pack(self._digits(t)): t for t in range(c)}
+        for _ in range(q - 1):
+            yield a
+            s = lo_t[a % c] + hi_t[a // c]
+            s -= p * ((s + bias) >> top_bit & ones)  # fields in [p, 2p-2] drop by p
+            a = enc[s & ((1 << shift) - 1)] + c * enc[s >> shift]
+
+    def _log_tables(self) -> tuple[array, array]:
+        """exp holds g^0, ..., g^(q-2) twice and then zeros; log[a] is the
+        exponent of a != 0 and log[0] = 2(q-1).  So exp[log[a] + log[b]]
+        is a*b for every pair, zero included."""
+        n = self.q - 1
+        exp = array("H", [0]) * (4 * n + 1)
+        log = array("I", [2 * n]) * self.q
+        for k, a in enumerate(self._generator_powers()):
+            exp[k] = exp[k + n] = a
+            log[a] = k
+        return exp, log
+
+    def _install_log_ops(self, exp: array, log: array) -> None:
+        p, m, n = self.p, self.m, self.q - 1
+        half = n // 2  # g^half = -1 for odd q
+
+        def inv(a: int) -> int:
+            if a == 0:
+                raise DivisionByZero("inverse of 0")
+            return exp[n - log[a]]
+
+        def div(a: int, b: int) -> int:
+            if b == 0:
+                raise DivisionByZero("division by 0")
+            return exp[log[a] + n - log[b]]
+
+        self._set_ops(mul=lambda a, b: exp[log[a] + log[b]], inv=inv, div=div,
+                      neg=lambda a: exp[log[a] + half])
+        if p == 2:
+            self._set_ops(add=operator.xor, sub=operator.xor, neg=lambda a: a)
+            return
+        if m == 1:  # a * b % p is twice as fast as the lookup
+            self._set_ops(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
+                          mul=lambda a, b: a * b % p)
+            return
+        # Zech logarithms: 1 + g^k = g^zech[k], or 0 when zech[k] = 2n.
+        # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + half); zech
+        # repeats with period n over 3n entries, so no index is reduced.
+        zech = array("I", [0]) * (3 * n)
+        for k in range(n):
+            e = exp[k]
+            e_plus_1 = e + 1 if e % p != p - 1 else e + 1 - p  # digit 0 wraps
+            zech[k] = zech[k + n] = zech[k + 2 * n] = log[e_plus_1]
+
+        def add(a: int, b: int) -> int:
+            if not a or not b:
+                return a or b
+            la = log[a]
+            return exp[la + zech[log[b] - la + n]]
+
+        def sub(a: int, b: int) -> int:
+            if not a or not b:
+                return a or exp[log[b] + half]
+            la = log[a]
+            return exp[la + zech[log[b] + half - la + n]]
+
+        self._set_ops(add=add, sub=sub)
 
     def _install_table_ops(self) -> None:
-        p, m, q = self.p, self.m, self.q
-        if m == 1:
-            add_t = [[(a + b) % p for b in range(p)] for a in range(p)]
-            mul_t = [[(a * b) % p for b in range(p)] for a in range(p)]
-            neg_t = [(-a) % p for a in range(p)]
-        else:
-            digits = [self._digits(i) for i in range(q)]
-            add_t = [
-                [self._index((x + y) % p for x, y in zip(digits[a], digits[b])) for b in range(q)]
-                for a in range(q)
-            ]
-            neg_t = [self._index((-x) % p for x in digits[a]) for a in range(q)]
-            mul_t = [[self._raw_mul_poly(a, b) for b in range(q)] for a in range(q)]
-        inv_t: list[int | None] = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul_t[a][b] == 1:
-                    inv_t[a] = b
-                    break
+        """Replace the log-table ops by full tables of their values."""
+        els = range(self.q)
+        add_t = [[self.add(a, b) for b in els] for a in els]
+        mul_t = [[self.mul(a, b) for b in els] for a in els]
+        neg_t = [self.neg(a) for a in els]
+        inv_t = [None] + [self.inv(a) for a in els[1:]]
 
         def inv(a: int) -> int:
             r = inv_t[a]
@@ -266,59 +355,9 @@ class FieldSpec:
                 raise DivisionByZero("inverse of 0")
             return r
 
-        def div(a: int, b: int) -> int:
-            return mul_t[a][inv(b)]
-
-        for nm, fn in (
-            ("add", lambda a, b: add_t[a][b]),
-            ("sub", lambda a, b: add_t[a][neg_t[b]]),
-            ("mul", lambda a, b: mul_t[a][b]),
-            ("neg", lambda a: neg_t[a]),
-            ("inv", inv),
-            ("div", div),
-        ):
-            object.__setattr__(self, nm, fn)
-
-    def _install_generic_ext_ops(self) -> None:
-        p = self.p
-        inv_cache: dict[int, int] = {}
-
-        def add(a: int, b: int) -> int:
-            return self._index((x + y) % p for x, y in zip(self._digits(a), self._digits(b)))
-
-        def sub(a: int, b: int) -> int:
-            return self._index((x - y) % p for x, y in zip(self._digits(a), self._digits(b)))
-
-        def neg(a: int) -> int:
-            return self._index((-x) % p for x in self._digits(a))
-
-        def inv(a: int) -> int:
-            if a == 0:
-                raise DivisionByZero("inverse of 0")
-            r = inv_cache.get(a)
-            if r is None:
-                # a^(q-2) by square and multiply
-                r, base, e = 1, a, self.q - 2
-                while e:
-                    if e & 1:
-                        r = self._raw_mul_poly(r, base)
-                    base = self._raw_mul_poly(base, base)
-                    e >>= 1
-                inv_cache[a] = r
-            return r
-
-        def div(a: int, b: int) -> int:
-            return self._raw_mul_poly(a, inv(b))
-
-        for nm, fn in (
-            ("add", add),
-            ("sub", sub),
-            ("mul", self._raw_mul_poly),
-            ("neg", neg),
-            ("inv", inv),
-            ("div", div),
-        ):
-            object.__setattr__(self, nm, fn)
+        self._set_ops(add=lambda a, b: add_t[a][b], sub=lambda a, b: add_t[a][neg_t[b]],
+                      mul=lambda a, b: mul_t[a][b], neg=lambda a: neg_t[a], inv=inv,
+                      div=lambda a, b: mul_t[a][inv(b)])
 
     # -- Scalar constructors ---------------------------------------------
 
@@ -417,7 +456,7 @@ def _field_make_cached(kind: str, p: int | None, m: int | None) -> FieldSpec:
     if kind == "rational":
         return FieldSpec(kind="rational")
     if m is not None and m >= 2:
-        modulus = _smallest_irreducible(p, m)
+        modulus = tuple(_smallest_irreducible(field_make("finite", p, 1), m))
         return FieldSpec(kind="finite", p=p, m=m, modulus=modulus)
     return FieldSpec(kind="finite", p=p, m=m)
 
@@ -426,10 +465,7 @@ def field_make(kind: str, p: int | None = None, m: int | None = None) -> FieldSp
     """Build a field spec; finite fields get the lexicographically smallest
     monic irreducible modulus, so element encodings are reproducible."""
     if kind == "finite":
-        if p is None or not _is_prime(p):
-            raise NonPrimeP(f"p={p} is not prime")
-        if m is None or m == 0:
-            raise NonPrimeP(f"m={m} must be >= 1")
+        _check_finite(p, m)
     return _field_make_cached(kind, p, m)
 
 
@@ -447,6 +483,8 @@ def parse_field(text: str) -> FieldSpec:
     q = int(text[1:])
     if q < 2:
         raise NonPrimeP(f"bad field order {q}")
+    if q > _MAX_ORDER:
+        raise NonPrimeP(f"field order {q} exceeds the supported 2^16")
     p = 2
     while p * p <= q and q % p != 0:
         p += 1

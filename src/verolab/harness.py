@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import BadCharacteristic, BudgetExceeded, UnknownCheck
+from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
 from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
 from .linalg import (
@@ -218,6 +218,8 @@ def _check_t2_3(params, seed, budget):
 
 def _check_l2_4(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
+    if n < 2:
+        raise BadParams(f"L2_4 splits K^n into two nonzero parts, so needs n >= 2, got {n}")
     trials = params["trials"]
     rng = random.Random(seed)
     big_n = num_monomials(n, d)
@@ -283,6 +285,8 @@ def _check_rho(params, seed, budget):
 
 def _check_iterate(params, seed, budget):
     f, n, d, e = _field(params), params["n"], params["d"], params["e"]
+    if not f.is_finite:
+        raise InfiniteField("ITERATE enumerates K^n, so it needs a finite field")
     big_n = num_monomials(n, d)
     idx_ed = _index_map(n, d * e)
     outer = enumerate_exponents(big_n, e)
@@ -418,6 +422,8 @@ def _check_l4(params, seed, budget):
 
 def _check_p5_2(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
+    if n < 2:
+        raise BadParams(f"P5_2 splits K^n into two nonzero parts, so needs n >= 2, got {n}")
     trials = params["trials"]
     rng = random.Random(seed)
     big_n = num_monomials(n, d)

@@ -431,20 +431,16 @@ def subspace_le(a: Subspace, b: Subspace) -> bool:
     return all(contains(b, r) for r in a.basis.row_list())
 
 
-def enumerate_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
-    """All q^dim vectors of a, as coefficient combinations of the basis in
-    element-enumeration order."""
+def combine_basis(a: Subspace, combos) -> list[Vector]:
+    """The vector sum_i c_i b_i over the basis b of a, for each tuple c of
+    raw coefficients in combos, in the order given."""
     f = a.field
-    if not f.is_finite:
-        raise InfiniteField("cannot enumerate vectors over Q")
-    if f.q ** a.dim > budget:
-        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {budget}")
     add, mul = f.add, f.mul
     zero = f.zero_raw
     rows = a.basis.raw_rows()
     m = a.ambient_dim
     out = []
-    for combo in itertools.product(range(f.q), repeat=a.dim):
+    for combo in combos:
         acc = [zero] * m
         for c, row in zip(combo, rows):
             if c != zero:
@@ -455,6 +451,17 @@ def enumerate_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
     return out
 
 
+def enumerate_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
+    """All q^dim vectors of a, as coefficient combinations of the basis in
+    element-enumeration order."""
+    f = a.field
+    if not f.is_finite:
+        raise InfiniteField("cannot enumerate vectors over Q")
+    if f.q ** a.dim > budget:
+        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {budget}")
+    return combine_basis(a, itertools.product(range(f.q), repeat=a.dim))
+
+
 def projective_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
     """One representative per 1-space of a: coefficient combinations whose
     first nonzero coefficient is 1, in enumeration order."""
@@ -463,22 +470,11 @@ def projective_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
         raise InfiniteField("cannot enumerate vectors over Q")
     if a.dim and f.q ** a.dim > budget:
         raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {budget}")
-    add, mul = f.add, f.mul
-    zero, one = f.zero_raw, f.one_raw
-    rows = a.basis.raw_rows()
-    m = a.ambient_dim
-    out = []
-    for pivot in range(a.dim - 1, -1, -1):
-        for tail in itertools.product(range(f.q), repeat=a.dim - 1 - pivot):
-            combo = (zero,) * pivot + (one,) + tail
-            acc = [zero] * m
-            for c, row in zip(combo, rows):
-                if c != zero:
-                    for j in range(m):
-                        if row[j] != zero:
-                            acc[j] = add(acc[j], mul(c, row[j]))
-            out.append(tuple(Scalar(f, x) for x in acc))
-    return out
+    return combine_basis(a, (
+        (f.zero_raw,) * pivot + (f.one_raw,) + tail
+        for pivot in range(a.dim - 1, -1, -1)
+        for tail in itertools.product(range(f.q), repeat=a.dim - 1 - pivot)
+    ))
 
 
 def projective_points(f: FieldSpec, ambient_dim: int) -> list[Vector]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import IndexOutOfRange
+from .errors import BadParams, IndexOutOfRange
 from .field import FieldSpec, Scalar, int_in_field
 
 
@@ -20,7 +20,7 @@ def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All C(d+n-1, d) exponent tuples (a1, ..., an) with sum d, in
     descending lexicographic order."""
     if n < 1 or d < 0:
-        raise ValueError(f"bad (n, d) = ({n}, {d})")
+        raise BadParams(f"need n >= 1 and d >= 0, got (n, d) = ({n}, {d})")
     if n == 1:
         return ((d,),)
     out = []

@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    combine_basis,
     projective_vectors,
     rank,
     span,
@@ -41,9 +42,10 @@ def veronese_vector(t: Vector, d: int) -> Vector:
     map degenerates to the identity or a constant there.
     """
     n = len(t)
+    alphas = enumerate_exponents(n, d)  # raises BadParams before any warning
     if n < 2 or d < 2:
         warnings.warn(f"degenerate parameters (n={n}, d={d})", stacklevel=2)
-    return tuple(eval_monomial(t, alpha) for alpha in enumerate_exponents(n, d))
+    return tuple(eval_monomial(t, alpha) for alpha in alphas)
 
 
 def veronese_point(t: Vector, d: int) -> Subspace:
@@ -67,15 +69,8 @@ def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
     if f.is_finite:
         vecs = projective_vectors(u, budget=budget)
     else:
-        rows = u.basis.row_list()
-        vecs = []
-        grid = [int_in_field(f, c) for c in range(d + 1)]
-        for combo in itertools.product(grid, repeat=u.dim):
-            acc = [f.zero_raw] * n
-            for c, row in zip(combo, rows):
-                for j, x in enumerate(row):
-                    acc[j] = f.add(acc[j], f.mul(c.v, x.v))
-            vecs.append(tuple(Scalar(f, x) for x in acc))
+        grid = [int_in_field(f, c).v for c in range(d + 1)]
+        vecs = combine_basis(u, itertools.product(grid, repeat=u.dim))
     return span([veronese_vector(v, d) for v in vecs], big_n, f)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -17,12 +18,22 @@ from verolab import (
     parse_field,
     rationals,
 )
-from verolab.field import Scalar, _poly_divmod_p, scalar_from_str
+from verolab.field import Scalar, _poly_is_irreducible, _smallest_irreducible, scalar_from_str
 
 
 def all_monic(p, deg):
     for tail in itertools.product(range(p), repeat=deg):
         yield tuple(tail) + (1,)
+
+
+def remainder(g, h, p):
+    """g mod h over GF(p) for monic h, as a tuple of deg(h) coefficients."""
+    rem = list(g)
+    for top in range(len(g) - 1, len(h) - 2, -1):
+        c = rem[top] % p
+        for i, hi in enumerate(h):
+            rem[top - len(h) + 1 + i] -= c * hi
+    return tuple(x % p for x in rem[:len(h) - 1])
 
 
 def test_gf2_has_no_modulus():
@@ -35,7 +46,7 @@ def test_gf4_modulus_is_unique_irreducible_quadratic():
     # monic linears; exactly one survives
     survivors = []
     for g in all_monic(2, 2):
-        if all(_poly_divmod_p(g, lin, 2)[1] for lin in all_monic(2, 1)):
+        if all(any(remainder(g, lin, 2)) for lin in all_monic(2, 1)):
             survivors.append(g)
     assert survivors == [(1, 1, 1)]
     assert field_make("finite", 2, 2).modulus == (1, 1, 1)
@@ -155,3 +166,150 @@ def test_extension_field_beyond_table_limit():
     els = [Scalar(f, i) for i in (1, 2, 57, 100)]
     for a in els:
         assert (a * a.inv()).v == 1
+
+
+# ----------------------------------------------------------------------
+# the log-table backend against digit-polynomial arithmetic
+# ----------------------------------------------------------------------
+
+class DigitPolyField:
+    """Reference arithmetic on the same element indices: digit vectors
+    added coefficient-wise and multiplied as polynomials over GF(p)
+    reduced by the field's modulus, with inverses by a^(q-2).  A prime
+    field has one digit, so there it is plain integer arithmetic mod p."""
+
+    def __init__(self, f):
+        self.p, self.m, self.q, self.modulus = f.p, f.m, f.q, f.modulus
+        self.digits = [tuple(a // self.p ** i % self.p for i in range(self.m)) for a in range(self.q)]
+        self.index = {d: a for a, d in enumerate(self.digits)}
+
+    def add(self, a, b):
+        if self.m == 1:
+            return (a + b) % self.p
+        return self.index[tuple((x + y) % self.p for x, y in zip(self.digits[a], self.digits[b]))]
+
+    def sub(self, a, b):
+        if self.m == 1:
+            return (a - b) % self.p
+        return self.index[tuple((x - y) % self.p for x, y in zip(self.digits[a], self.digits[b]))]
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def mul(self, a, b):
+        if self.m == 1:
+            return a * b % self.p
+        prod = [0] * (2 * self.m - 1)
+        for i, x in enumerate(self.digits[a]):
+            for j, y in enumerate(self.digits[b]):
+                prod[i + j] += x * y
+        return self.index[remainder(prod, self.modulus, self.p)]
+
+    def inv(self, a):
+        out, base, e = 1, a, self.q - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return out
+
+
+def _prime_powers(limit):
+    """(p, m) for every prime power p^m <= limit, in increasing order."""
+    out = []
+    for q in range(2, limit + 1):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = 0
+        while q % p == 0:
+            q //= p
+            m += 1
+        if q == 1:
+            out.append((p, m))
+    return out
+
+
+@pytest.mark.parametrize("q", [p ** m for p, m in _prime_powers(256)])
+def test_ops_match_digit_polynomials_on_all_pairs(q):
+    f = parse_field(f"F{q}")
+    ref = DigitPolyField(f)
+    els = range(q)
+    mul_t = [[ref.mul(a, b) for b in els] for a in els]
+    inv_t = [None] + [ref.inv(a) for a in els[1:]]
+    assert all(mul_t[a][inv_t[a]] == 1 for a in els[1:])
+    for a in els:
+        assert [f.add(a, b) for b in els] == [ref.add(a, b) for b in els], a
+        assert [f.sub(a, b) for b in els] == [ref.sub(a, b) for b in els], a
+        assert [f.mul(a, b) for b in els] == mul_t[a], a
+        assert [f.div(a, b) for b in els[1:]] == [mul_t[a][inv_t[b]] for b in els[1:]], a
+    assert [f.neg(a) for a in els] == [ref.neg(a) for a in els]
+    assert [f.inv(a) for a in els[1:]] == inv_t[1:]
+
+
+@pytest.mark.parametrize("name", ["F2187", "F4096", "F59049", "F65521", "F65536"])
+def test_ops_match_digit_polynomials_on_samples(name):
+    f = parse_field(name)
+    ref = DigitPolyField(f)
+    rng = random.Random(f"verolab:{name}")
+    pairs = [(rng.randrange(f.q), rng.randrange(1, f.q)) for _ in range(300)]
+    pairs += [(0, 1), (1, 1), (f.q - 1, f.q - 1), (0, f.q - 1)]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert f.add(x, y) == ref.add(x, y), (x, y)
+            assert f.sub(x, y) == ref.sub(x, y), (x, y)
+            assert f.mul(x, y) == ref.mul(x, y), (x, y)
+        inv_b = ref.inv(b)
+        assert ref.mul(b, inv_b) == 1
+        assert f.inv(b) == inv_b
+        assert f.div(a, b) == ref.mul(a, inv_b)
+        assert f.neg(a) == ref.neg(a)
+
+
+@pytest.mark.parametrize("name", ["F2", "F9", "F64", "F128", "F243", "F257", "F65536"])
+def test_zero_division_in_both_op_forms(name):
+    f = parse_field(name)
+    with pytest.raises(DivisionByZero):
+        f.inv(0)
+    for a in (0, 1, f.q - 1):
+        with pytest.raises(DivisionByZero):
+            f.div(a, 0)
+        with pytest.raises(DivisionByZero):
+            Scalar(f, a) / f.zero()
+    with pytest.raises(DivisionByZero):
+        f.zero().inv()
+
+
+def test_f65536_modulus_is_pinned():
+    assert parse_field("F65536").modulus == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)
+
+
+def _irreducible_by_division(g, p):
+    """Trial division by every monic polynomial of degree 1..deg(g)//2,
+    linear ones included: the test before the root filter."""
+    deg = len(g) - 1
+    return all(any(remainder(g, h, p)) for d in range(1, deg // 2 + 1) for h in all_monic(p, d))
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 7), (3, 5), (5, 3), (7, 3)])
+def test_irreducibility_with_root_test_matches_trial_division(p, max_deg):
+    gf_p = field_make("finite", p, 1)
+    for deg in range(1, max_deg + 1):
+        for g in all_monic(p, deg):
+            assert _poly_is_irreducible(gf_p, list(g)) == _irreducible_by_division(g, p), g
+
+
+def test_root_filter_keeps_every_modulus_up_to_4096():
+    for p, m in _prime_powers(4096):
+        if m >= 2:
+            found = tuple(_smallest_irreducible(field_make("finite", p, 1), m))
+            assert found == next(g for g in all_monic(p, m) if _irreducible_by_division(g, p)), (p, m)
+
+
+def test_field_order_capped_at_2_16():
+    assert parse_field("F65536").q == 65536 and parse_field("F65521").q == 65521
+    for text in ("F65537", "F131072", "F1099511627776", "F" + str(2 ** 61 - 1)):
+        with pytest.raises(NonPrimeP):
+            parse_field(text)
+    for p, m in ((2, 17), (3, 11), (65537, 1), (2 ** 61 - 1, 1), (2, 10 ** 9)):
+        with pytest.raises(NonPrimeP):
+            field_make("finite", p, m)

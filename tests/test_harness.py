@@ -73,12 +73,24 @@ def test_cli_reports_budget_errors_cleanly():
 @pytest.mark.parametrize("argv", [
     ("VCODE", "--field", "F3", "--n", "3", "--d", "2", "--wmax", "0"),  # nothing to search
     ("T5_1", "--field", "F3", "--k", "2", "--d", "2", "--r", "1"),  # r below 2
+    ("T1_1", "--field", "F3", "--n", "2", "--d", "-1"),  # negative degree
+    ("L2_4", "--field", "F3", "--n", "1", "--d", "2"),  # K^1 has no two nonzero parts
+    ("P5_2", "--field", "F3", "--n", "1", "--d", "2"),
+    ("ITERATE", "--field", "Q"),  # K^n cannot be enumerated
+    ("T1_1", "--field", "F1099511627776", "--n", "2", "--d", "2"),  # q above 2^16
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
     assert out.returncode == 2
     assert out.stdout == "" and out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+def test_iterate_over_q_raises_instead_of_passing_vacuously():
+    from verolab import InfiniteField
+
+    with pytest.raises(InfiniteField):
+        run_check("ITERATE", {"field": "Q", "n": 2, "d": 2, "e": 2})
 
 
 def test_explore_reports_value_without_asserting():

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from verolab import (
+    BadParams,
     IndexOutOfRange,
     enumerate_exponents,
     eval_monomial,
@@ -91,3 +92,9 @@ def test_eval_monomial_zero_to_the_zero():
     f = parse_field("F3")
     t = (f.zero(), f.one())
     assert eval_monomial(t, (0, 2)) == f.one()
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (-1, 0), (2, -1)])
+def test_enumerate_exponents_rejects_bad_params(n, d):
+    with pytest.raises(BadParams):
+        enumerate_exponents(n, d)
