@@ -181,6 +181,8 @@ def _check_t1_1(params, seed, budget):
 
 def _check_t1_1_sharp(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
+    if not f.is_finite:
+        raise InfiniteField("T1_1_SHARP enumerates the points of a 2-space, so it needs a finite field")
     if f.q < d:
         return "exhaustive", False, None, None, {"reason": "q < d"}
     plane = span(
@@ -237,6 +239,50 @@ def _check_l2_4(params, seed, budget):
     return _sampled_mode(seed, trials), True, True, None, {}
 
 
+def _raw_key(m: Matrix) -> tuple:
+    return tuple(s.v for s in m.entries)
+
+
+def _elementary_matrices(f: FieldSpec, n: int) -> list[Matrix]:
+    """The transvections E_ij(lam) (i != j, lam != 0) and diag(mu, 1, ..., 1)
+    (mu not 0 or 1) over a finite field: a generating set of GL(n, q)."""
+    def with_entry(i, j, v):
+        rows = Matrix.identity(f, n).raw_rows()
+        rows[i][j] = v
+        return Matrix.from_raw_rows(f, rows, n)
+
+    nonzero = [v for v in range(f.q) if v != f.zero_raw]
+    return [with_entry(i, j, lam) for i, j in itertools.permutations(range(n), 2) for lam in nonzero] + [
+        with_entry(0, 0, mu) for mu in nonzero if mu != f.one_raw
+    ]
+
+
+def _rho_functoriality_witness(mats, rhos, gens):
+    """None when rho(a * b) == rho(a) * rho(b) for all a, b in mats, else a
+    witness; rhos maps raw entries to rho, with rho(identity) checked.
+    Tests g * b for g in gens only, then walks the edges b -> g * b from
+    the identity: the induction in the veronese module docstring needs the
+    walk to reach every map, so a shorter walk is a failure."""
+    edges = {}
+    for g in gens:
+        rg = rhos[_raw_key(g)]
+        for b in mats:
+            kb, gb = _raw_key(b), _raw_key(g * b)
+            if rhos[gb] != rg * rhos[kb]:
+                return {"functoriality": True}
+            edges.setdefault(kb, []).append(gb)
+    start = _raw_key(Matrix.identity(mats[0].field, mats[0].rows))
+    reached, stack = {start}, [start]
+    while stack:
+        for nxt in edges.get(stack.pop(), ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    if len(reached) != len(mats):
+        return {"functoriality": "incomplete", "reached": len(reached), "maps": len(mats)}
+    return None
+
+
 def _check_rho(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     trials = params.get("trials")
@@ -250,7 +296,7 @@ def _check_rho(params, seed, budget):
         rhos = {}
         for m in mats:
             r = rho_d(m, d)
-            rhos[tuple(s.v for s in m.entries)] = r
+            rhos[_raw_key(m)] = r
             if rank(r) != big_n:
                 return "exhaustive", True, False, {"singular_rho": True}, {}
         vectors = [
@@ -258,16 +304,13 @@ def _check_rho(params, seed, budget):
             for combo in itertools.product(range(f.q), repeat=n)
         ]
         for m in mats:
-            rm = rhos[tuple(s.v for s in m.entries)]
+            rm = rhos[_raw_key(m)]
             for t in vectors:
                 if veronese_vector(m.apply(t), d) != rm.apply(veronese_vector(t, d)):
                     return "exhaustive", True, False, {"equivariance": True}, {}
-        for a in mats:
-            ra = rhos[tuple(s.v for s in a.entries)]
-            for b in mats:
-                ab = a * b
-                if rhos[tuple(s.v for s in ab.entries)] != ra * rhos[tuple(s.v for s in b.entries)]:
-                    return "exhaustive", True, False, {"functoriality": True}, {}
+        wit = _rho_functoriality_witness(mats, rhos, _elementary_matrices(f, n))
+        if wit is not None:
+            return "exhaustive", True, False, wit, {}
         return "exhaustive", True, True, None, {"maps": len(mats)}
     trials = trials or 100
     rng = random.Random(seed)
@@ -361,6 +404,8 @@ def _check_t1_3(params, seed, budget):
 
 def _check_t3_3(params, seed, budget):
     f, n, d, r = _field(params), params["n"], params["d"], params["r"]
+    if not f.is_finite:
+        raise InfiniteField("T3_3 enumerates the points of PG(n-1, q), so it needs a finite field")
     binoms = [math.comb(d, i) for i in range(r + 1)]
     hyp = f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b).v != f.zero_raw for b in binoms)
     if not hyp:

@@ -11,6 +11,13 @@ and are exercised by the harness:
 
     rho_d(T * S) == rho_d(T) * rho_d(S)
     veronese_vector(T.apply(t), d) == rho_d(T).apply(veronese_vector(t, d))
+
+Over GF(q) the harness proves the first for all of GL(n, q) without
+multiplying every pair: it tests rho_d(G * S) == rho_d(G) * rho_d(S) for
+each elementary matrix G (transvections and diag(mu, 1, ..., 1)) and
+every S, and walks the edges S -> G * S from the identity.  When the walk
+reaches every map, each T is a word G_k ... G_1, and induction on k gives
+the identity for every pair (T, S); a walk that falls short fails.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import random
 import warnings
 from fractions import Fraction
 
-from .errors import SingularT
+from .errors import BudgetExceeded, SingularT
 from .field import FieldSpec, Scalar, int_in_field
 from .linalg import (
     Matrix,
@@ -57,19 +64,26 @@ def veronese_point(t: Vector, d: int) -> Subspace:
 def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
     """Span of the images of all vectors of u.
 
-    Finite fields enumerate one representative per 1-space of u (scalar
-    multiples do not change the span since images scale by lambda^d).
-    Over Q the span is taken at all vectors whose coordinates over the
-    basis of u lie in {0, ..., d}: a degree-d form vanishing on that grid
-    vanishes on u, so the grid span equals the true span.
+    The span is taken at all vectors whose coordinates over the basis of u
+    lie in a grid S^dim with |S| = d + 1: a linear functional vanishing on
+    those images is a polynomial of degree <= d in each coordinate that
+    vanishes on S^dim, hence the zero polynomial, so the grid span equals
+    the true span.  Over Q, S = {0, ..., d}; over GF(q), S is the raw
+    elements 0..d (distinct elements, unlike the integers 0..d when
+    p <= d).  Finite fields use one representative per 1-space of u
+    instead (images scale by lambda^d) when that set is no larger; it
+    always is when q <= d, since (q^dim - 1)/(q - 1) < q^dim <= d^dim.
     """
     f = u.field
     n = u.ambient_dim
     big_n = num_monomials(n, d)
-    if f.is_finite:
+    grid_size = (d + 1) ** u.dim
+    if f.is_finite and grid_size >= (f.q ** u.dim - 1) // (f.q - 1):
         vecs = projective_vectors(u, budget=budget)
     else:
-        grid = [int_in_field(f, c).v for c in range(d + 1)]
+        if grid_size > budget:
+            raise BudgetExceeded(f"{d + 1}^{u.dim} grid vectors exceed budget {budget}")
+        grid = range(d + 1) if f.is_finite else [int_in_field(f, c).v for c in range(d + 1)]
         vecs = combine_basis(u, itertools.product(grid, repeat=u.dim))
     return span([veronese_vector(v, d) for v in vecs], big_n, f)
 

@@ -77,6 +77,8 @@ def test_cli_reports_budget_errors_cleanly():
     ("L2_4", "--field", "F3", "--n", "1", "--d", "2"),  # K^1 has no two nonzero parts
     ("P5_2", "--field", "F3", "--n", "1", "--d", "2"),
     ("ITERATE", "--field", "Q"),  # K^n cannot be enumerated
+    ("T1_1_SHARP", "--field", "Q", "--n", "3", "--d", "2"),  # nor the points of a 2-space
+    ("T3_3", "--field", "Q", "--n", "2", "--d", "4", "--r", "3"),  # nor PG(n-1, K)
     ("T1_1", "--field", "F1099511627776", "--n", "2", "--d", "2"),  # q above 2^16
 ])
 def test_cli_reports_bad_params_cleanly(argv):

@@ -25,7 +25,9 @@ from verolab import (
     veronese_vector,
 )
 from verolab.field import Scalar, int_in_field
-from verolab.linalg import rank
+from verolab import veronese as veronese_mod
+from verolab.linalg import combine_basis, projective_vectors, rank
+from verolab.monomials import num_monomials
 from verolab.veronese import all_invertible_matrices, functional_dot, random_invertible_matrix
 
 F2 = parse_field("F2")
@@ -74,6 +76,52 @@ def test_veronese_subspace_small_field_defect():
     got = veronese_subspace(u, 3)
     assert got == oracle
     assert got.dim == 3
+
+
+def _projective_image_span(u, d):
+    """Reference: the span of the images of one vector per 1-space of u."""
+    return span([veronese_vector(v, d) for v in projective_vectors(u)], num_monomials(u.ambient_dim, d), u.field)
+
+
+def _seeded_subspaces(f, rng, n, max_dim):
+    out = []
+    for dim in range(1, max_dim + 1):
+        while True:
+            u = span([tuple(Scalar(f, rng.randrange(f.q)) for _ in range(n)) for _ in range(dim)], n, f)
+            if u.dim == dim:
+                out.append(u)
+                break
+    return out
+
+
+@pytest.mark.parametrize("q,d,n,max_dim", [
+    (q, d, n, max_dim)
+    for q, n, max_dim in ((4, 4, 3), (8, 4, 3), (9, 4, 3), (64, 3, 2), (243, 3, 2))
+    for d in (2, 3, 4)
+] + [(257, d, 3, 2) for d in (2, 3)])
+def test_veronese_subspace_grid_matches_projective_span(monkeypatch, q, d, n, max_dim):
+    f = parse_field(f"F{q}")
+    rng = random.Random(q * 100 + d)
+    calls = []
+    vec = veronese_mod.veronese_vector
+
+    def counting_vector(t, deg):
+        calls.append(1)
+        return vec(t, deg)
+
+    for u in _seeded_subspaces(f, rng, n, max_dim):
+        want = _projective_image_span(u, d)
+        if q > d:
+            # the raw grid 0..d alone spans the image, whichever path runs
+            grid = combine_basis(u, itertools.product(range(d + 1), repeat=u.dim))
+            assert span([veronese_vector(v, d) for v in grid], want.ambient_dim, f) == want
+        calls.clear()
+        monkeypatch.setattr(veronese_mod, "veronese_vector", counting_vector)
+        got = veronese_subspace(u, d)
+        monkeypatch.undo()
+        assert got == want
+        n_proj = (q ** u.dim - 1) // (q - 1)
+        assert len(calls) == (min((d + 1) ** u.dim, n_proj) if q > d else n_proj)
 
 
 def test_veronese_subspace_rational_grid_matches_functional_test():
