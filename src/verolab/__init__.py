@@ -69,6 +69,7 @@ from .polyalgebra import (
     product_space,
     sigma_iso,
     substitute,
+    sym_power,
 )
 from .veronese import (
     lift_functional,

@@ -484,11 +484,6 @@ class WedgeSpace:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.m) for j in range(i + 1, self.m)]
 
-    def pair_index(self, i: int, j: int) -> int:
-        if not 0 <= i < j < self.m:
-            raise ValueError(f"bad pair ({i}, {j})")
-        return self.pairs().index((i, j))
-
     def wedge(self, u, v) -> tuple:
         """u ^ v as a coordinate vector: alternating bilinear form with
         e_i ^ e_i = 0 and e_j ^ e_i = -(e_i ^ e_j)."""

@@ -51,6 +51,7 @@ from .veronese import (
     all_invertible_matrices,
     random_invertible_matrix,
     rho_d,
+    veronese_equivariance_check,
     veronese_point,
     veronese_subspace,
     veronese_vector,
@@ -299,15 +300,9 @@ def _check_rho(params, seed, budget):
             rhos[_raw_key(m)] = r
             if rank(r) != big_n:
                 return "exhaustive", True, False, {"singular_rho": True}, {}
-        vectors = [
-            tuple(Scalar(f, c) for c in combo)
-            for combo in itertools.product(range(f.q), repeat=n)
-        ]
         for m in mats:
-            rm = rhos[_raw_key(m)]
-            for t in vectors:
-                if veronese_vector(m.apply(t), d) != rm.apply(veronese_vector(t, d)):
-                    return "exhaustive", True, False, {"equivariance": True}, {}
+            if not veronese_equivariance_check(m, d):
+                return "exhaustive", True, False, {"equivariance": True}, {}
         wit = _rho_functoriality_witness(mats, rhos, _elementary_matrices(f, n))
         if wit is not None:
             return "exhaustive", True, False, wit, {}

@@ -329,9 +329,14 @@ def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
         if len(v) != ambient_dim:
             raise LengthMismatch(f"vector length {len(v)} != ambient {ambient_dim}")
         raw.append([s.v for s in v])
-    if not raw:
-        return Subspace(field, ambient_dim, Matrix(field, 0, ambient_dim, ()))
-    rows, pivots = _rref_raw(field, raw)
+    return span_raw(raw, ambient_dim, field)
+
+
+def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
+    """span() of raw coordinate lists, which are reduced in place."""
+    if not rows:
+        return zero_subspace(field, ambient_dim)
+    rows, pivots = _rref_raw(field, rows)
     basis = Matrix.from_raw_rows(field, rows[: len(pivots)], ambient_dim)
     return Subspace(field, ambient_dim, basis)
 

@@ -1,4 +1,4 @@
-"""Degree-d exponent vectors in n variables and multinomial coefficients.
+"""Degree-d exponent vectors in n variables, their step tables, and multinomial coefficients.
 
 The list produced by enumerate_exponents fixes, once and for all, the
 coordinate order of the degree-d coefficient space used by every other
@@ -33,6 +33,29 @@ def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 @functools.lru_cache(maxsize=None)
 def _index_map(n: int, d: int) -> dict[tuple[int, ...], int]:
     return {alpha: i for i, alpha in enumerate(enumerate_exponents(n, d))}
+
+
+@functools.lru_cache(maxsize=None)
+def _parent_steps(n: int, d: int) -> tuple[tuple[int, int], ...]:
+    """For each degree-d exponent beta (d >= 1), in order: the index of
+    beta - e_i in degree d - 1, and i, the first nonzero index of beta."""
+    idx = _index_map(n, d - 1)
+    out = []
+    for beta in enumerate_exponents(n, d):
+        i = next(k for k, a in enumerate(beta) if a)
+        out.append((idx[beta[:i] + (beta[i] - 1,) + beta[i + 1:]], i))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Row g, entry j: the index in degree d (d >= 1) of gamma + e_j, where
+    gamma is the g-th degree-(d - 1) exponent."""
+    idx = _index_map(n, d)
+    return tuple(
+        tuple(idx[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]] for j in range(n))
+        for gamma in enumerate_exponents(n, d - 1)
+    )
 
 
 def num_monomials(n: int, d: int) -> int:

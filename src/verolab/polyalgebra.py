@@ -2,6 +2,12 @@
 subspaces, product spaces, and the diagonal rescaling that identifies
 powerpoints with degree-d monomial evaluation vectors.
 
+One kernel builds every symmetric power: sym_power(rows, d, field) is the
+matrix Sym^d of a list of linear forms, whose row beta holds the
+coefficients of prod_i (rows[i] . x)^beta_i.  Powers of one linear form,
+power subspaces <T^d>, substitution, and (in the veronese module) rho_d
+and the span of a Veronese image are all read off that matrix.
+
 A HomogPoly is a coefficient vector over the monomial order fixed by the
 monomials module.  Subspaces of a homogeneous component are plain
 Subspaces of K^dim(A_d); the variable count and degree travel as explicit
@@ -15,12 +21,11 @@ not mentioned in a term have exponent 0.
 
 from __future__ import annotations
 
-import itertools
-
-from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
+from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import Matrix, Subspace, full_subspace, span, subspace_intersect
-from .monomials import enumerate_exponents, eval_monomial, multinomial, num_monomials, _index_map
+from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span, span_raw, subspace_intersect
+from .monomials import enumerate_exponents, eval_monomial, multinomial, num_monomials
+from .monomials import _index_map, _parent_steps, _shift_table
 
 
 class HomogPoly:
@@ -137,7 +142,7 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
 
 
 def poly_pow(f_poly: HomogPoly, e: int) -> HomogPoly:
-    """e-fold product; linear forms take the closed multinomial route."""
+    """e-fold product; linear forms go through sym_power."""
     if e < 0:
         raise DegreeMismatch("negative power")
     if e == 0:
@@ -151,27 +156,49 @@ def poly_pow(f_poly: HomogPoly, e: int) -> HomogPoly:
     return out
 
 
+def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
+    """Sym^d of the linear forms rows (raw coefficient lists, n each).
+
+    Row beta, in the degree-d monomial order over len(rows) variables,
+    holds the coefficients of prod_i (rows[i] . x)^beta_i in the degree-d
+    monomial order over n variables.  It is built degree by degree: row
+    beta is row beta - e_i times form i, for i the first nonzero index of
+    beta.  No rows give no rows; d = 0 gives the constant 1 per row.
+    """
+    m = len(rows)
+    if m == 0:
+        return []
+    n = len(rows[0])
+    cells = num_monomials(m, d) * num_monomials(n, d)
+    if cells > ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"Sym^{d} of {m} forms in {n} variables has {cells} entries, over budget {ENUM_BUDGET}")
+    zero = field.zero_raw
+    add, mul = field.add, field.mul
+    terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]
+    table = [[field.one_raw]]
+    for k in range(1, d + 1):
+        shift = _shift_table(n, k)
+        width = num_monomials(n, k)
+        nxt = []
+        for parent, i in _parent_steps(m, k):
+            out = [zero] * width
+            form = terms[i]
+            for c, sh in zip(table[parent], shift):
+                if c != zero:
+                    for j, l in form:
+                        s = sh[j]
+                        out[s] = add(out[s], mul(c, l))
+            nxt.append(out)
+        table = nxt
+    return table
+
+
 def linear_form_power(form: HomogPoly, d: int) -> HomogPoly:
-    """(t1 x1 + ... + tn xn)^d = sum_alpha c(alpha) t^alpha x^alpha."""
+    """(t1 x1 + ... + tn xn)^d, the one-row case of sym_power."""
     if form.d != 1:
         raise DegreeMismatch("linear form expected")
-    fld = form.field
-    n = form.n
-    mul = fld.mul
-    zero = fld.zero_raw
-    ts = form.coeffs
-    out = []
-    for alpha in enumerate_exponents(n, d):
-        _, c = multinomial(d, alpha, fld)
-        if c.v == zero:
-            out.append(zero)
-            continue
-        acc = c.v
-        for ti, a in zip(ts, alpha):
-            if a:
-                acc = mul(acc, (ti ** a).v)
-        out.append(acc)
-    return HomogPoly.from_raw(fld, n, d, out)
+    return HomogPoly.from_raw(form.field, form.n, d, sym_power([form.raw()], d, form.field)[0])
 
 
 # ----------------------------------------------------------------------
@@ -190,31 +217,13 @@ def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
     return [HomogPoly(s.field, n, d, r) for r in s.basis.row_list()]
 
 
-def polys_span(polys, field: FieldSpec, n: int, d: int) -> Subspace:
-    return span([p.coeffs for p in polys], num_monomials(n, d), field)
-
-
 def power_subspace(t: Subspace, d: int) -> Subspace:
-    """<T^d>: span of all d-fold products of elements of T <= A_1, using
-    the degree-d monomials in the canonical basis of T as generators."""
+    """<T^d>: span of all d-fold products of elements of T <= A_1, i.e. the
+    row space of sym_power over the canonical basis of T."""
     if d < 1:
         raise DegreeMismatch("power degree must be >= 1")
     fld = t.field
-    n = t.ambient_dim
-    forms = [HomogPoly.linear_form(r) for r in t.basis.row_list()]
-    gens = []
-    for combo in itertools.combinations_with_replacement(range(len(forms)), d):
-        prod = None
-        i = 0
-        while i < len(combo):
-            j = i
-            while j < len(combo) and combo[j] == combo[i]:
-                j += 1
-            piece = linear_form_power(forms[combo[i]], j - i)
-            prod = piece if prod is None else poly_mul(prod, piece)
-            i = j
-        gens.append(prod)
-    return polys_span(gens, fld, n, d)
+    return span_raw(sym_power(t.basis.raw_rows(), d, fld), num_monomials(t.ambient_dim, d), fld)
 
 
 def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> Subspace:
@@ -225,8 +234,7 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
         raise FieldMismatch("product of subspaces over different fields")
     pp = subspace_polys(p, n, deg_p)
     qq = subspace_polys(q, n, deg_q)
-    gens = [poly_mul(a, b) for a in pp for b in qq]
-    return polys_span(gens, fld, n, deg_p + deg_q)
+    return span([poly_mul(a, b).coeffs for a in pp for b in qq], num_monomials(n, deg_p + deg_q), fld)
 
 
 def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
@@ -250,26 +258,15 @@ def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
 
 
 def substitute(f_poly: HomogPoly, images) -> HomogPoly:
-    """Replace x_i by images[i] (all degree 1) and expand."""
+    """Replace x_i by images[i] (all degree 1) and expand: the coefficient
+    vector of f times sym_power of the images."""
     images = list(images)
     if len(images) != f_poly.n or any(g.d != 1 or g.n != f_poly.n for g in images):
         raise DegreeMismatch("need one degree-1 image per variable")
     fld = f_poly.field
     n, d = f_poly.n, f_poly.d
-    out = HomogPoly.zero(fld, n, d)
-    zero = fld.zero_raw
-    for c, alpha in zip(f_poly.coeffs, enumerate_exponents(n, d)):
-        if c.v == zero:
-            continue
-        term = None
-        for g, a in zip(images, alpha):
-            if a:
-                piece = linear_form_power(g, a)
-                term = piece if term is None else poly_mul(term, piece)
-        if term is None:  # d = 0: substitution fixes constants
-            term = HomogPoly.from_raw(fld, n, 0, [fld.one_raw])
-        out = out + term.scale(c)
-    return out
+    sym = Matrix.from_raw_rows(fld, sym_power([g.raw() for g in images], d, fld))
+    return HomogPoly(fld, n, d, sym.transpose().apply(f_poly.coeffs))
 
 
 def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:

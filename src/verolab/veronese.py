@@ -5,9 +5,11 @@ invertible linear maps on the degree-d component.
 Conventions.  A linear map T on K^n is an n x n Matrix whose row i is
 the image of the i-th basis vector; it acts on column vectors via
 Matrix.apply.  rho_d(T) is the N x N matrix whose row alpha holds the
-coefficients of prod_i (sum_j T[i][j] x_j)^(a_i) in monomial order.
-With these conventions both identities below are plain matrix algebra
-and are exercised by the harness:
+coefficients of prod_i (sum_j T[i][j] x_j)^(a_i) in monomial order: the
+kernel polyalgebra.sym_power of the rows of T, which also gives
+veronese_subspace.  veronese_vector evaluates monomials pointwise instead,
+so checks comparing it with rho_d test two independent constructions.
+Both identities below are plain matrix algebra, exercised by the harness:
 
     rho_d(T * S) == rho_d(T) * rho_d(S)
     veronese_vector(T.apply(t), d) == rho_d(T).apply(veronese_vector(t, d))
@@ -27,19 +29,11 @@ import random
 import warnings
 from fractions import Fraction
 
-from .errors import BudgetExceeded, SingularT
-from .field import FieldSpec, Scalar, int_in_field
-from .linalg import (
-    Matrix,
-    Subspace,
-    Vector,
-    combine_basis,
-    projective_vectors,
-    rank,
-    span,
-)
+from .errors import SingularT
+from .field import FieldSpec, Scalar
+from .linalg import Matrix, Subspace, Vector, projective_vectors, rank, span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, num_monomials
-from .polyalgebra import HomogPoly, linear_form_power, poly_mul
+from .polyalgebra import HomogPoly, sym_power
 
 
 def veronese_vector(t: Vector, d: int) -> Vector:
@@ -64,28 +58,26 @@ def veronese_point(t: Vector, d: int) -> Subspace:
 def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
     """Span of the images of all vectors of u.
 
-    The span is taken at all vectors whose coordinates over the basis of u
-    lie in a grid S^dim with |S| = d + 1: a linear functional vanishing on
-    those images is a polynomial of degree <= d in each coordinate that
-    vanishes on S^dim, hence the zero polynomial, so the grid span equals
-    the true span.  Over Q, S = {0, ..., d}; over GF(q), S is the raw
-    elements 0..d (distinct elements, unlike the integers 0..d when
-    p <= d).  Finite fields use one representative per 1-space of u
-    instead (images scale by lambda^d) when that set is no larger; it
-    always is when q <= d, since (q^dim - 1)/(q - 1) < q^dim <= d^dim.
+    Write v = sum_k c_k b_k over the basis b of u.  Coordinate j of v is
+    the linear form (column j of b) . c, so the image of v is S v_d(c),
+    where S = sym_power(b^T, d) has one row per degree-d monomial in the
+    n coordinates and one column per degree-d monomial in c.  When q > d
+    or over Q, the degree-d monomials are linearly independent functions
+    on K^dim (a polynomial of degree <= d < q in each variable that
+    vanishes on all of K^dim is zero), so the vectors v_d(c) span all of
+    K^N(dim, d) and the image spans exactly the column space of S.  When
+    q <= d that fails, and the span is taken over one vector per 1-space
+    of u (images scale by lambda^d), raising BudgetExceeded if q^dim > budget.
     """
     f = u.field
-    n = u.ambient_dim
-    big_n = num_monomials(n, d)
-    grid_size = (d + 1) ** u.dim
-    if f.is_finite and grid_size >= (f.q ** u.dim - 1) // (f.q - 1):
+    big_n = num_monomials(u.ambient_dim, d)
+    if u.is_zero():
+        return zero_subspace(f, big_n)
+    if f.is_finite and f.q <= d:
         vecs = projective_vectors(u, budget=budget)
-    else:
-        if grid_size > budget:
-            raise BudgetExceeded(f"{d + 1}^{u.dim} grid vectors exceed budget {budget}")
-        grid = range(d + 1) if f.is_finite else [int_in_field(f, c).v for c in range(d + 1)]
-        vecs = combine_basis(u, itertools.product(grid, repeat=u.dim))
-    return span([veronese_vector(v, d) for v in vecs], big_n, f)
+        return span([veronese_vector(v, d) for v in vecs], big_n, f)
+    s = sym_power(u.basis.transpose().raw_rows(), d, f)
+    return span_raw([list(col) for col in zip(*s)], big_n, f)
 
 
 def lift_functional(g: HomogPoly) -> Vector:
@@ -104,21 +96,11 @@ def functional_dot(a: Vector, v: Vector) -> Scalar:
 
 def rho_d(t_mat: Matrix, d: int) -> Matrix:
     """The linear map induced on the degree-d component by substituting
-    x_i -> sum_j T[i][j] x_j; returned as an explicit N x N matrix."""
-    f = t_mat.field
-    n = t_mat.rows
-    if t_mat.cols != n:
+    x_i -> sum_j T[i][j] x_j; returned as an explicit N x N matrix, which
+    is sym_power of the rows of T."""
+    if t_mat.cols != t_mat.rows:
         raise SingularT("square matrix required")
-    forms = [HomogPoly.linear_form(t_mat.row(i)) for i in range(n)]
-    rows = []
-    for alpha in enumerate_exponents(n, d):
-        prod: HomogPoly | None = None
-        for i, a in enumerate(alpha):
-            if a:
-                piece = linear_form_power(forms[i], a)
-                prod = piece if prod is None else poly_mul(prod, piece)
-        rows.append(prod.coeffs)
-    return Matrix.from_rows(f, rows)
+    return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw_rows(), d, t_mat.field))
 
 
 def all_invertible_matrices(f: FieldSpec, n: int, budget: int = 10 ** 6):

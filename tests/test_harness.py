@@ -80,6 +80,7 @@ def test_cli_reports_budget_errors_cleanly():
     ("T1_1_SHARP", "--field", "Q", "--n", "3", "--d", "2"),  # nor the points of a 2-space
     ("T3_3", "--field", "Q", "--n", "2", "--d", "4", "--r", "3"),  # nor PG(n-1, K)
     ("T1_1", "--field", "F1099511627776", "--n", "2", "--d", "2"),  # q above 2^16
+    ("C5_3", "--field", "F2", "--n", "40", "--d", "8", "--trials", "1"),  # Sym^8 of K^40 over budget
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)

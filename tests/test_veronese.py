@@ -121,7 +121,8 @@ def test_veronese_subspace_grid_matches_projective_span(monkeypatch, q, d, n, ma
         monkeypatch.undo()
         assert got == want
         n_proj = (q ** u.dim - 1) // (q - 1)
-        assert len(calls) == (min((d + 1) ** u.dim, n_proj) if q > d else n_proj)
+        # q > d: the column space of sym_power, with no image evaluated
+        assert len(calls) == (0 if q > d else n_proj)
 
 
 def test_veronese_subspace_rational_grid_matches_functional_test():
