@@ -1,7 +1,6 @@
 """Command line front end.
 
-    verolab check <ID> [--field F --n N --d D --e E --r R --k K
-                        --seed S --budget B --trials T --wmax W --out json|text]
+    verolab check <ID> [--field F --<param> V ... --seed S --budget B --out json|text]
     verolab suite <smoke|full-desk> [--out json|text] [--timing]
     verolab construct <kind> --field F [--n N --d D --k K --m M] [--out FILE]
     verolab vcode --n N --d D --field F --wmax W [--powerpoints] [--out json]
@@ -23,19 +22,32 @@ from .constructions import (
     rational_normal_curve,
     wedge_family,
 )
-from .errors import VerolabError
+from .errors import BadParams, VerolabError
 from .field import parse_field
 from .harness import CHECK_REGISTRY, result_to_json, run_check, run_suite, suite_to_json
 from .linalg import format_family
 from . import vcode as vc
 
 
+# every parameter some check declares is a flag of `check`; run_check
+# rejects one the chosen check does not declare
+CHECK_PARAMS = {name: p for check in CHECK_REGISTRY.values() for name, p in check.params.items()}
+
+# kind -> (builder, the flags it needs); each builder names the field f
+CONSTRUCTIONS = {
+    "spread": (desarguesian_spread, ("k",)),
+    "conic": (conic, ()),
+    "hyperoval": (hyperoval, ()),
+    "ovoid": (elliptic_ovoid, ()),
+    "rnc": (rational_normal_curve, ("d",)),
+    "dual-arc-ad": (dual_arc_ad, ("n", "d")),
+    "dual-arc-ik": (dual_arc_ik, ("n", "d", "k")),
+    "wedge": (wedge_family, ("m",)),
+}
+
+
 def _check_cmd(args) -> int:
-    params = {}
-    for key in ("field", "n", "d", "e", "r", "k", "trials", "wmax"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in ("field", *CHECK_PARAMS) if getattr(args, key) is not None}
     res = run_check(args.check_id, params, seed=args.seed, budget=args.budget)
     if args.out == "json":
         print(result_to_json(res, with_timing=True))
@@ -63,27 +75,11 @@ def _suite_cmd(args) -> int:
 
 
 def _construct_cmd(args) -> int:
-    f = parse_field(args.field)
-    kind = args.kind
-    if kind == "spread":
-        fam = list(desarguesian_spread(f, args.k))
-    elif kind == "conic":
-        fam = conic(f)
-    elif kind == "hyperoval":
-        fam = hyperoval(f)
-    elif kind == "ovoid":
-        fam = elliptic_ovoid(f)
-    elif kind == "rnc":
-        fam = rational_normal_curve(f, args.d)
-    elif kind == "dual-arc-ad":
-        fam = list(dual_arc_ad(args.n, args.d, f))
-    elif kind == "dual-arc-ik":
-        fam = list(dual_arc_ik(args.n, args.d, args.k, f))
-    elif kind == "wedge":
-        fam = list(wedge_family(f, args.m))
-    else:
-        print(f"unknown construction {kind!r}", file=sys.stderr)
-        return 2
+    build, flags = CONSTRUCTIONS[args.kind]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise BadParams(f"construct {args.kind} needs {' '.join(missing)}")
+    fam = list(build(f=parse_field(args.field), **{flag: getattr(args, flag) for flag in flags}))
     text = format_family(fam)
     if args.out:
         with open(args.out, "w") as handle:
@@ -127,10 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="verolab", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p_check = sub.add_parser("check", help="run one named check")
+    p_check = sub.add_parser("check", help="run one named check", allow_abbrev=False)
     p_check.add_argument("check_id", choices=sorted(CHECK_REGISTRY))
     p_check.add_argument("--field", type=str, default=None)
-    for flag in ("n", "d", "e", "r", "k", "trials", "wmax", "budget", "seed"):
+    for name, p in sorted(CHECK_PARAMS.items()):
+        if isinstance(p.default, bool):
+            p_check.add_argument(f"--{name}", action="store_true", default=None)
+        else:
+            p_check.add_argument(f"--{name}", type=int, default=None)
+    for flag in ("budget", "seed"):
         p_check.add_argument(f"--{flag}", type=int, default=None)
     p_check.add_argument("--out", choices=("json", "text"), default="text")
     p_check.set_defaults(fn=_check_cmd)
@@ -143,12 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.set_defaults(fn=_suite_cmd)
 
     p_con = sub.add_parser("construct", help="emit a family fixture")
-    p_con.add_argument(
-        "kind",
-        choices=("spread", "conic", "hyperoval", "ovoid", "rnc", "dual-arc-ad", "dual-arc-ik", "wedge"),
-    )
+    p_con.add_argument("kind", choices=sorted(CONSTRUCTIONS))
     p_con.add_argument("--field", type=str, required=True)
-    for flag in ("n", "d", "k", "m"):
+    for flag in sorted({flag for _, flags in CONSTRUCTIONS.values() for flag in flags}):
         p_con.add_argument(f"--{flag}", type=int, default=None)
     p_con.add_argument("--out", type=str, default=None)
     p_con.set_defaults(fn=_construct_cmd)

@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, OddQForHyperoval
+from .errors import BadParams, BudgetExceeded, OddQForHyperoval
 from .field import FieldSpec, Scalar, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible
 from .independence import SubspaceFamily
 from .linalg import (
@@ -138,7 +138,7 @@ def dual_arc_ad(n: int, d: int, f: FieldSpec) -> SubspaceFamily:
     """One member per projective point <y> of the degree-1 component:
     all degree-d multiples of y."""
     if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
+        raise BadParams(f"dual_arc_ad needs d >= 2 and n >= 2, got (n, d) = ({n}, {d})")
     a_dm1 = component_space(f, n, d - 1)
     members = []
     for y in projective_points(f, n):
@@ -224,8 +224,8 @@ def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> l
 
 def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> SubspaceFamily:
     """Members are the degree-d multiples of each prime power in I_k."""
-    if d < k:
-        raise ValueError("need d >= k")
+    if not 1 <= k <= d:
+        raise BadParams(f"dual_arc_ik needs 1 <= k <= d, got (d, k) = ({d}, {k})")
     a_dmk = component_space(f, n, d - k)
     dim_k = num_monomials(n, k)
     members = []
@@ -498,7 +498,7 @@ def wedge_family(f: FieldSpec, m: int) -> SubspaceFamily:
     """One member per projective point <v> of K^m: the span of all
     e_i ^ v inside the exterior square; each member has dimension m-1."""
     if m < 3:
-        raise ValueError("need m >= 3")
+        raise BadParams(f"wedge_family needs m >= 3, got {m}")
     w = WedgeSpace(m)
     basis = [
         tuple(f.one() if k == i else f.zero() for k in range(m)) for i in range(m)

@@ -8,6 +8,19 @@ with no conclusion, never as a failure.  Reports are deterministic given
 (check_id, params, seed); wall time is measured but excluded from the
 canonical JSON so identical runs serialize identically.
 
+CHECK_REGISTRY is the one description of every check.  A Check entry
+holds the body, the one-line description, the default field, whether
+the field must be finite, and a Param per other parameter: its default,
+whether the reported params show that default when the caller gives
+none (else it is implicit and stays out of the JSON), and an integer's
+least and greatest values, each a number or the name of a parameter
+declared before it.  run_check validates params against the entry before
+anything is built: an undeclared name, a wrong type or a value out of
+range raises BadParams, and Q for a finite-only check InfiniteField.
+The `check` CLI takes its flags from the entries.  A body is called as
+body(params, seed, budget) with every parameter filled in and the field
+parsed, and returns (mode, hypothesis_ok, conclusion_ok, witness, data).
+
 The suite manifests at the bottom of this module pin the default
 parameter grids; bump MANIFEST_VERSION when they change.
 """
@@ -21,10 +34,11 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
-from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
+from .independence import SubspaceFamily, is_r_independent, max_independence
 from .linalg import (
     Matrix,
     Subspace,
@@ -120,8 +134,20 @@ def _field(params: dict) -> FieldSpec:
     return f if isinstance(f, FieldSpec) else parse_field(f)
 
 
-def _sampled_mode(seed: int, trials: int) -> str:
-    return f"sampled(seed={seed},trials={trials})"
+def _sampled(seed: int, trials: int, trial: Callable, data: dict | None = None):
+    """Run trial(rng, i) for i < trials on one rng seeded with seed; the
+    first witness it returns (None means the trial held) fails the check."""
+    mode = f"sampled(seed={seed},trials={trials})"
+    rng = random.Random(seed)
+    for i in range(trials):
+        wit = trial(rng, i)
+        if wit is not None:
+            return mode, True, False, wit, {}
+    return mode, True, True, None, data or {}
+
+
+def _not_met(reason: str):
+    return "exhaustive", False, None, None, {"reason": reason}
 
 
 def _random_vector(rng: random.Random, f: FieldSpec, m: int):
@@ -145,21 +171,37 @@ def _random_subspace_disjoint(rng, f, m, dim, avoid: Subspace) -> Subspace:
     raise BudgetExceeded("could not sample a disjoint subspace")
 
 
-def _veronese_point_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
-    return SubspaceFamily([veronese_point(t, d) for t in projective_points(f, n)])
+def _unit_rows(f: FieldSpec, n: int, idxs) -> list[tuple]:
+    """The unit vectors e_i of K^n for i in idxs."""
+    return [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in idxs]
+
+
+def _is_char_power(f: FieldSpec, d: int) -> bool:
+    """Is d = p^i for the characteristic p of f and some i >= 1?"""
+    p = f.char
+    return p > 0 and any(p ** i == d for i in range(1, d.bit_length()))
+
+
+def _falling_vanishes(f: FieldSpec, d: int, r: int) -> bool:
+    """Is d!/(d-r)! zero in f?"""
+    return int_in_field(f, math.perm(d, r)).v == f.zero_raw
 
 
 def _powerpoint_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
+    """The distinct points <t^d> of the degree-d component, in the order
+    of the points t of PG(n-1, q) that first give them."""
     big_n = num_monomials(n, d)
-    members = []
-    seen = set()
-    for t in projective_points(f, n):
-        p = linear_form_power(HomogPoly.linear_form(t), d)
-        s = span([p.coeffs], big_n, f)
-        if s not in seen:
-            seen.add(s)
-            members.append(s)
-    return SubspaceFamily(members)
+    points = (
+        span([linear_form_power(HomogPoly.linear_form(t), d).coeffs], big_n, f) for t in projective_points(f, n)
+    )
+    return SubspaceFamily(list(dict.fromkeys(points)))
+
+
+def _profile_verdict(fam: SubspaceFamily, rep, ok: bool):
+    """The report of a dual-arc profile law: the constant profile of rep
+    is the witness of a failure and, with the member count, the data."""
+    prof = rep.constant_profile()
+    return "exhaustive", True, ok, None if ok else {"profile": prof}, {"members": len(fam), "profile": prof}
 
 
 def _join(subspaces, ambient: int, f: FieldSpec) -> Subspace:
@@ -168,27 +210,67 @@ def _join(subspaces, ambient: int, f: FieldSpec) -> Subspace:
 
 
 # ----------------------------------------------------------------------
-# check implementations; each returns (mode, hyp_ok, concl_ok, witness, data)
+# the three shapes of law
+# ----------------------------------------------------------------------
+
+def _point_family_law(fam: SubspaceFamily, r: int, budget: int):
+    """Every r members of a family of points are independent.  With fewer
+    than r points no r-set exists, and the pass says it is vacuous."""
+    if len(fam) < r:
+        return "exhaustive", True, True, None, {"points": len(fam), "vacuous": True}
+    ok, wit = is_r_independent(fam, r, budget=budget)
+    return "exhaustive", True, ok, wit, {"points": len(fam)}
+
+
+def _spread_image_law(params, budget, image, r_hyp, r_conc, show_r=False, count_first=False):
+    """Hypothesis: the spread of K^2k is r_hyp-independent with at least
+    r_conc members.  Conclusion: the images image(t, d) of its members are
+    r_conc-independent.  count_first (T1_2, as check_image_independence)
+    counts the members before the hypothesis search and reports members
+    and r with a failed hypothesis too."""
+    fam = desarguesian_spread(_field(params), params["k"])
+    data = {"members": len(fam), "r": r_conc} if show_r else {"members": len(fam)}
+    few = len(fam) < r_conc
+    hyp_ok, hyp_wit = (False, None) if few and count_first else is_r_independent(fam, r_hyp, budget=budget)
+    if few or not hyp_ok:
+        shown = data if count_first else {}
+        return "exhaustive", False, None, None, {**shown, "hypothesis_witness": _jsonable(hyp_wit)}
+    images = SubspaceFamily([image(t, params["d"]) for t in fam])
+    ok, wit = is_r_independent(images, r_conc, budget=budget)
+    return "exhaustive", True, ok, wit, data
+
+
+def _disjoint_image_law(params, seed, image, count):
+    """Sampled: for a random U0 and count random subspaces each disjoint
+    from U0, image(U0, d) meets the join of their images in 0."""
+    f, n, d = _field(params), params["n"], params["d"]
+    big_n = num_monomials(n, d)
+
+    def trial(rng, i):
+        dim0 = rng.randint(1, max(1, n - 1))
+        u0 = _random_subspace(rng, f, n, dim0)
+        others = [_random_subspace_disjoint(rng, f, n, rng.randint(1, n - dim0), u0) for _ in range(count)]
+        right = _join([image(u, d) for u in others], big_n, f)
+        return None if subspace_intersect(image(u0, d), right).is_zero() else {"trial": i}
+
+    return _sampled(seed, params["trials"], trial)
+
+
+# ----------------------------------------------------------------------
+# check bodies; each returns (mode, hyp_ok, concl_ok, witness, data)
 # ----------------------------------------------------------------------
 
 def _check_t1_1(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
-    fam = _veronese_point_family(f, n, d)
-    if len(fam) < d + 1:  # no (d+1)-subsets exist
-        return "exhaustive", True, True, None, {"points": len(fam), "vacuous": True}
-    ok, wit = is_r_independent(fam, d + 1, budget=budget)
-    return "exhaustive", True, ok, wit, {"points": len(fam)}
+    fam = SubspaceFamily([veronese_point(t, d) for t in projective_points(f, n)])
+    return _point_family_law(fam, d + 1, budget)
 
 
 def _check_t1_1_sharp(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
-    if not f.is_finite:
-        raise InfiniteField("T1_1_SHARP enumerates the points of a 2-space, so it needs a finite field")
     if f.q < d:
-        return "exhaustive", False, None, None, {"reason": "q < d"}
-    plane = span(
-        [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in (0, 1)], n, f
-    )
+        return _not_met("q < d")
+    plane = span(_unit_rows(f, n, (0, 1)), n, f)
     images = [veronese_vector(t, d) for t in projective_vectors(plane)]
     big_n = num_monomials(n, d)
     for idxs in itertools.combinations(range(len(images)), d + 2):
@@ -198,46 +280,16 @@ def _check_t1_1_sharp(params, seed, budget):
 
 
 def _check_t1_2(params, seed, budget):
-    f, k, d, e = _field(params), params["k"], params["d"], params["e"]
-    fam = desarguesian_spread(f, k)
-    rep = check_image_independence(fam, d, e, budget=budget)
-    data = {"members": len(fam), "r": rep.r}
-    if not rep.hypothesis_ok:
-        data["hypothesis_witness"] = _jsonable(rep.witness)
-        return "exhaustive", False, None, None, data
-    return "exhaustive", True, rep.conclusion_ok, rep.witness, data
+    d, e = params["d"], params["e"]
+    return _spread_image_law(params, budget, veronese_subspace, e + 1, d * e + 1, show_r=True, count_first=True)
 
 
 def _check_t2_3(params, seed, budget):
-    f, k, d = _field(params), params["k"], params["d"]
-    fam = desarguesian_spread(f, k)
-    hyp_ok, hyp_wit = is_r_independent(fam, 2, budget=budget)
-    if not hyp_ok or len(fam) < d + 1:
-        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
-    images = SubspaceFamily([veronese_subspace(u, d) for u in fam])
-    ok, wit = is_r_independent(images, d + 1, budget=budget)
-    return "exhaustive", True, ok, wit, {"members": len(fam)}
+    return _spread_image_law(params, budget, veronese_subspace, 2, params["d"] + 1)
 
 
 def _check_l2_4(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
-    if n < 2:
-        raise BadParams(f"L2_4 splits K^n into two nonzero parts, so needs n >= 2, got {n}")
-    trials = params["trials"]
-    rng = random.Random(seed)
-    big_n = num_monomials(n, d)
-    for trial in range(trials):
-        dim0 = rng.randint(1, max(1, n - 1))
-        u0 = _random_subspace(rng, f, n, dim0)
-        others = []
-        for _ in range(d):
-            dim_j = rng.randint(1, n - dim0)
-            others.append(_random_subspace_disjoint(rng, f, n, dim_j, u0))
-        left = veronese_subspace(u0, d)
-        right = _join([veronese_subspace(u, d) for u in others], big_n, f)
-        if not subspace_intersect(left, right).is_zero():
-            return _sampled_mode(seed, trials), True, False, {"trial": trial}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+    return _disjoint_image_law(params, seed, veronese_subspace, params["d"])
 
 
 def _raw_key(m: Matrix) -> tuple:
@@ -285,14 +337,11 @@ def _rho_functoriality_witness(mats, rhos, gens):
 
 
 def _check_rho(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
-    trials = params.get("trials")
+    f, n, d, trials = _field(params), params["n"], params["d"], params["trials"]
     big_n = num_monomials(n, d)
-    ident_ok = rho_d(Matrix.identity(f, n), d) == Matrix.identity(f, big_n)
-    if not ident_ok:
+    if rho_d(Matrix.identity(f, n), d) != Matrix.identity(f, big_n):
         return "exhaustive", True, False, {"identity": False}, {}
-    exhaustive = f.is_finite and f.q ** (n * n) <= 10 ** 5 and trials is None
-    if exhaustive:
+    if trials is None and f.is_finite and f.q ** (n * n) <= 10 ** 5:
         mats = list(all_invertible_matrices(f, n))
         rhos = {}
         for m in mats:
@@ -307,24 +356,23 @@ def _check_rho(params, seed, budget):
         if wit is not None:
             return "exhaustive", True, False, wit, {}
         return "exhaustive", True, True, None, {"maps": len(mats)}
-    trials = trials or 100
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(rng, i):
         a = random_invertible_matrix(rng, f, n)
         b = random_invertible_matrix(rng, f, n)
         ra, rb, rab = rho_d(a, d), rho_d(b, d), rho_d(a * b, d)
         if rab != ra * rb or rank(ra) != big_n:
-            return _sampled_mode(seed, trials), True, False, {"trial": trial}, {}
+            return {"trial": i}
         t = _random_vector(rng, f, n)
         if veronese_vector(a.apply(t), d) != ra.apply(veronese_vector(t, d)):
-            return _sampled_mode(seed, trials), True, False, {"trial": trial, "equivariance": True}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+            return {"trial": i, "equivariance": True}
+        return None
+
+    return _sampled(seed, trials or 100, trial)
 
 
 def _check_iterate(params, seed, budget):
     f, n, d, e = _field(params), params["n"], params["d"], params["e"]
-    if not f.is_finite:
-        raise InfiniteField("ITERATE enumerates K^n, so it needs a finite field")
     big_n = num_monomials(n, d)
     idx_ed = _index_map(n, d * e)
     outer = enumerate_exponents(big_n, e)
@@ -351,125 +399,79 @@ def _check_iterate(params, seed, budget):
 
 def _check_sigma(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
-    trials = params.get("trials", 50)
     try:
         sig = sigma_iso(n, d, f)
     except BadCharacteristic:
-        return "exhaustive", False, None, None, {"reason": "vanishing multinomial"}
-    if f.is_finite:
-        vectors = projective_points(f, n)
-        mode = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        vectors = [_random_vector(rng, f, n) for _ in range(trials)]
-        mode = _sampled_mode(seed, trials)
-    for t in vectors:
+        return _not_met("vanishing multinomial")
+
+    def witness(t):
         p = linear_form_power(HomogPoly.linear_form(t), d)
-        if sig.apply(p.coeffs) != veronese_vector(t, d):
-            return mode, True, False, {"t": [str(s) for s in t]}, {}
-    return mode, True, True, None, {}
+        return None if sig.apply(p.coeffs) == veronese_vector(t, d) else {"t": [str(s) for s in t]}
+
+    if not f.is_finite:
+        return _sampled(seed, params["trials"], lambda rng, i: witness(_random_vector(rng, f, n)))
+    wit = next(filter(None, map(witness, projective_points(f, n))), None)
+    return "exhaustive", True, wit is None, wit, {}
 
 
 def _check_t1_3(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     if not (f.char == 0 or f.char > d):
-        return "exhaustive", False, None, None, {"reason": "characteristic <= d"}
+        return _not_met("characteristic <= d")
     if f.is_finite:
-        fam = _powerpoint_family(f, n, d)
-        ok, wit = is_r_independent(fam, d + 1, budget=budget)
-        return "exhaustive", True, ok, wit, {"points": len(fam)}
-    trials = params.get("trials", 100)
-    rng = random.Random(seed)
+        return _point_family_law(_powerpoint_family(f, n, d), d + 1, budget)
     big_n = num_monomials(n, d)
-    for trial in range(trials):
+
+    def trial(rng, i):
         forms = set()
         while len(forms) < d + 1:
-            v = _random_vector(rng, f, n)
-            s = span([v], n, f)
+            s = span([_random_vector(rng, f, n)], n, f)
             if not s.is_zero():
                 forms.add(s)
         vecs = [
             linear_form_power(HomogPoly.linear_form(s.basis.row(0)), d).coeffs
             for s in sorted(forms, key=lambda s: [str(x) for x in s.basis.row(0)])
         ]
-        if span(vecs, big_n, f).dim != d + 1:
-            return _sampled_mode(seed, trials), True, False, {"trial": trial}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+        return None if span(vecs, big_n, f).dim == d + 1 else {"trial": i}
+
+    return _sampled(seed, params["trials"], trial)
 
 
 def _check_t3_3(params, seed, budget):
     f, n, d, r = _field(params), params["n"], params["d"], params["r"]
-    if not f.is_finite:
-        raise InfiniteField("T3_3 enumerates the points of PG(n-1, q), so it needs a finite field")
     binoms = [math.comb(d, i) for i in range(r + 1)]
-    hyp = f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b).v != f.zero_raw for b in binoms)
-    if not hyp:
-        return "exhaustive", False, None, None, {"reason": "hypothesis"}
-    fam = _powerpoint_family(f, n, d)
-    ok, wit = is_r_independent(fam, r + 1, budget=budget)
-    return "exhaustive", True, ok, wit, {"points": len(fam)}
+    if not (f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b).v != f.zero_raw for b in binoms)):
+        return _not_met("hypothesis")
+    return _point_family_law(_powerpoint_family(f, n, d), r + 1, budget)
 
 
 def _check_t3_4(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     hyp = f.char == 2 and f.m >= 3 and d > 2 and (d - 1) & (d - 2) == 0
-    if hyp:
-        i = (d - 1).bit_length() - 1
-        hyp = math.gcd(i, f.m) == 1
-    if not hyp:
-        return "exhaustive", False, None, None, {"reason": "hypothesis"}
-    fam = _powerpoint_family(f, n, d)
-    ok, wit = is_r_independent(fam, 4, budget=budget)
-    return "exhaustive", True, ok, wit, {"points": len(fam)}
+    if not (hyp and math.gcd((d - 1).bit_length() - 1, f.m) == 1):
+        return _not_met("hypothesis")
+    return _point_family_law(_powerpoint_family(f, n, d), 4, budget)
 
 
 def _check_t1_4(params, seed, budget):
-    f, k, d, r, e = _field(params), params["k"], params["d"], params["r"], params["e"]
-    falling = math.factorial(d) // math.factorial(d - r)
-    if int_in_field(f, falling).v == f.zero_raw:
-        return "exhaustive", False, None, None, {"reason": "d!/(d-r)! = 0"}
-    fam = desarguesian_spread(f, k)
-    r_conc = r * e + 1
-    hyp_ok, hyp_wit = is_r_independent(fam, e + 1, budget=budget)
-    if not hyp_ok or len(fam) < r_conc:
-        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
-    powers = SubspaceFamily([power_subspace(t, d) for t in fam])
-    ok, wit = is_r_independent(powers, r_conc, budget=budget)
-    return "exhaustive", True, ok, wit, {"members": len(fam), "r": r_conc}
+    d, r, e = params["d"], params["r"], params["e"]
+    if _falling_vanishes(_field(params), d, r):
+        return _not_met("d!/(d-r)! = 0")
+    return _spread_image_law(params, budget, power_subspace, e + 1, r * e + 1, show_r=True)
 
 
 def _check_l4(params, seed, budget):
-    f, n, d, r = _field(params), params["n"], params["d"], params["r"]
-    trials = params["trials"]
-    falling = math.factorial(d) // math.factorial(d - r)
-    if int_in_field(f, falling).v == f.zero_raw:
-        return "exhaustive", False, None, None, {"reason": "d!/(d-r)! = 0"}
-    rng = random.Random(seed)
-    big_n = num_monomials(n, d)
-    for trial in range(trials):
-        dim0 = rng.randint(1, max(1, n - 1))
-        t0 = _random_subspace(rng, f, n, dim0)
-        others = []
-        for _ in range(r):
-            dim_j = rng.randint(1, n - dim0)
-            others.append(_random_subspace_disjoint(rng, f, n, dim_j, t0))
-        left = power_subspace(t0, d)
-        right = _join([power_subspace(t, d) for t in others], big_n, f)
-        if not subspace_intersect(left, right).is_zero():
-            return _sampled_mode(seed, trials), True, False, {"trial": trial}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+    if _falling_vanishes(_field(params), params["d"], params["r"]):
+        return _not_met("d!/(d-r)! = 0")
+    return _disjoint_image_law(params, seed, power_subspace, params["r"])
 
 
 def _check_p5_2(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
-    if n < 2:
-        raise BadParams(f"P5_2 splits K^n into two nonzero parts, so needs n >= 2, got {n}")
-    trials = params["trials"]
-    rng = random.Random(seed)
     big_n = num_monomials(n, d)
-    a_full = component_space(f, n, 1)
     a_dm1 = component_space(f, n, d - 1)
-    for trial in range(trials):
+
+    def trial(rng, i):
         dim1 = rng.randint(1, n - 1)
         u1 = _random_subspace(rng, f, n, dim1)
         dim2 = rng.randint(1, n - dim1)
@@ -485,58 +487,39 @@ def _check_p5_2(params, seed, budget):
             else:
                 rhs7 = product_space(component_space(f, n, d - 2), d - 2, u1u2, 2, n)
             if lhs7 != rhs7:
-                return _sampled_mode(seed, trials), True, False, {"trial": trial, "eq": 7}, {}
+                return {"trial": i, "eq": 7}
         # direct decomposition of the power of the sum
-        pieces = []
-        for k in range(d + 1):
-            if k == 0:
-                pieces.append(power_subspace(u2, d))
-            elif k == d:
-                pieces.append(power_subspace(u1, d))
-            else:
-                pieces.append(
-                    product_space(power_subspace(u1, k), k, power_subspace(u2, d - k), d - k, n)
-                )
+        pieces = [power_subspace(u2, d)] + [
+            product_space(power_subspace(u1, k), k, power_subspace(u2, d - k), d - k, n) for k in range(1, d)
+        ] + [power_subspace(u1, d)]
         total = _join(pieces, big_n, f)
-        if total != power_subspace(subspace_sum(u1, u2), d):
-            return _sampled_mode(seed, trials), True, False, {"trial": trial, "eq": 8}, {}
-        if sum(p.dim for p in pieces) != total.dim:
-            return _sampled_mode(seed, trials), True, False, {"trial": trial, "eq": 8}, {}
+        if total != power_subspace(subspace_sum(u1, u2), d) or sum(p.dim for p in pieces) != total.dim:
+            return {"trial": i, "eq": 8}
         if not subspace_intersect(power_subspace(u1, d), au2).is_zero():
-            return _sampled_mode(seed, trials), True, False, {"trial": trial, "eq": 9}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+            return {"trial": i, "eq": 9}
+        return None
+
+    return _sampled(seed, params["trials"], trial)
 
 
 def _check_c5_3(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
-    trials = params["trials"]
-    rng = random.Random(seed)
-    for trial in range(trials):
+
+    def trial(rng, i):
         b = _random_subspace(rng, f, n, rng.randint(0, n))
         c = _random_subspace(rng, f, n, rng.randint(0, n))
-        if not power_intersection_check(b, c, d):
-            return _sampled_mode(seed, trials), True, False, {"trial": trial}, {}
-    return _sampled_mode(seed, trials), True, True, None, {}
+        return None if power_intersection_check(b, c, d) else {"trial": i}
+
+    return _sampled(seed, params["trials"], trial)
 
 
 def _check_p5_4(params, seed, budget):
     f, d, r, s = _field(params), params["d"], params["r"], params["s"]
     n = r * s
     big_n = num_monomials(n, d)
-
-    def unit(i):
-        return tuple(f.one() if k == i else f.zero() for k in range(n))
-
-    blocks = [
-        span([unit(i * s + j) for j in range(s)], n, f) for i in range(r)
-    ]
-    add_rows = []
-    for j in range(s):
-        row = [f.zero_raw] * n
-        for i in range(r):
-            row[i * s + j] = f.one_raw
-        add_rows.append(tuple(Scalar(f, x) for x in row))
-    t_last = span(add_rows, n, f)
+    blocks = [span(_unit_rows(f, n, range(i * s, i * s + s)), n, f) for i in range(r)]
+    # the diagonal: row j is the sum over the blocks of their j-th unit vector
+    t_last = span([tuple(f.one() if k % s == j else f.zero() for k in range(n)) for j in range(s)], n, f)
     fam = SubspaceFamily(blocks + [t_last])
     hyp_ok, hyp_wit = is_r_independent(fam, r, budget=budget)
     if not hyp_ok:
@@ -546,13 +529,7 @@ def _check_p5_4(params, seed, budget):
     if total.dim != sum(p.dim for p in powers):
         return "exhaustive", True, False, {"direct_sum": False}, {}
     inter = subspace_intersect(power_subspace(t_last, d), total)
-    p = f.char
-    is_p_power = False
-    if p:
-        dd = d
-        while dd % p == 0:
-            dd //= p
-        is_p_power = dd == 1 and d > 1
+    is_p_power = _is_char_power(f, d)
     expected = s if is_p_power else 0
     ok = inter.dim == expected
     return "exhaustive", True, ok, None if ok else {"dim": inter.dim, "expected": expected}, {
@@ -562,23 +539,10 @@ def _check_p5_4(params, seed, budget):
 
 
 def _check_t5_1(params, seed, budget):
-    f, k, d, r = _field(params), params["k"], params["d"], params["r"]
-    p = f.char
-    is_p_power = False
-    if p:
-        dd = d
-        while dd % p == 0:
-            dd //= p
-        is_p_power = dd == 1
-    if d <= 1 or is_p_power:
-        return "exhaustive", False, None, None, {"reason": "d is a power of char K"}
-    fam = desarguesian_spread(f, k)
-    hyp_ok, hyp_wit = is_r_independent(fam, r, budget=budget)
-    if not hyp_ok or len(fam) < r + 1:
-        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
-    powers = SubspaceFamily([power_subspace(t, d) for t in fam])
-    ok, wit = is_r_independent(powers, r + 1, budget=budget)
-    return "exhaustive", True, ok, wit, {"members": len(fam)}
+    d, r = params["d"], params["r"]
+    if d <= 1 or _is_char_power(_field(params), d):
+        return _not_met("d is a power of char K")
+    return _spread_image_law(params, budget, power_subspace, r, r + 1)
 
 
 def _check_t6_1(params, seed, budget):
@@ -586,12 +550,7 @@ def _check_t6_1(params, seed, budget):
     fam = dual_arc_ad(n, d, f)
     expected = tuple(num_monomials(n, d - j) for j in range(d + 1))
     rep = gda_profile(fam, d + 1, expected=expected, budget=budget)
-    count_ok = len(fam) == (f.q ** n - 1) // (f.q - 1)
-    ok = rep.is_gda and count_ok
-    return "exhaustive", True, ok, None if ok else {"profile": rep.constant_profile()}, {
-        "members": len(fam),
-        "profile": rep.constant_profile(),
-    }
+    return _profile_verdict(fam, rep, rep.is_gda and len(fam) == (f.q ** n - 1) // (f.q - 1))
 
 
 def _check_eq_gda(params, seed, budget):
@@ -632,37 +591,33 @@ def _check_t6_ik(params, seed, budget):
     c = d // k
     expected = (num_monomials(n, d),) + tuple(num_monomials(n, d - m * k) for m in range(1, c + 1))
     rep = gda_profile(fam, c + 1, expected=expected, budget=budget)
-    return "exhaustive", True, rep.is_gda, None if rep.is_gda else {"profile": rep.constant_profile()}, {
-        "members": len(fam),
-        "profile": rep.constant_profile(),
-    }
+    return _profile_verdict(fam, rep, rep.is_gda)
 
 
 def _check_l6_4(params, seed, budget):
     f, n, k = _field(params), params["n"], params["k"]
-    trials = params.get("trials", 20)
-    rng = random.Random(seed)
     a1 = component_space(f, n, 1)
     expected = k * n - math.comb(k, 2)
-    subspaces = [
-        span([tuple(f.one() if j == i else f.zero() for j in range(n)) for i in range(k)], n, f)
-    ]
-    subspaces += [_random_subspace(rng, f, n, k) for _ in range(trials)]
-    for i, h in enumerate(subspaces):
+    unit = span(_unit_rows(f, n, range(k)), n, f)
+
+    def case(h, i):
         got = product_space(a1, 1, h, 1, n).dim
-        if got != expected:
-            return _sampled_mode(seed, trials), True, False, {"case": i, "dim": got}, {}
-    return _sampled_mode(seed, trials), True, True, None, {"expected_dim": expected}
+        return None if got == expected else {"case": i, "dim": got}
+
+    def trial(rng, i):
+        # case 0 is the span of the first k unit vectors, case i + 1 trial i
+        if i == 0 and (wit := case(unit, 0)) is not None:
+            return wit
+        return case(_random_subspace(rng, f, n, k), i + 1)
+
+    return _sampled(seed, params["trials"], trial, {"expected_dim": expected})
 
 
 def _check_l6_5(params, seed, budget):
     f, k = _field(params), params["k"]
     fam = partial_spread_products(f, k)
     rep = gda_profile(fam, 3, budget=budget)
-    prof = rep.constant_profile()
-    want = [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)]
-    ok = prof == want
-    return "exhaustive", True, ok, None if ok else {"profile": prof}, {"profile": prof, "members": len(fam)}
+    return _profile_verdict(fam, rep, rep.constant_profile() == [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)])
 
 
 def _check_p6_6(params, seed, budget):
@@ -759,11 +714,7 @@ def _check_derived_gda(params, seed, budget):
     der = derived_family(fam, 0)
     expected = tuple(num_monomials(n, d - 1 - j) for j in range(1, d))
     rep = gda_profile(der, d, expected=expected if expected else None, budget=budget)
-    ok = rep.is_gda
-    return "exhaustive", True, ok, None if ok else {"profile": rep.constant_profile()}, {
-        "members": len(der),
-        "profile": rep.constant_profile(),
-    }
+    return _profile_verdict(der, rep, rep.is_gda)
 
 
 def _check_explore_spread_r(params, seed, budget):
@@ -777,12 +728,9 @@ def _check_explore_spread_r(params, seed, budget):
 def _check_vcode(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     wmax = params["wmax"]
-    use_powerpoints = params.get("powerpoints", False)
-    cm = (
-        vc.powerpoint_check_matrix(n, d, f)
-        if use_powerpoints
-        else vc.veronese_check_matrix(n, d, f)
-    )
+    use_powerpoints = params["powerpoints"]
+    build = vc.powerpoint_check_matrix if use_powerpoints else vc.veronese_check_matrix
+    cm = build(n, d, f)
     supports = vc.minimal_supports(cm, wmax, budget=budget)
     sizes = sorted(supports)
     data = {
@@ -809,85 +757,137 @@ def _check_vcode(params, seed, budget):
     return "exhaustive", True, True, None, data
 
 
+
 # ----------------------------------------------------------------------
 # registry and suites
 # ----------------------------------------------------------------------
 
-CHECK_REGISTRY: dict[str, tuple] = {
-    # id -> (function, defaults, one line description)
-    "T1_1": (_check_t1_1, {"field": "F3", "n": 2, "d": 2},
-             "any d+1 distinct degree-d point images are independent"),
-    "T1_1_SHARP": (_check_t1_1_sharp, {"field": "F3", "n": 3, "d": 2},
-                   "d+2 point images on a 2-space are dependent (q >= d)"),
-    "T1_2": (_check_t1_2, {"field": "F2", "k": 2, "d": 2, "e": 1},
-             "(e+1)-independent families map to (de+1)-independent images"),
-    "T2_3": (_check_t2_3, {"field": "F2", "k": 2, "d": 2},
-             "pairwise-disjoint families map to (d+1)-independent images"),
-    "L2_4": (_check_l2_4, {"field": "F3", "n": 3, "d": 2, "trials": 40},
-             "image of U0 meets images of d subspaces disjoint from U0 in 0"),
-    "RHO": (_check_rho, {"field": "F2", "n": 3, "d": 2},
-            "substitution action: identity, invertibility, functoriality, equivariance"),
-    "ITERATE": (_check_iterate, {"field": "F2", "n": 2, "d": 2, "e": 2},
-                "composing degree maps folds into the product-degree map"),
-    "SIGMA": (_check_sigma, {"field": "F5", "n": 2, "d": 2},
-              "diagonal rescaling carries d-th powers to monomial vectors"),
-    "T1_3": (_check_t1_3, {"field": "F5", "n": 2, "d": 2},
-             "any d+1 powerpoints independent when char is 0 or > d"),
-    "T3_3": (_check_t3_3, {"field": "F11", "n": 2, "d": 4, "r": 3},
-             "r+1 powerpoints independent for large q with nonzero binomials"),
-    "T3_4": (_check_t3_4, {"field": "F8", "n": 2, "d": 3},
-             "any 4 powerpoints independent over GF(2^m), d = 2^i + 1"),
-    "T1_4": (_check_t1_4, {"field": "F3", "k": 2, "d": 2, "r": 2, "e": 1},
-             "power subspaces of an (e+1)-independent family are (re+1)-independent"),
-    "L4": (_check_l4, {"field": "F3", "n": 3, "d": 2, "r": 2, "trials": 40},
-           "power of T0 meets powers of r subspaces disjoint from T0 in 0"),
-    "P5_2": (_check_p5_2, {"field": "F2", "n": 4, "d": 2, "trials": 40},
-             "three product-space identities for disjoint U1, U2"),
-    "C5_3": (_check_c5_3, {"field": "F2", "n": 4, "d": 2, "trials": 200},
-             "d-th power commutes with intersections"),
-    "P5_4": (_check_p5_4, {"field": "F2", "d": 2, "r": 2, "s": 2},
-             "power of a diagonal block meets the block powers in dim s or 0"),
-    "T5_1": (_check_t5_1, {"field": "F3", "k": 2, "d": 2, "r": 2},
-             "powers of an r-independent family are (r+1)-independent"),
-    "T6_1": (_check_t6_1, {"field": "F2", "n": 3, "d": 2},
-             "multiples of linear forms form a dual arc with binomial profile"),
-    "EQ_GDA": (_check_eq_gda, {"field": "F2", "n": 3, "d": 2},
-               "j-wise intersections equal multiples of the j-fold product"),
-    "P6_2": (_check_p6_2, {"field": "F2", "n": 3, "d": 2},
-             "regularity fails exactly when d >= q^(n-1)"),
-    "T6_IK": (_check_t6_ik, {"field": "F2", "n": 2, "d": 4, "k": 2},
-              "prime-power multiples form a dual arc with stepped profile"),
-    "L6_4": (_check_l6_4, {"field": "F2", "n": 4, "k": 2, "trials": 20},
-             "dim of degree-1 times a k-space is kn - C(k,2)"),
-    "L6_5": (_check_l6_5, {"field": "F2", "k": 2},
-             "spread products: dims k(3k+1)/2, pairwise k^2, triple C(k,2)"),
-    "P6_6": (_check_p6_6, {"field": "F2", "k": 2},
-             "duals of spread products are 3-independent C(k+1,2)-spaces"),
-    "EX10": (_check_ex10, {"field": "F2"},
-             "three 4-space structures in dimension 10"),
-    "DERIVED_GDA": (_check_derived_gda, {"field": "F2", "n": 3, "d": 2},
-                    "fixing one member leaves a dual arc with the tail profile"),
-    "EXPLORE_SPREAD_R": (_check_explore_spread_r, {"field": "F2", "k": 2, "d": 2},
-                         "report max independence of spread images (no assertion)"),
-    "VCODE": (_check_vcode, {"field": "F3", "n": 2, "d": 2, "wmax": 4},
-              "minimum weight and support geometry of the point-column code"),
+class Param(NamedTuple):
+    """One parameter of a check; see the module docstring."""
+    default: object
+    lo: int | str | None = None
+    hi: int | str | None = None
+    shown: bool = True
+
+
+class Check(NamedTuple):
+    """One registry entry; see the module docstring."""
+    body: Callable
+    doc: str
+    field: str
+    finite: bool
+    params: dict[str, Param]
+
+
+def _entry(body, field: str, doc: str, finite: bool = True, **params: Param) -> Check:
+    return Check(body, doc, field, finite, params)
+
+
+CHECK_REGISTRY: dict[str, Check] = {
+    "T1_1": _entry(_check_t1_1, "F3", "any d+1 distinct degree-d point images are independent",
+                   n=Param(2, 1), d=Param(2, 1)),
+    "T1_1_SHARP": _entry(_check_t1_1_sharp, "F3", "d+2 point images on a 2-space are dependent (q >= d)",
+                         n=Param(3, 2), d=Param(2, 1)),
+    "T1_2": _entry(_check_t1_2, "F2", "(e+1)-independent families map to (de+1)-independent images",
+                   k=Param(2, 1), d=Param(2, 1), e=Param(1, 1)),
+    "T2_3": _entry(_check_t2_3, "F2", "pairwise-disjoint families map to (d+1)-independent images",
+                   k=Param(2, 1), d=Param(2, 1)),
+    "L2_4": _entry(_check_l2_4, "F3", "image of U0 meets images of d subspaces disjoint from U0 in 0",
+                   finite=False, n=Param(3, 2), d=Param(2, 1), trials=Param(40, 1)),
+    "RHO": _entry(_check_rho, "F2", "substitution action: identity, invertibility, functoriality, equivariance",
+                  finite=False, n=Param(3, 1), d=Param(2, 1), trials=Param(None, 1, shown=False)),
+    "ITERATE": _entry(_check_iterate, "F2", "composing degree maps folds into the product-degree map",
+                      n=Param(2, 1), d=Param(2, 1), e=Param(2, 1)),
+    "SIGMA": _entry(_check_sigma, "F5", "diagonal rescaling carries d-th powers to monomial vectors",
+                    finite=False, n=Param(2, 1), d=Param(2, 1), trials=Param(50, 1, shown=False)),
+    "T1_3": _entry(_check_t1_3, "F5", "any d+1 powerpoints independent when char is 0 or > d",
+                   finite=False, n=Param(2, 2), d=Param(2, 1), trials=Param(100, 1, shown=False)),
+    "T3_3": _entry(_check_t3_3, "F11", "r+1 powerpoints independent for large q with nonzero binomials",
+                   n=Param(2, 2), d=Param(4, 1), r=Param(3, 1)),
+    "T3_4": _entry(_check_t3_4, "F8", "any 4 powerpoints independent over GF(2^m), d = 2^i + 1",
+                   finite=False, n=Param(2, 2), d=Param(3, 1)),
+    "T1_4": _entry(_check_t1_4, "F3", "power subspaces of an (e+1)-independent family are (re+1)-independent",
+                   k=Param(2, 1), d=Param(2, 1), r=Param(2, 1, "d"), e=Param(1, 1)),
+    "L4": _entry(_check_l4, "F3", "power of T0 meets powers of r subspaces disjoint from T0 in 0",
+                 finite=False, n=Param(3, 2), d=Param(2, 1), r=Param(2, 1, "d"), trials=Param(40, 1)),
+    "P5_2": _entry(_check_p5_2, "F2", "three product-space identities for disjoint U1, U2",
+                   finite=False, n=Param(4, 2), d=Param(2, 1), trials=Param(40, 1)),
+    "C5_3": _entry(_check_c5_3, "F2", "d-th power commutes with intersections",
+                   finite=False, n=Param(4, 1), d=Param(2, 1), trials=Param(200, 1)),
+    "P5_4": _entry(_check_p5_4, "F2", "power of a diagonal block meets the block powers in dim s or 0",
+                   finite=False, d=Param(2, 1), r=Param(2, 2), s=Param(2, 1)),
+    "T5_1": _entry(_check_t5_1, "F3", "powers of an r-independent family are (r+1)-independent",
+                   k=Param(2, 1), d=Param(2, 1), r=Param(2, 2)),
+    "T6_1": _entry(_check_t6_1, "F2", "multiples of linear forms form a dual arc with binomial profile",
+                   n=Param(3, 2), d=Param(2, 2)),
+    "EQ_GDA": _entry(_check_eq_gda, "F2", "j-wise intersections equal multiples of the j-fold product",
+                     n=Param(3, 2), d=Param(2, 2)),
+    "P6_2": _entry(_check_p6_2, "F2", "regularity fails exactly when d >= q^(n-1)",
+                   n=Param(3, 2), d=Param(2, 2)),
+    "T6_IK": _entry(_check_t6_ik, "F2", "prime-power multiples form a dual arc with stepped profile",
+                    n=Param(2, 2), d=Param(4, 1), k=Param(2, 1, "d")),
+    "L6_4": _entry(_check_l6_4, "F2", "dim of degree-1 times a k-space is kn - C(k,2)",
+                   finite=False, n=Param(4, 1), k=Param(2, 1, "n"), trials=Param(20, 1)),
+    "L6_5": _entry(_check_l6_5, "F2", "spread products: dims k(3k+1)/2, pairwise k^2, triple C(k,2)",
+                   k=Param(2, 1)),
+    "P6_6": _entry(_check_p6_6, "F2", "duals of spread products are 3-independent C(k+1,2)-spaces",
+                   k=Param(2, 1)),
+    "EX10": _entry(_check_ex10, "F2", "three 4-space structures in dimension 10"),
+    "DERIVED_GDA": _entry(_check_derived_gda, "F2", "fixing one member leaves a dual arc with the tail profile",
+                          n=Param(3, 2), d=Param(2, 2)),
+    "EXPLORE_SPREAD_R": _entry(_check_explore_spread_r, "F2", "report max independence of spread images (no assertion)",
+                               k=Param(2, 1), d=Param(2, 1)),
+    "VCODE": _entry(_check_vcode, "F3", "minimum weight and support geometry of the point-column code",
+                    n=Param(2, 2), d=Param(2, 1), wmax=Param(4, 1), powerpoints=Param(False, shown=False)),
 }
+
+
+def _resolve(check_id: str, check: Check, params: dict) -> tuple[dict, dict]:
+    """Validate params against the check's schema.  Returns the params to
+    report and the params to run the body with; a None value counts as
+    not given."""
+    given = {k: v for k, v in params.items() if v is not None}
+    unknown = sorted(set(given) - {"field", *check.params})
+    if unknown:
+        takes = ", ".join(["field", *check.params])
+        raise BadParams(f"{check_id} takes no parameter {unknown[0]!r} (it takes {takes})")
+    shown = {"field": check.field, **{k: p.default for k, p in check.params.items() if p.shown}, **given}
+    full = {**{k: p.default for k, p in check.params.items()}, **shown}
+    f = shown["field"]
+    if isinstance(f, FieldSpec):
+        shown["field"] = f.name
+    elif isinstance(f, str):
+        full["field"] = f = parse_field(f)
+    else:
+        raise BadParams(f"{check_id} needs a field such as F3 or Q, got {f!r}")
+    if check.finite and not f.is_finite:
+        raise InfiniteField(f"{check_id} needs a finite field, got {f.name}")
+    for name, p in check.params.items():
+        v = full[name]
+        if v is None:  # only an implicit default is None
+            continue
+        want = bool if isinstance(p.default, bool) else int
+        if type(v) is not want:
+            raise BadParams(f"{check_id} needs {want.__name__} {name}, got {v!r}")
+        lo, hi = (full[b] if isinstance(b, str) else b for b in (p.lo, p.hi))
+        if (lo is not None and v < lo) or (hi is not None and v > hi):
+            rule = " <= ".join(str(b) for b in (p.lo, name, p.hi) if b is not None)
+            got = ", ".join(f"{b} = {full[b]}" for b in (name, p.lo, p.hi) if isinstance(b, str))
+            raise BadParams(f"{check_id} needs {rule}, got {got}")
+    return shown, full
 
 
 def run_check(check_id: str, params: dict | None = None, seed: int | None = None,
               budget: int | None = None) -> CheckResult:
     if check_id not in CHECK_REGISTRY:
         raise UnknownCheck(check_id)
-    fn, defaults, _ = CHECK_REGISTRY[check_id]
-    merged = dict(defaults)
-    if params:
-        merged.update({k: v for k, v in params.items() if v is not None})
+    check = CHECK_REGISTRY[check_id]
+    shown, full = _resolve(check_id, check, params or {})
     seed = DEFAULT_SEED if seed is None else seed
     budget = DEFAULT_BUDGET if budget is None else budget
     t0 = time.perf_counter()
-    mode, hyp, concl, wit, data = fn(merged, seed, budget)
+    mode, hyp, concl, wit, data = check.body(full, seed, budget)
     dt = (time.perf_counter() - t0) * 1000.0
-    shown = {k: (v if not isinstance(v, FieldSpec) else v.name) for k, v in merged.items()}
     return CheckResult(
         check_id=check_id,
         params=shown,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -81,6 +82,23 @@ def test_cli_reports_budget_errors_cleanly():
     ("T3_3", "--field", "Q", "--n", "2", "--d", "4", "--r", "3"),  # nor PG(n-1, K)
     ("T1_1", "--field", "F1099511627776", "--n", "2", "--d", "2"),  # q above 2^16
     ("C5_3", "--field", "F2", "--n", "40", "--d", "8", "--trials", "1"),  # Sym^8 of K^40 over budget
+    ("L6_4", "--n", "4", "--k", "5"),  # no 5-space in K^4 (this hung)
+    ("L4", "--n", "1"),
+    ("L4", "--r", "5"),  # r > d
+    ("T1_4", "--r", "5"),
+    ("T6_IK", "--k", "0"),
+    ("T6_IK", "--d", "1", "--k", "2"),  # k > d
+    ("P6_6", "--k", "0"),
+    ("T6_1", "--d", "1"),
+    ("DERIVED_GDA", "--d", "1"),
+    ("L2_4", "--trials", "-1"),  # fewer than one trial
+    ("SIGMA", "--field", "Q", "--trials", "0"),
+    ("RHO", "--field", "F5", "--n", "2", "--d", "3", "--trials", "0"),
+    ("T5_1", "--d", "0"),  # this hung
+    ("T1_2", "--field", "Q"),  # a spread needs a finite field
+    ("T1_1", "--k", "7"),  # T1_1 takes no k
+    ("T1_1", "--s", "2"),
+    ("P5_4", "--trials", "3"),
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
@@ -172,6 +190,69 @@ def test_cli_construct_round_trips():
     assert len(fam2) == 7 and all(s.dim == 3 for s in fam2)
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "wedge", "--field", "F2", "--m", "2"),
+    ("construct", "dual-arc-ik", "--field", "F2", "--n", "2", "--d", "1", "--k", "2"),
+    ("construct", "spread", "--field", "F2"),  # --k missing
+    ("construct", "rnc", "--field", "F3"),  # --d missing
+    ("construct", "dual-arc-ad", "--field", "F3", "--d", "2"),  # --n missing
+])
+def test_cli_construct_reports_bad_params_cleanly(argv):
+    out = _cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_check_flags_come_from_the_registry():
+    # --s is P5_4's s, never an abbreviation of --seed
+    doc = json.loads(_cli("check", "P5_4", "--s", "3", "--out", "json").stdout)
+    assert doc["params"]["s"] == 3 and doc["conclusion_ok"] is True
+    assert doc["data"] == {"intersection_dim": 3, "p_power_branch": True}
+    abbreviated = _cli("check", "T1_1", "--se", "3")
+    assert abbreviated.returncode == 2 and "Traceback" not in abbreviated.stderr
+    # --powerpoints reaches the powerpoint code, and the JSON matches the API
+    for field in ("F5", "F2"):
+        params = {"field": field, "n": 2, "d": 2, "wmax": 4, "powerpoints": True}
+        out = _cli("check", "VCODE", "--field", field, "--n", "2", "--d", "2", "--wmax", "4",
+                   "--powerpoints", "--out", "json")
+        assert out.returncode == 0
+        doc = json.loads(out.stdout)
+        del doc["wall_time_ms"]
+        assert doc == json.loads(result_to_json(run_check("VCODE", params)))
+        assert doc["params"]["powerpoints"] is True
+
+
+def test_run_check_validates_params_before_running():
+    from verolab import BadParams, InfiniteField
+
+    for check_id, params in [
+        ("T1_1", {"k": 7}),  # undeclared
+        ("T1_1", {"n": "2"}),  # not an int
+        ("T1_1", {"n": True}),
+        ("VCODE", {"powerpoints": 1}),  # not a bool
+        ("L6_4", {"n": 4, "k": 5}),  # above another parameter
+        ("T1_1", {"field": 3}),
+    ]:
+        with pytest.raises(BadParams):
+            run_check(check_id, params)
+    for check_id in ("T1_2", "T2_3", "T1_4", "T5_1", "L6_5", "P6_6", "EXPLORE_SPREAD_R", "VCODE"):
+        with pytest.raises(InfiniteField):
+            run_check(check_id, {"field": "Q"})
+    # the error names the rule and the values that broke it
+    with pytest.raises(BadParams, match=r"L6_4 needs 1 <= k <= n, got k = 5, n = 4"):
+        run_check("L6_4", {"n": 4, "k": 5})
+
+
+def test_implicit_defaults_stay_out_of_params():
+    assert "trials" not in run_check("RHO", {"field": "F2", "n": 2, "d": 2}).params
+    assert "trials" not in run_check("SIGMA", {"field": "Q"}).params
+    assert run_check("SIGMA", {"field": "Q"}).mode.endswith("trials=50)")
+    assert "trials" not in run_check("T1_3", {"field": "Q"}).params
+    assert "powerpoints" not in run_check("VCODE").params
+    assert run_check("RHO", {"field": "F2", "n": 2, "d": 2, "trials": None}).mode == "exhaustive"
+
+
 def test_cli_vcode_json():
     out = _cli("vcode", "--n", "2", "--d", "2", "--field", "F3", "--wmax", "4")
     assert out.returncode == 0
@@ -187,3 +268,41 @@ def test_suite_json_has_no_timing_by_default():
     doc = json.loads(suite_to_json("smoke", results))
     assert all("wall_time_ms" not in r for r in doc["results"])
     assert doc["manifest_version"] >= 1
+
+
+# Canonical JSON of branches the full-desk suite does not reach, pinned
+# at the default seed and budget so that a refactor of the checks cannot
+# move them unnoticed.
+BRANCH_PINS = [
+    # hypothesis not met
+    ("T1_3", {"field": "F2", "n": 2, "d": 2}, "61d919e33b2130a8be51b41ca0fa0c808f95d274bece056272b1c22fed8bc026"),
+    ("T1_4", {"field": "F2"}, "4ec86a4efb26b680a824cb0541f453171d026b0484e952ba9c3769010cd6e76d"),
+    ("T5_1", {"field": "F2"}, "ddbd18203f762eac37ee1ae5fa7a168152b3406dfee83b073f8835fdebdb88d9"),
+    ("SIGMA", {"field": "F2"}, "779e38f10a67b0fcea5309f23d622946971e524ccf7ec91aa74f5dd92377aaf9"),
+    ("T1_1_SHARP", {"field": "F2", "n": 3, "d": 3}, "e77dcff2c44e5676f366bed2ee08550d56aa4c2276e3eb1c398ffab8d0ee57b2"),
+    ("T3_3", {"field": "F5"}, "650a998e135ecb0bb2b2f523c7ef8a64218d9ca6d4de76826e1380a30ffd0921"),
+    ("T3_4", {"field": "F4"}, "599839cd7601eb00e6350951bac0935e3949b82bfd1aa42c4b14b911a2e70dd7"),
+    # too few spread members: T1_2 counts them before the hypothesis search
+    ("T1_2", {"field": "F2", "k": 2, "d": 3, "e": 2}, "5c9d99ffa7a1026c1cdd0ec31b6978205ca80889ae00f668405ddafdf5a76bef"),
+    ("T1_2", {"field": "F2", "k": 2, "d": 5, "e": 1}, "5ef70c2e9c52ed537a9b7f8ffa75c83780f30bd5b2e072480840ff3437c5bf3d"),
+    # a failed spread hypothesis reports its witness
+    ("T1_4", {"field": "F5", "k": 2, "d": 3, "r": 3, "e": 2}, "c324d3e52dd28fe7a1fa5750656012970b2b2f4ca140568a786f1c97d735ba5b"),
+    ("T5_1", {"field": "F2", "k": 2, "d": 3, "r": 5}, "f626255111f0ec33c66ddced45dac6cff69effb17fb9b228efacf6319654bbc8"),
+    # sampled branches with explicit trials
+    ("T1_3", {"field": "Q", "n": 2, "d": 3, "trials": 7}, "8ff503858fdf80c270d37d609b69c84a48f9660fd38e31f4f6fd904d0f883a2f"),
+    ("SIGMA", {"field": "Q", "n": 3, "d": 2, "trials": 9}, "b166a352806dcf92c2534f1196cc5077c3ee914561fb7a07a9a7fe67bf851a93"),
+    ("RHO", {"field": "F3", "n": 2, "d": 2, "trials": 12}, "dcce23ccc18230b3ba040313496c51ae67ad45951322c314ea9c809a196067ec"),
+    ("RHO", {"field": "Q", "n": 2, "d": 2, "trials": 5}, "b8517be8cee14f82665aaab8f17f083c6b0a62413b328a1722cdadbeab4ba631"),
+    ("L6_4", {"field": "F3", "n": 3, "k": 2, "trials": 6}, "db324c70deb4692849b129fa4b41d6d9e8f1436a52798b83ccc11d6b9ca421ab"),
+    # the powerpoint code, inside (F5, d = 2) and outside (F2) char > d
+    ("VCODE", {"field": "F5", "n": 2, "d": 2, "wmax": 4, "powerpoints": True},
+     "8d59f2a8495213ce8e17bc68ed79a744f6bc131918aefbd4876877308939f6a6"),
+    ("VCODE", {"field": "F2", "n": 2, "d": 2, "wmax": 4, "powerpoints": True},
+     "f129ddf79aa32c8d3bed3d7c9bf58216ef6cd18bd23ba84234f8561bd71d08a9"),
+]
+
+
+@pytest.mark.parametrize("check_id,params,digest", BRANCH_PINS)
+def test_branches_outside_full_desk_are_pinned(check_id, params, digest):
+    got = result_to_json(run_check(check_id, dict(params)))
+    assert hashlib.sha256(got.encode()).hexdigest() == digest, got

@@ -75,8 +75,8 @@ def _reference_rho(params, seed, budget):
 def test_generator_proof_matches_all_pairs_reference(monkeypatch, field, n, d):
     params = {"field": field, "n": n, "d": d}
     got = result_to_json(run_check("RHO", params))
-    _, defaults, doc = harness.CHECK_REGISTRY["RHO"]
-    monkeypatch.setitem(harness.CHECK_REGISTRY, "RHO", (_reference_rho, defaults, doc))
+    reference = harness.CHECK_REGISTRY["RHO"]._replace(body=_reference_rho)
+    monkeypatch.setitem(harness.CHECK_REGISTRY, "RHO", reference)
     want = result_to_json(run_check("RHO", params))
     assert got == want
     assert '"conclusion_ok":true' in got
