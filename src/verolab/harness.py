@@ -9,17 +9,18 @@ with no conclusion, never as a failure.  Reports are deterministic given
 canonical JSON so identical runs serialize identically.
 
 CHECK_REGISTRY is the one description of every check.  A Check entry
-holds the body, the one-line description, the default field, whether
-the field must be finite, and a Param per other parameter: its default,
-whether the reported params show that default when the caller gives
-none (else it is implicit and stays out of the JSON), and an integer's
-least and greatest values, each a number or the name of a parameter
-declared before it.  run_check validates params against the entry before
-anything is built: an undeclared name, a wrong type or a value out of
-range raises BadParams, and Q for a finite-only check InfiniteField.
-The `check` CLI takes its flags from the entries.  A body is called as
-body(params, seed, budget) with every parameter filled in and the field
-parsed, and returns (mode, hypothesis_ok, conclusion_ok, witness, data).
+holds the body, the default field, a Param per other parameter, the
+one-line description and whether the field must be finite.  A Param
+holds the default, an integer's least and greatest values (each a
+number or the name of a parameter declared before it), and whether the
+reported params show the default when the caller gives none (else it is
+implicit and stays out of the JSON).  run_check validates params
+against the entry before anything is built: an undeclared name, a wrong
+type or a value out of range raises BadParams, and Q for a finite-only
+check InfiniteField.  The `check` CLI takes its flags from the entries.
+A body is called as body(params, seed, budget) with every parameter
+filled in and the field parsed, and returns (mode, hypothesis_ok,
+conclusion_ok, witness, data).
 
 The suite manifests at the bottom of this module pin the default
 parameter grids; bump MANIFEST_VERSION when they change.
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple
 
 from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
-from .independence import SubspaceFamily, is_r_independent, max_independence
+from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
 from .linalg import (
     Matrix,
     Subspace,
@@ -134,7 +135,7 @@ def _field(params: dict) -> FieldSpec:
     return f if isinstance(f, FieldSpec) else parse_field(f)
 
 
-def _sampled(seed: int, trials: int, trial: Callable, data: dict | None = None):
+def _sampled(seed: int, trials: int, trial: Callable):
     """Run trial(rng, i) for i < trials on one rng seeded with seed; the
     first witness it returns (None means the trial held) fails the check."""
     mode = f"sampled(seed={seed},trials={trials})"
@@ -143,7 +144,7 @@ def _sampled(seed: int, trials: int, trial: Callable, data: dict | None = None):
         wit = trial(rng, i)
         if wit is not None:
             return mode, True, False, wit, {}
-    return mode, True, True, None, data or {}
+    return mode, True, True, None, {}
 
 
 def _not_met(reason: str):
@@ -191,9 +192,8 @@ def _powerpoint_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
     """The distinct points <t^d> of the degree-d component, in the order
     of the points t of PG(n-1, q) that first give them."""
     big_n = num_monomials(n, d)
-    points = (
-        span([linear_form_power(HomogPoly.linear_form(t), d).coeffs], big_n, f) for t in projective_points(f, n)
-    )
+    points = (span([linear_form_power(HomogPoly.linear_form(t), d).coeffs], big_n, f)
+              for t in projective_points(f, n))
     return SubspaceFamily(list(dict.fromkeys(points)))
 
 
@@ -201,7 +201,8 @@ def _profile_verdict(fam: SubspaceFamily, rep, ok: bool):
     """The report of a dual-arc profile law: the constant profile of rep
     is the witness of a failure and, with the member count, the data."""
     prof = rep.constant_profile()
-    return "exhaustive", True, ok, None if ok else {"profile": prof}, {"members": len(fam), "profile": prof}
+    data = {"members": len(fam), "profile": prof}
+    return "exhaustive", True, ok, None if ok else {"profile": prof}, data
 
 
 def _join(subspaces, ambient: int, f: FieldSpec) -> Subspace:
@@ -222,21 +223,17 @@ def _point_family_law(fam: SubspaceFamily, r: int, budget: int):
     return "exhaustive", True, ok, wit, {"points": len(fam)}
 
 
-def _spread_image_law(params, budget, image, r_hyp, r_conc, show_r=False, count_first=False):
+def _spread_image_law(params, budget, image, r_hyp, r_conc, show_r=False):
     """Hypothesis: the spread of K^2k is r_hyp-independent with at least
     r_conc members.  Conclusion: the images image(t, d) of its members are
-    r_conc-independent.  count_first (T1_2, as check_image_independence)
-    counts the members before the hypothesis search and reports members
-    and r with a failed hypothesis too."""
+    r_conc-independent.  show_r adds r_conc to the data of a verdict."""
     fam = desarguesian_spread(_field(params), params["k"])
-    data = {"members": len(fam), "r": r_conc} if show_r else {"members": len(fam)}
-    few = len(fam) < r_conc
-    hyp_ok, hyp_wit = (False, None) if few and count_first else is_r_independent(fam, r_hyp, budget=budget)
-    if few or not hyp_ok:
-        shown = data if count_first else {}
-        return "exhaustive", False, None, None, {**shown, "hypothesis_witness": _jsonable(hyp_wit)}
+    hyp_ok, hyp_wit = is_r_independent(fam, r_hyp, budget=budget)
+    if not hyp_ok or len(fam) < r_conc:
+        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
     images = SubspaceFamily([image(t, params["d"]) for t in fam])
     ok, wit = is_r_independent(images, r_conc, budget=budget)
+    data = {"members": len(fam), "r": r_conc} if show_r else {"members": len(fam)}
     return "exhaustive", True, ok, wit, data
 
 
@@ -249,7 +246,8 @@ def _disjoint_image_law(params, seed, image, count):
     def trial(rng, i):
         dim0 = rng.randint(1, max(1, n - 1))
         u0 = _random_subspace(rng, f, n, dim0)
-        others = [_random_subspace_disjoint(rng, f, n, rng.randint(1, n - dim0), u0) for _ in range(count)]
+        others = [_random_subspace_disjoint(rng, f, n, rng.randint(1, n - dim0), u0)
+                  for _ in range(count)]
         right = _join([image(u, d) for u in others], big_n, f)
         return None if subspace_intersect(image(u0, d), right).is_zero() else {"trial": i}
 
@@ -280,8 +278,14 @@ def _check_t1_1_sharp(params, seed, budget):
 
 
 def _check_t1_2(params, seed, budget):
-    d, e = params["d"], params["e"]
-    return _spread_image_law(params, budget, veronese_subspace, e + 1, d * e + 1, show_r=True, count_first=True)
+    f, k, d, e = _field(params), params["k"], params["d"], params["e"]
+    fam = desarguesian_spread(f, k)
+    rep = check_image_independence(fam, d, e, budget=budget)
+    data = {"members": len(fam), "r": rep.r}
+    if not rep.hypothesis_ok:
+        data["hypothesis_witness"] = _jsonable(rep.witness)
+        return "exhaustive", False, None, None, data
+    return "exhaustive", True, rep.conclusion_ok, rep.witness, data
 
 
 def _check_t2_3(params, seed, budget):
@@ -343,12 +347,9 @@ def _check_rho(params, seed, budget):
         return "exhaustive", True, False, {"identity": False}, {}
     if trials is None and f.is_finite and f.q ** (n * n) <= 10 ** 5:
         mats = list(all_invertible_matrices(f, n))
-        rhos = {}
-        for m in mats:
-            r = rho_d(m, d)
-            rhos[_raw_key(m)] = r
-            if rank(r) != big_n:
-                return "exhaustive", True, False, {"singular_rho": True}, {}
+        rhos = {_raw_key(m): rho_d(m, d) for m in mats}
+        if any(rank(r) != big_n for r in rhos.values()):
+            return "exhaustive", True, False, {"singular_rho": True}, {}
         for m in mats:
             if not veronese_equivariance_check(m, d):
                 return "exhaustive", True, False, {"equivariance": True}, {}
@@ -448,7 +449,10 @@ def _check_t3_3(params, seed, budget):
 def _check_t3_4(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     hyp = f.char == 2 and f.m >= 3 and d > 2 and (d - 1) & (d - 2) == 0
-    if not (hyp and math.gcd((d - 1).bit_length() - 1, f.m) == 1):
+    if hyp:
+        i = (d - 1).bit_length() - 1
+        hyp = math.gcd(i, f.m) == 1
+    if not hyp:
         return _not_met("hypothesis")
     return _point_family_law(_powerpoint_family(f, n, d), 4, budget)
 
@@ -488,12 +492,17 @@ def _check_p5_2(params, seed, budget):
                 rhs7 = product_space(component_space(f, n, d - 2), d - 2, u1u2, 2, n)
             if lhs7 != rhs7:
                 return {"trial": i, "eq": 7}
-        # direct decomposition of the power of the sum
-        pieces = [power_subspace(u2, d)] + [
-            product_space(power_subspace(u1, k), k, power_subspace(u2, d - k), d - k, n) for k in range(1, d)
-        ] + [power_subspace(u1, d)]
+        # direct decomposition of the power of the sum: the pieces U1^k U2^(d-k)
+        pieces = [power_subspace(u2, d)]
+        for k in range(1, d):
+            pieces.append(
+                product_space(power_subspace(u1, k), k, power_subspace(u2, d - k), d - k, n)
+            )
+        pieces.append(power_subspace(u1, d))
         total = _join(pieces, big_n, f)
-        if total != power_subspace(subspace_sum(u1, u2), d) or sum(p.dim for p in pieces) != total.dim:
+        if total != power_subspace(subspace_sum(u1, u2), d):
+            return {"trial": i, "eq": 8}
+        if sum(p.dim for p in pieces) != total.dim:
             return {"trial": i, "eq": 8}
         if not subspace_intersect(power_subspace(u1, d), au2).is_zero():
             return {"trial": i, "eq": 9}
@@ -519,7 +528,8 @@ def _check_p5_4(params, seed, budget):
     big_n = num_monomials(n, d)
     blocks = [span(_unit_rows(f, n, range(i * s, i * s + s)), n, f) for i in range(r)]
     # the diagonal: row j is the sum over the blocks of their j-th unit vector
-    t_last = span([tuple(f.one() if k % s == j else f.zero() for k in range(n)) for j in range(s)], n, f)
+    diagonal = [tuple(f.one() if k % s == j else f.zero() for k in range(n)) for j in range(s)]
+    t_last = span(diagonal, n, f)
     fam = SubspaceFamily(blocks + [t_last])
     hyp_ok, hyp_wit = is_r_independent(fam, r, budget=budget)
     if not hyp_ok:
@@ -577,7 +587,7 @@ def _check_p6_2(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     fam = dual_arc_ad(n, d, f)
     reg_ok, wit = is_regular(fam, budget=budget)
-    expected_nonregular = f.is_finite and d >= f.q ** (n - 1)
+    expected_nonregular = d >= f.q ** (n - 1)
     ok = reg_ok == (not expected_nonregular)
     return "exhaustive", True, ok, None if ok else {"regular": reg_ok, "witness": wit}, {
         "regular": reg_ok,
@@ -598,26 +608,26 @@ def _check_l6_4(params, seed, budget):
     f, n, k = _field(params), params["n"], params["k"]
     a1 = component_space(f, n, 1)
     expected = k * n - math.comb(k, 2)
-    unit = span(_unit_rows(f, n, range(k)), n, f)
 
     def case(h, i):
         got = product_space(a1, 1, h, 1, n).dim
         return None if got == expected else {"case": i, "dim": got}
 
-    def trial(rng, i):
-        # case 0 is the span of the first k unit vectors, case i + 1 trial i
-        if i == 0 and (wit := case(unit, 0)) is not None:
-            return wit
-        return case(_random_subspace(rng, f, n, k), i + 1)
-
-    return _sampled(seed, params["trials"], trial, {"expected_dim": expected})
+    # case 0 is the span of the first k unit vectors, reported before any
+    # failed trial; trial i is case i + 1
+    first = case(span(_unit_rows(f, n, range(k)), n, f), 0)
+    mode, _, _, wit, _ = _sampled(
+        seed, params["trials"], lambda rng, i: case(_random_subspace(rng, f, n, k), i + 1))
+    wit = first or wit
+    return mode, True, wit is None, wit, {} if wit else {"expected_dim": expected}
 
 
 def _check_l6_5(params, seed, budget):
     f, k = _field(params), params["k"]
     fam = partial_spread_products(f, k)
     rep = gda_profile(fam, 3, budget=budget)
-    return _profile_verdict(fam, rep, rep.constant_profile() == [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)])
+    want = [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)]
+    return _profile_verdict(fam, rep, rep.constant_profile() == want)
 
 
 def _check_p6_6(params, seed, budget):
@@ -659,43 +669,25 @@ def _check_ex10(params, seed, budget):
     d3 = wedge_family(f, 5)
     count3 = len(d3) == 1 + q + q * q + q ** 3 + q ** 4
     dims3 = all(m.dim == 4 for m in d3)
-    pair_points = []
-    pairs_ok = True
-    for i, j in itertools.combinations(range(len(d3)), 2):
-        inter = subspace_intersect(d3[i], d3[j])
-        if inter.dim != 1:
-            pairs_ok = False
-            break
-        pair_points.append(inter)
-    membership_ok = pairs_ok
-    if pairs_ok:
-        seen = set()
-        for pt in pair_points:
-            if pt in seen:
-                continue
-            seen.add(pt)
-            n_holding = sum(1 for m in d3 if subspace_le(pt, m))
-            if n_holding != 1 + q:
-                membership_ok = False
-                break
+    pair_points = [subspace_intersect(a, b) for a, b in itertools.combinations(d3, 2)]
+    pairs_ok = all(pt.dim == 1 for pt in pair_points)
+    # each distinct pair point lies in exactly q + 1 members
+    membership_ok = pairs_ok and all(
+        sum(1 for m in d3 if subspace_le(pt, m)) == 1 + q for pt in dict.fromkeys(pair_points)
+    )
     # the shared 1-spaces force unequal triple dimensions, so not a dual arc
     pts = projective_points(f, 5)
-    collinear = None
-    independent = None
+    by_rank = {}  # the first collinear (rank 2) and independent (rank 3) triple
     for idxs in itertools.combinations(range(len(pts)), 3):
-        r = span([pts[i] for i in idxs], 5, f).dim
-        if r == 2 and collinear is None:
-            collinear = idxs
-        if r == 3 and independent is None:
-            independent = idxs
-        if collinear and independent:
+        by_rank.setdefault(span([pts[i] for i in idxs], 5, f).dim, idxs)
+        if 2 in by_rank and 3 in by_rank:
             break
 
     def triple_dim(idxs):
         inter = subspace_intersect(d3[idxs[0]], d3[idxs[1]])
         return subspace_intersect(inter, d3[idxs[2]]).dim
 
-    not_gda = triple_dim(collinear) != triple_dim(independent)
+    not_gda = triple_dim(by_rank[2]) != triple_dim(by_rank[3])
     ok3 = count3 and dims3 and pairs_ok and membership_ok and not_gda
     data["d3"] = {
         "members": len(d3),
@@ -713,7 +705,7 @@ def _check_derived_gda(params, seed, budget):
     fam = dual_arc_ad(n, d, f)
     der = derived_family(fam, 0)
     expected = tuple(num_monomials(n, d - 1 - j) for j in range(1, d))
-    rep = gda_profile(der, d, expected=expected if expected else None, budget=budget)
+    rep = gda_profile(der, d, expected=expected, budget=budget)
     return _profile_verdict(der, rep, rep.is_gda)
 
 
@@ -773,72 +765,77 @@ class Param(NamedTuple):
 class Check(NamedTuple):
     """One registry entry; see the module docstring."""
     body: Callable
-    doc: str
     field: str
-    finite: bool
     params: dict[str, Param]
-
-
-def _entry(body, field: str, doc: str, finite: bool = True, **params: Param) -> Check:
-    return Check(body, doc, field, finite, params)
+    doc: str
+    finite: bool = True
 
 
 CHECK_REGISTRY: dict[str, Check] = {
-    "T1_1": _entry(_check_t1_1, "F3", "any d+1 distinct degree-d point images are independent",
-                   n=Param(2, 1), d=Param(2, 1)),
-    "T1_1_SHARP": _entry(_check_t1_1_sharp, "F3", "d+2 point images on a 2-space are dependent (q >= d)",
-                         n=Param(3, 2), d=Param(2, 1)),
-    "T1_2": _entry(_check_t1_2, "F2", "(e+1)-independent families map to (de+1)-independent images",
-                   k=Param(2, 1), d=Param(2, 1), e=Param(1, 1)),
-    "T2_3": _entry(_check_t2_3, "F2", "pairwise-disjoint families map to (d+1)-independent images",
-                   k=Param(2, 1), d=Param(2, 1)),
-    "L2_4": _entry(_check_l2_4, "F3", "image of U0 meets images of d subspaces disjoint from U0 in 0",
-                   finite=False, n=Param(3, 2), d=Param(2, 1), trials=Param(40, 1)),
-    "RHO": _entry(_check_rho, "F2", "substitution action: identity, invertibility, functoriality, equivariance",
-                  finite=False, n=Param(3, 1), d=Param(2, 1), trials=Param(None, 1, shown=False)),
-    "ITERATE": _entry(_check_iterate, "F2", "composing degree maps folds into the product-degree map",
-                      n=Param(2, 1), d=Param(2, 1), e=Param(2, 1)),
-    "SIGMA": _entry(_check_sigma, "F5", "diagonal rescaling carries d-th powers to monomial vectors",
-                    finite=False, n=Param(2, 1), d=Param(2, 1), trials=Param(50, 1, shown=False)),
-    "T1_3": _entry(_check_t1_3, "F5", "any d+1 powerpoints independent when char is 0 or > d",
-                   finite=False, n=Param(2, 2), d=Param(2, 1), trials=Param(100, 1, shown=False)),
-    "T3_3": _entry(_check_t3_3, "F11", "r+1 powerpoints independent for large q with nonzero binomials",
-                   n=Param(2, 2), d=Param(4, 1), r=Param(3, 1)),
-    "T3_4": _entry(_check_t3_4, "F8", "any 4 powerpoints independent over GF(2^m), d = 2^i + 1",
-                   finite=False, n=Param(2, 2), d=Param(3, 1)),
-    "T1_4": _entry(_check_t1_4, "F3", "power subspaces of an (e+1)-independent family are (re+1)-independent",
-                   k=Param(2, 1), d=Param(2, 1), r=Param(2, 1, "d"), e=Param(1, 1)),
-    "L4": _entry(_check_l4, "F3", "power of T0 meets powers of r subspaces disjoint from T0 in 0",
-                 finite=False, n=Param(3, 2), d=Param(2, 1), r=Param(2, 1, "d"), trials=Param(40, 1)),
-    "P5_2": _entry(_check_p5_2, "F2", "three product-space identities for disjoint U1, U2",
-                   finite=False, n=Param(4, 2), d=Param(2, 1), trials=Param(40, 1)),
-    "C5_3": _entry(_check_c5_3, "F2", "d-th power commutes with intersections",
-                   finite=False, n=Param(4, 1), d=Param(2, 1), trials=Param(200, 1)),
-    "P5_4": _entry(_check_p5_4, "F2", "power of a diagonal block meets the block powers in dim s or 0",
-                   finite=False, d=Param(2, 1), r=Param(2, 2), s=Param(2, 1)),
-    "T5_1": _entry(_check_t5_1, "F3", "powers of an r-independent family are (r+1)-independent",
-                   k=Param(2, 1), d=Param(2, 1), r=Param(2, 2)),
-    "T6_1": _entry(_check_t6_1, "F2", "multiples of linear forms form a dual arc with binomial profile",
-                   n=Param(3, 2), d=Param(2, 2)),
-    "EQ_GDA": _entry(_check_eq_gda, "F2", "j-wise intersections equal multiples of the j-fold product",
-                     n=Param(3, 2), d=Param(2, 2)),
-    "P6_2": _entry(_check_p6_2, "F2", "regularity fails exactly when d >= q^(n-1)",
-                   n=Param(3, 2), d=Param(2, 2)),
-    "T6_IK": _entry(_check_t6_ik, "F2", "prime-power multiples form a dual arc with stepped profile",
-                    n=Param(2, 2), d=Param(4, 1), k=Param(2, 1, "d")),
-    "L6_4": _entry(_check_l6_4, "F2", "dim of degree-1 times a k-space is kn - C(k,2)",
-                   finite=False, n=Param(4, 1), k=Param(2, 1, "n"), trials=Param(20, 1)),
-    "L6_5": _entry(_check_l6_5, "F2", "spread products: dims k(3k+1)/2, pairwise k^2, triple C(k,2)",
-                   k=Param(2, 1)),
-    "P6_6": _entry(_check_p6_6, "F2", "duals of spread products are 3-independent C(k+1,2)-spaces",
-                   k=Param(2, 1)),
-    "EX10": _entry(_check_ex10, "F2", "three 4-space structures in dimension 10"),
-    "DERIVED_GDA": _entry(_check_derived_gda, "F2", "fixing one member leaves a dual arc with the tail profile",
-                          n=Param(3, 2), d=Param(2, 2)),
-    "EXPLORE_SPREAD_R": _entry(_check_explore_spread_r, "F2", "report max independence of spread images (no assertion)",
-                               k=Param(2, 1), d=Param(2, 1)),
-    "VCODE": _entry(_check_vcode, "F3", "minimum weight and support geometry of the point-column code",
-                    n=Param(2, 2), d=Param(2, 1), wmax=Param(4, 1), powerpoints=Param(False, shown=False)),
+    "T1_1": Check(_check_t1_1, "F3", {"n": Param(2, 1), "d": Param(2, 1)},
+                  "any d+1 distinct degree-d point images are independent"),
+    "T1_1_SHARP": Check(_check_t1_1_sharp, "F3", {"n": Param(3, 2), "d": Param(2, 1)},
+                        "d+2 point images on a 2-space are dependent (q >= d)"),
+    "T1_2": Check(_check_t1_2, "F2", {"k": Param(2, 1), "d": Param(2, 1), "e": Param(1, 1)},
+                  "(e+1)-independent families map to (de+1)-independent images"),
+    "T2_3": Check(_check_t2_3, "F2", {"k": Param(2, 1), "d": Param(2, 1)},
+                  "pairwise-disjoint families map to (d+1)-independent images"),
+    "L2_4": Check(_check_l2_4, "F3", {"n": Param(3, 2), "d": Param(2, 1), "trials": Param(40, 1)},
+                  "image of U0 meets images of d subspaces disjoint from U0 in 0", finite=False),
+    "RHO": Check(_check_rho, "F2",
+                 {"n": Param(3, 1), "d": Param(2, 1), "trials": Param(None, 1, shown=False)},
+                 "substitution action: identity, invertibility, functoriality, equivariance",
+                 finite=False),
+    "ITERATE": Check(_check_iterate, "F2", {"n": Param(2, 1), "d": Param(2, 1), "e": Param(2, 1)},
+                     "composing degree maps folds into the product-degree map"),
+    "SIGMA": Check(_check_sigma, "F5",
+                   {"n": Param(2, 1), "d": Param(2, 1), "trials": Param(50, 1, shown=False)},
+                   "diagonal rescaling carries d-th powers to monomial vectors", finite=False),
+    "T1_3": Check(_check_t1_3, "F5",
+                  {"n": Param(2, 2), "d": Param(2, 1), "trials": Param(100, 1, shown=False)},
+                  "any d+1 powerpoints independent when char is 0 or > d", finite=False),
+    "T3_3": Check(_check_t3_3, "F11", {"n": Param(2, 1), "d": Param(4, 1), "r": Param(3, 1)},
+                  "r+1 powerpoints independent for large q with nonzero binomials"),
+    "T3_4": Check(_check_t3_4, "F8", {"n": Param(2, 1), "d": Param(3, 1)},
+                  "any 4 powerpoints independent over GF(2^m), d = 2^i + 1", finite=False),
+    "T1_4": Check(_check_t1_4, "F3",
+                  {"k": Param(2, 1), "d": Param(2, 1), "r": Param(2, 1, "d"), "e": Param(1, 1)},
+                  "power subspaces of an (e+1)-independent family are (re+1)-independent"),
+    "L4": Check(_check_l4, "F3",
+                {"n": Param(3, 2), "d": Param(2, 1), "r": Param(2, 1, "d"), "trials": Param(40, 1)},
+                "power of T0 meets powers of r subspaces disjoint from T0 in 0", finite=False),
+    "P5_2": Check(_check_p5_2, "F2", {"n": Param(4, 2), "d": Param(2, 1), "trials": Param(40, 1)},
+                  "three product-space identities for disjoint U1, U2", finite=False),
+    "C5_3": Check(_check_c5_3, "F2", {"n": Param(4, 1), "d": Param(2, 1), "trials": Param(200, 1)},
+                  "d-th power commutes with intersections", finite=False),
+    "P5_4": Check(_check_p5_4, "F2", {"d": Param(2, 1), "r": Param(2, 2), "s": Param(2, 1)},
+                  "power of a diagonal block meets the block powers in dim s or 0", finite=False),
+    "T5_1": Check(_check_t5_1, "F3", {"k": Param(2, 1), "d": Param(2, 1), "r": Param(2, 2)},
+                  "powers of an r-independent family are (r+1)-independent"),
+    "T6_1": Check(_check_t6_1, "F2", {"n": Param(3, 2), "d": Param(2, 2)},
+                  "multiples of linear forms form a dual arc with binomial profile"),
+    "EQ_GDA": Check(_check_eq_gda, "F2", {"n": Param(3, 2), "d": Param(2, 2)},
+                    "j-wise intersections equal multiples of the j-fold product"),
+    "P6_2": Check(_check_p6_2, "F2", {"n": Param(3, 2), "d": Param(2, 2)},
+                  "regularity fails exactly when d >= q^(n-1)"),
+    "T6_IK": Check(_check_t6_ik, "F2", {"n": Param(2, 2), "d": Param(4, 1), "k": Param(2, 1, "d")},
+                   "prime-power multiples form a dual arc with stepped profile"),
+    "L6_4": Check(_check_l6_4, "F2",
+                  {"n": Param(4, 1), "k": Param(2, 1, "n"), "trials": Param(20, 1)},
+                  "dim of degree-1 times a k-space is kn - C(k,2)", finite=False),
+    "L6_5": Check(_check_l6_5, "F2", {"k": Param(2, 1)},
+                  "spread products: dims k(3k+1)/2, pairwise k^2, triple C(k,2)"),
+    "P6_6": Check(_check_p6_6, "F2", {"k": Param(2, 1)},
+                  "duals of spread products are 3-independent C(k+1,2)-spaces"),
+    "EX10": Check(_check_ex10, "F2", {}, "three 4-space structures in dimension 10"),
+    "DERIVED_GDA": Check(_check_derived_gda, "F2", {"n": Param(3, 2), "d": Param(2, 2)},
+                         "fixing one member leaves a dual arc with the tail profile"),
+    "EXPLORE_SPREAD_R": Check(_check_explore_spread_r, "F2", {"k": Param(2, 1), "d": Param(2, 1)},
+                              "report max independence of spread images (no assertion)"),
+    "VCODE": Check(_check_vcode, "F3",
+                   {"n": Param(2, 2), "d": Param(2, 1), "wmax": Param(4, 1),
+                    "powerpoints": Param(False, shown=False)},
+                   "minimum weight and support geometry of the point-column code"),
 }
 
 
@@ -851,7 +848,8 @@ def _resolve(check_id: str, check: Check, params: dict) -> tuple[dict, dict]:
     if unknown:
         takes = ", ".join(["field", *check.params])
         raise BadParams(f"{check_id} takes no parameter {unknown[0]!r} (it takes {takes})")
-    shown = {"field": check.field, **{k: p.default for k, p in check.params.items() if p.shown}, **given}
+    shown = {k: p.default for k, p in check.params.items() if p.shown}
+    shown = {"field": check.field, **shown, **given}
     full = {**{k: p.default for k, p in check.params.items()}, **shown}
     f = shown["field"]
     if isinstance(f, FieldSpec):

@@ -107,6 +107,13 @@ def test_cli_reports_bad_params_cleanly(argv):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("check_id", ["T1_1", "T3_3", "T3_4"])
+def test_point_family_laws_on_one_point_pass_vacuously(check_id):
+    res = run_check(check_id, {"n": 1})
+    assert res.hypothesis_ok and res.conclusion_ok
+    assert res.data == {"points": 1, "vacuous": True}
+
+
 def test_iterate_over_q_raises_instead_of_passing_vacuously():
     from verolab import InfiniteField
 
