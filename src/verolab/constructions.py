@@ -31,7 +31,9 @@ from .linalg import (
     annihilator,
     projective_points,
     span,
+    span_raw,
     subspace_intersect,
+    subspace_join,
     subspace_le,
 )
 from .monomials import num_monomials
@@ -54,9 +56,9 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
     ambient = 2 * k
     zero = f.zero_raw
 
-    def mul_ext(a: list, b: list) -> tuple:
+    def mul_ext(a: list, b: list) -> list:
         prod = _poly_mod(f, _poly_mul(f, a, b), g)
-        return tuple(prod + [zero] * (k - len(prod)))
+        return prod + [zero] * (k - len(prod))
 
     basis_ext = [[zero] * i + [f.one_raw] for i in range(k)]
     members = []
@@ -64,15 +66,12 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
         lam_t = _poly_trim(f, list(lam))
         rows = []
         for x in basis_ext:
-            left = tuple(x + [zero] * (k - len(x)))
+            left = x + [zero] * (k - len(x))
             right = mul_ext(x, lam_t)
-            rows.append(tuple(Scalar(f, v) for v in left + right))
-        members.append(span(rows, ambient, f))
-    vert = [
-        tuple(Scalar(f, v) for v in (zero,) * k + tuple(x + [zero] * (k - len(x))))
-        for x in basis_ext
-    ]
-    members.append(span(vert, ambient, f))
+            rows.append(left + right)
+        members.append(span_raw(rows, ambient, f))
+    vert = [[zero] * k + x + [zero] * (k - len(x)) for x in basis_ext]
+    members.append(span_raw(vert, ambient, f))
     return SubspaceFamily(members)
 
 
@@ -118,8 +117,8 @@ def elliptic_ovoid(f: FieldSpec) -> list[Subspace]:
     if len(pts) != f.q ** 2 + 1:
         raise AssertionError(f"ovoid point count {len(pts)} != {f.q ** 2 + 1}")
     for trio in itertools.combinations(pts, 3):
-        rows = [s.basis.row(0) for s in trio]
-        if span(rows, 4, f).dim != 3:
+        rows = [list(s.basis.raw[0]) for s in trio]
+        if span_raw(rows, 4, f).dim != 3:
             raise AssertionError("ovoid has three collinear points")
     return pts
 
@@ -162,10 +161,10 @@ def homog_divides(g: HomogPoly, h: HomogPoly) -> HomogPoly | None:
     cols = []
     for alpha in enumerate_exponents(n, dq):
         mono = HomogPoly.monomial(fld, n, alpha)
-        cols.append((mono * h).raw())
+        cols.append((mono * h).raw)
     nrows = num_monomials(n, g.d)
     a_rows = [[col[r] for col in cols] for r in range(nrows)]
-    x = _solve_raw(fld, a_rows, g.raw())
+    x = _solve_raw(fld, a_rows, g.raw)
     if x is None:
         return None
     return HomogPoly.from_raw(fld, n, dq, x)
@@ -230,7 +229,7 @@ def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGE
     dim_k = num_monomials(n, k)
     members = []
     for y in enumerate_ik(n, k, f, budget):
-        y_space = span([y.coeffs], dim_k, f)
+        y_space = span_raw([list(y.raw)], dim_k, f)
         members.append(product_space(a_dmk, d - k, y_space, k, n))
     return SubspaceFamily(members)
 
@@ -246,7 +245,8 @@ class DualArcReport:
     intersection_dims[j-1] maps a dimension to the number of j-subsets
     whose intersection has that dimension.  is_gda is true when each
     level up to some depth is constant and positive and every deeper
-    computed level is zero (matching expected_dims when provided).
+    computed level is zero or vacuous (matching expected_dims when
+    provided, on the levels that have subsets).
     """
 
     member_count: int
@@ -322,6 +322,7 @@ def gda_profile(
         exp = list(expected)
         if exp and exp[0] == fam.ambient_dim:
             exp = exp[1:]  # leading entry may carry the ambient dimension
+        del exp[n_mem:]  # levels past the member count have no subsets (vacuous)
         while exp and exp[-1] == 0:
             exp.pop()
         ok = is_gda and d_star == len(exp)
@@ -388,11 +389,8 @@ def is_regular(
     lies in the span of the members not containing U."""
     members = fam.members
     for idx, u in intersection_lattice(fam, budget):
-        rows = []
-        for d_sub in members:
-            if not subspace_le(u, d_sub):
-                rows.extend(d_sub.basis.row_list())
-        spanned = span(rows, fam.ambient_dim, fam.field)
+        others = [d_sub for d_sub in members if not subspace_le(u, d_sub)]
+        spanned = subspace_join(others, fam.ambient_dim, fam.field)
         if not subspace_le(u, spanned):
             return False, idx
     return True, None
@@ -412,9 +410,7 @@ def is_strongly_regular(
     a sampled true only means no counterexample was found.
     """
     members = fam.members
-    total_span = span(
-        [r for m in members for r in m.basis.row_list()], fam.ambient_dim, fam.field
-    )
+    total_span = subspace_join(members, fam.ambient_dim, fam.field)
     if total_span.dim != fam.ambient_dim:
         return False, ("span",), "exhaustive"
     reg_ok, reg_wit = is_regular(fam, budget)
@@ -435,17 +431,9 @@ def is_strongly_regular(
 
     def sr_holds(ui: int, subset: tuple[int, ...]) -> bool:
         u = lattice[ui][1]
-        joined = span(
-            [r for i in subset for r in members[i].basis.row_list()],
-            fam.ambient_dim,
-            fam.field,
-        )
+        joined = subspace_join([members[i] for i in subset], fam.ambient_dim, fam.field)
         lhs = subspace_intersect(u, joined)
-        rhs = span(
-            [r for i in subset for r in meet(ui, i).basis.row_list()],
-            fam.ambient_dim,
-            fam.field,
-        )
+        rhs = subspace_join([meet(ui, i) for i in subset], fam.ambient_dim, fam.field)
         return lhs == rhs
 
     total_pairs = len(lattice) * n_subsets
@@ -487,11 +475,7 @@ class WedgeSpace:
     def wedge(self, u, v) -> tuple:
         """u ^ v as a coordinate vector: alternating bilinear form with
         e_i ^ e_i = 0 and e_j ^ e_i = -(e_i ^ e_j)."""
-        f = u[0].f
-        out = [f.zero_raw] * self.dim
-        for k, (i, j) in enumerate(self.pairs()):
-            out[k] = f.sub(f.mul(u[i].v, v[j].v), f.mul(u[j].v, v[i].v))
-        return tuple(Scalar(f, x) for x in out)
+        return tuple(u[i] * v[j] - u[j] * v[i] for i, j in self.pairs())
 
 
 def wedge_family(f: FieldSpec, m: int) -> SubspaceFamily:

@@ -11,8 +11,13 @@ Elements of Q are represented by fractions.Fraction, which keeps every
 value in lowest terms with a positive denominator.
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
-neg, inv, ...) on the underlying representation, and the Scalar wrapper
-gives them operator syntax plus field-mismatch checking.  A finite field
+neg, inv, ...) on the underlying representation.  Matrices, subspaces
+and polynomials store raw values and compute with these operations.
+Scalar, a field plus one raw value with operator syntax and
+field-mismatch checking, is the boundary type: public vectors, fixtures,
+the CLI and the pointwise monomial evaluation speak Scalars, and the
+linalg and polyalgebra modules box and unbox where values cross into
+them.  A finite field
 builds log/antilog tables on a primitive element at construction (Lidl &
 Niederreiter, Finite Fields, 9.3); they take O(q) space, so q <= 2^16.
 Above q = 64 the raw operations are lookups in them: mul, inv, div and

@@ -43,11 +43,15 @@ from .independence import SubspaceFamily, check_image_independence, is_r_indepen
 from .linalg import (
     Matrix,
     Subspace,
+    enumerate_vectors,
+    full_subspace,
     projective_points,
     projective_vectors,
     rank,
     span,
+    span_raw,
     subspace_intersect,
+    subspace_join,
     subspace_le,
     subspace_sum,
 )
@@ -63,10 +67,10 @@ from .polyalgebra import (
     sigma_iso,
 )
 from .veronese import (
+    _equivariance_holds,
     all_invertible_matrices,
     random_invertible_matrix,
     rho_d,
-    veronese_equivariance_check,
     veronese_point,
     veronese_subspace,
     veronese_vector,
@@ -185,14 +189,14 @@ def _is_char_power(f: FieldSpec, d: int) -> bool:
 
 def _falling_vanishes(f: FieldSpec, d: int, r: int) -> bool:
     """Is d!/(d-r)! zero in f?"""
-    return int_in_field(f, math.perm(d, r)).v == f.zero_raw
+    return not int_in_field(f, math.perm(d, r))
 
 
 def _powerpoint_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
     """The distinct points <t^d> of the degree-d component, in the order
     of the points t of PG(n-1, q) that first give them."""
     big_n = num_monomials(n, d)
-    points = (span([linear_form_power(HomogPoly.linear_form(t), d).coeffs], big_n, f)
+    points = (span_raw([list(linear_form_power(HomogPoly.linear_form(t), d).raw)], big_n, f)
               for t in projective_points(f, n))
     return SubspaceFamily(list(dict.fromkeys(points)))
 
@@ -203,11 +207,6 @@ def _profile_verdict(fam: SubspaceFamily, rep, ok: bool):
     prof = rep.constant_profile()
     data = {"members": len(fam), "profile": prof}
     return "exhaustive", True, ok, None if ok else {"profile": prof}, data
-
-
-def _join(subspaces, ambient: int, f: FieldSpec) -> Subspace:
-    rows = [r for s in subspaces for r in s.basis.row_list()]
-    return span(rows, ambient, f)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +247,7 @@ def _disjoint_image_law(params, seed, image, count):
         u0 = _random_subspace(rng, f, n, dim0)
         others = [_random_subspace_disjoint(rng, f, n, rng.randint(1, n - dim0), u0)
                   for _ in range(count)]
-        right = _join([image(u, d) for u in others], big_n, f)
+        right = subspace_join([image(u, d) for u in others], big_n, f)
         return None if subspace_intersect(image(u0, d), right).is_zero() else {"trial": i}
 
     return _sampled(seed, params["trials"], trial)
@@ -296,10 +295,6 @@ def _check_l2_4(params, seed, budget):
     return _disjoint_image_law(params, seed, veronese_subspace, params["d"])
 
 
-def _raw_key(m: Matrix) -> tuple:
-    return tuple(s.v for s in m.entries)
-
-
 def _elementary_matrices(f: FieldSpec, n: int) -> list[Matrix]:
     """The transvections E_ij(lam) (i != j, lam != 0) and diag(mu, 1, ..., 1)
     (mu not 0 or 1) over a finite field: a generating set of GL(n, q)."""
@@ -316,19 +311,19 @@ def _elementary_matrices(f: FieldSpec, n: int) -> list[Matrix]:
 
 def _rho_functoriality_witness(mats, rhos, gens):
     """None when rho(a * b) == rho(a) * rho(b) for all a, b in mats, else a
-    witness; rhos maps raw entries to rho, with rho(identity) checked.
+    witness; rhos maps each map to its rho, with rho(identity) checked.
     Tests g * b for g in gens only, then walks the edges b -> g * b from
     the identity: the induction in the veronese module docstring needs the
     walk to reach every map, so a shorter walk is a failure."""
     edges = {}
     for g in gens:
-        rg = rhos[_raw_key(g)]
+        rg = rhos[g]
         for b in mats:
-            kb, gb = _raw_key(b), _raw_key(g * b)
-            if rhos[gb] != rg * rhos[kb]:
+            gb = g * b
+            if rhos[gb] != rg * rhos[b]:
                 return {"functoriality": True}
-            edges.setdefault(kb, []).append(gb)
-    start = _raw_key(Matrix.identity(mats[0].field, mats[0].rows))
+            edges.setdefault(b, []).append(gb)
+    start = Matrix.identity(mats[0].field, mats[0].rows)
     reached, stack = {start}, [start]
     while stack:
         for nxt in edges.get(stack.pop(), ()):
@@ -347,12 +342,12 @@ def _check_rho(params, seed, budget):
         return "exhaustive", True, False, {"identity": False}, {}
     if trials is None and f.is_finite and f.q ** (n * n) <= 10 ** 5:
         mats = list(all_invertible_matrices(f, n))
-        rhos = {_raw_key(m): rho_d(m, d) for m in mats}
+        rhos = {m: rho_d(m, d) for m in mats}
         if any(rank(r) != big_n for r in rhos.values()):
             return "exhaustive", True, False, {"singular_rho": True}, {}
-        for m in mats:
-            if not veronese_equivariance_check(m, d):
-                return "exhaustive", True, False, {"equivariance": True}, {}
+        vectors = enumerate_vectors(full_subspace(f, n))
+        if not all(_equivariance_holds(m, rhos[m], vectors, d) for m in mats):
+            return "exhaustive", True, False, {"equivariance": True}, {}
         wit = _rho_functoriality_witness(mats, rhos, _elementary_matrices(f, n))
         if wit is not None:
             return "exhaustive", True, False, wit, {}
@@ -364,8 +359,7 @@ def _check_rho(params, seed, budget):
         ra, rb, rab = rho_d(a, d), rho_d(b, d), rho_d(a * b, d)
         if rab != ra * rb or rank(ra) != big_n:
             return {"trial": i}
-        t = _random_vector(rng, f, n)
-        if veronese_vector(a.apply(t), d) != ra.apply(veronese_vector(t, d)):
+        if not _equivariance_holds(a, ra, [_random_vector(rng, f, n)], d):
             return {"trial": i, "equivariance": True}
         return None
 
@@ -421,6 +415,11 @@ def _check_t1_3(params, seed, budget):
         return _not_met("characteristic <= d")
     if f.is_finite:
         return _point_family_law(_powerpoint_family(f, n, d), d + 1, budget)
+    # _random_vector draws entries in [-5, 5]; by Moebius inversion over the
+    # gcd of the entries those vectors span this many lines of K^n
+    lines = sum(mu * ((2 * (5 // k) + 1) ** n - 1) for k, mu in ((1, 1), (2, -1), (3, -1), (5, -1))) // 2
+    if d + 1 > lines:
+        raise BadParams(f"T1_3 over Q samples d + 1 = {d + 1} of the {lines} lines of K^{n} it can draw")
     big_n = num_monomials(n, d)
 
     def trial(rng, i):
@@ -429,11 +428,8 @@ def _check_t1_3(params, seed, budget):
             s = span([_random_vector(rng, f, n)], n, f)
             if not s.is_zero():
                 forms.add(s)
-        vecs = [
-            linear_form_power(HomogPoly.linear_form(s.basis.row(0)), d).coeffs
-            for s in sorted(forms, key=lambda s: [str(x) for x in s.basis.row(0)])
-        ]
-        return None if span(vecs, big_n, f).dim == d + 1 else {"trial": i}
+        powers = [linear_form_power(HomogPoly.from_raw(f, n, 1, s.basis.raw[0]), d) for s in forms]
+        return None if span_raw([list(p.raw) for p in powers], big_n, f).dim == d + 1 else {"trial": i}
 
     return _sampled(seed, params["trials"], trial)
 
@@ -441,7 +437,7 @@ def _check_t1_3(params, seed, budget):
 def _check_t3_3(params, seed, budget):
     f, n, d, r = _field(params), params["n"], params["d"], params["r"]
     binoms = [math.comb(d, i) for i in range(r + 1)]
-    if not (f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b).v != f.zero_raw for b in binoms)):
+    if not (f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b) for b in binoms)):
         return _not_met("hypothesis")
     return _point_family_law(_powerpoint_family(f, n, d), r + 1, budget)
 
@@ -499,7 +495,7 @@ def _check_p5_2(params, seed, budget):
                 product_space(power_subspace(u1, k), k, power_subspace(u2, d - k), d - k, n)
             )
         pieces.append(power_subspace(u1, d))
-        total = _join(pieces, big_n, f)
+        total = subspace_join(pieces, big_n, f)
         if total != power_subspace(subspace_sum(u1, u2), d):
             return {"trial": i, "eq": 8}
         if sum(p.dim for p in pieces) != total.dim:
@@ -535,7 +531,7 @@ def _check_p5_4(params, seed, budget):
     if not hyp_ok:
         return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
     powers = [power_subspace(t, d) for t in blocks]
-    total = _join(powers, big_n, f)
+    total = subspace_join(powers, big_n, f)
     if total.dim != sum(p.dim for p in powers):
         return "exhaustive", True, False, {"direct_sum": False}, {}
     inter = subspace_intersect(power_subspace(t_last, d), total)
@@ -576,7 +572,7 @@ def _check_eq_gda(params, seed, budget):
             prod = HomogPoly.linear_form(points[idxs[0]])
             for i in idxs[1:]:
                 prod = poly_mul(prod, HomogPoly.linear_form(points[i]))
-            y_space = span([prod.coeffs], num_monomials(n, j), f)
+            y_space = span_raw([list(prod.raw)], num_monomials(n, j), f)
             rhs = product_space(a_spaces[j], d - j, y_space, j, n)
             if inter != rhs:
                 return "exhaustive", True, False, {"subset": idxs}, {}

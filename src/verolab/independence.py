@@ -84,7 +84,7 @@ def is_r_independent(
     if not 2 <= r <= n:
         raise BadParams(f"r={r} outside [2, {n}]")
     f, m = fam.field, fam.ambient_dim
-    raw = [s.basis.raw_rows() for s in fam.members]
+    raw = [s.basis.raw for s in fam.members]
 
     def rows_of(i, depth):
         return [list(row) for row in raw[i]]

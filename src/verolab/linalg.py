@@ -3,9 +3,15 @@
 A Subspace is stored as the reduced row echelon basis of its row space
 with zero rows dropped, so two subspaces are equal exactly when their
 representations are equal; no separate equivalence test exists or is
-needed.  All elimination runs on raw element representations (integer
-indices or Fractions) and wraps results back into Scalars at the
-boundary.
+needed.
+
+A Matrix stores raw field values (integer indices or Fractions, see the
+field module), one tuple per row, and all elimination runs on them.
+Scalars appear only where values cross the public boundary: Matrix.row,
+row_list, at and apply box on the way out, from_rows, span and contains
+unbox what they are given, and the vector enumerations and fixtures
+speak Scalars.  Inside the package, rows travel raw: raw_rows() copies
+them as mutable lists for elimination and span_raw reduces such lists.
 
 Fixture syntax (one subspace):
 
@@ -170,31 +176,30 @@ def _solve_raw(f: FieldSpec, a_rows: list[list], b: list) -> list | None:
 # ----------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix of Scalars, row-major."""
+    """Immutable dense matrix over a field, row-major: raw holds one tuple
+    of raw values per row."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "raw")
 
-    def __init__(self, field: FieldSpec, rows: int, cols: int, entries: tuple[Scalar, ...]) -> None:
-        if len(entries) != rows * cols:
-            raise LengthMismatch(f"{len(entries)} entries for {rows}x{cols}")
+    def __init__(self, field: FieldSpec, raw: tuple[tuple, ...], cols: int) -> None:
         self.field = field
-        self.rows = rows
+        self.rows = len(raw)
         self.cols = cols
-        self.entries = entries
+        self.raw = raw
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> Matrix:
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
+        raw = tuple(tuple(s.v for s in r) for r in rows)
+        ncols = len(raw[0]) if raw else 0
+        for r in raw:
             if len(r) != ncols:
                 raise LengthMismatch("ragged rows")
-        return cls(field, len(rows), ncols, tuple(s for r in rows for s in r))
+        return cls(field, raw, ncols)
 
     @classmethod
     def from_raw_rows(cls, field: FieldSpec, rows, cols: int | None = None) -> Matrix:
         ncols = len(rows[0]) if rows else (cols or 0)
-        return cls(field, len(rows), ncols, tuple(Scalar(field, v) for r in rows for v in r))
+        return cls(field, tuple(map(tuple, rows)), ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> Matrix:
@@ -202,24 +207,22 @@ class Matrix:
         return cls.from_raw_rows(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols: (i + 1) * self.cols]
+        f = self.field
+        return tuple(Scalar(f, v) for v in self.raw[i])
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
 
     def at(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        return Scalar(self.field, self.raw[i][j])
 
     def raw_rows(self) -> list[list]:
-        c = self.cols
-        vals = [s.v for s in self.entries]
-        return [vals[i * c: (i + 1) * c] for i in range(self.rows)]
+        """The rows as fresh mutable lists, e.g. for elimination."""
+        return [list(r) for r in self.raw]
 
     def transpose(self) -> Matrix:
-        return Matrix(
-            self.field, self.cols, self.rows,
-            tuple(self.entries[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)),
-        )
+        cols = tuple(zip(*self.raw)) if self.rows else ((),) * self.cols
+        return Matrix(self.field, cols, self.rows)
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
@@ -227,10 +230,9 @@ class Matrix:
         f = self.field
         add, mul = f.add, f.mul
         zero = f.zero_raw
-        a = self.raw_rows()
-        bt = other.transpose().raw_rows()
+        bt = other.transpose().raw
         out = []
-        for ar in a:
+        for ar in self.raw:
             orow = []
             for bc in bt:
                 acc = zero
@@ -238,8 +240,8 @@ class Matrix:
                     if x != zero and y != zero:
                         acc = add(acc, mul(x, y))
                 orow.append(acc)
-            out.append(orow)
-        return Matrix.from_raw_rows(f, out, other.cols)
+            out.append(tuple(orow))
+        return Matrix(f, tuple(out), other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j."""
@@ -250,25 +252,24 @@ class Matrix:
         zero = f.zero_raw
         raw = [s.v for s in v]
         out = []
-        for row in self.raw_rows():
+        for row in self.raw:
             acc = zero
             for x, y in zip(row, raw):
                 if x != zero and y != zero:
                     acc = add(acc, mul(x, y))
-            out.append(acc)
-        return tuple(Scalar(f, x) for x in out)
+            out.append(Scalar(f, acc))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.rows == other.rows
             and self.cols == other.cols
-            and all(a.v == b.v for a, b in zip(self.entries, other.entries))
+            and self.raw == other.raw
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, tuple(s.v for s in self.entries)))
+        return hash((self.field, self.cols, self.raw))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(s) for s in self.row(i)) for i in range(self.rows))
@@ -342,7 +343,7 @@ def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix(field, 0, ambient_dim, ()))
+    return Subspace(field, ambient_dim, Matrix(field, (), ambient_dim))
 
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
@@ -358,7 +359,12 @@ def _check_compatible(a: Subspace, b: Subspace) -> None:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_compatible(a, b)
-    return span(a.basis.row_list() + b.basis.row_list(), a.ambient_dim, a.field)
+    return subspace_join((a, b), a.ambient_dim, a.field)
+
+
+def subspace_join(members, ambient_dim: int, field: FieldSpec) -> Subspace:
+    """The span of the union of the bases of the members (possibly none)."""
+    return span_raw([r for s in members for r in s.basis.raw_rows()], ambient_dim, field)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -370,14 +376,20 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return zero_subspace(f, m)
     zero = f.zero_raw
-    stacked = [list(r) + list(r) for r in a.basis.raw_rows()]
-    stacked += [list(r) + [zero] * m for r in b.basis.raw_rows()]
+    stacked = [list(r + r) for r in a.basis.raw]
+    stacked += [list(r) + [zero] * m for r in b.basis.raw]
     rows, pivots = _rref_raw(f, stacked)
     gens = []
     for row in rows[: len(pivots)]:
         if all(x == zero for x in row[:m]):
-            gens.append(tuple(Scalar(f, x) for x in row[m:]))
-    return span(gens, m, f)
+            gens.append(row[m:])
+    return span_raw(gens, m, f)
+
+
+def _pivots(a: Subspace) -> list[int]:
+    """The pivot column of each basis row of a."""
+    zero = a.field.zero_raw
+    return [next(c for c, x in enumerate(row) if x != zero) for row in a.basis.raw]
 
 
 def annihilator(a: Subspace) -> Subspace:
@@ -386,14 +398,9 @@ def annihilator(a: Subspace) -> Subspace:
     m = a.ambient_dim
     if a.is_zero():
         return full_subspace(f, m)
-    rows = a.basis.raw_rows()
+    rows = a.basis.raw
     zero, one = f.zero_raw, f.one_raw
-    pivots = []
-    for row in rows:
-        for c, x in enumerate(row):
-            if x != zero:
-                pivots.append(c)
-                break
+    pivots = _pivots(a)
     pivot_set = set(pivots)
     gens = []
     for c in range(m):
@@ -403,8 +410,8 @@ def annihilator(a: Subspace) -> Subspace:
         vec[c] = one
         for i, p in enumerate(pivots):
             vec[p] = f.neg(rows[i][c])
-        gens.append(tuple(Scalar(f, x) for x in vec))
-    return span(gens, m, f)
+        gens.append(vec)
+    return span_raw(gens, m, f)
 
 
 def contains(a: Subspace, v: Vector) -> bool:
@@ -412,18 +419,15 @@ def contains(a: Subspace, v: Vector) -> bool:
     RREF basis is zero)."""
     if len(v) != a.ambient_dim:
         raise LengthMismatch(f"vector length {len(v)} != ambient {a.ambient_dim}")
+    return _contains_raw(a, [s.v for s in v])
+
+
+def _contains_raw(a: Subspace, w: list) -> bool:
+    """contains() of a raw coordinate list, which is reduced in place."""
     f = a.field
     zero = f.zero_raw
     mul, sub = f.mul, f.sub
-    w = [s.v for s in v]
-    rows = a.basis.raw_rows()
-    pivots = []
-    for row in rows:
-        for c, x in enumerate(row):
-            if x != zero:
-                pivots.append(c)
-                break
-    for row, p in zip(rows, pivots):
+    for row, p in zip(a.basis.raw, _pivots(a)):
         fac = w[p]
         if fac != zero:
             for j in range(p, len(w)):
@@ -433,7 +437,8 @@ def contains(a: Subspace, v: Vector) -> bool:
 
 def subspace_le(a: Subspace, b: Subspace) -> bool:
     """True iff a is contained in b."""
-    return all(contains(b, r) for r in a.basis.row_list())
+    _check_compatible(a, b)
+    return all(_contains_raw(b, list(r)) for r in a.basis.raw)
 
 
 def combine_basis(a: Subspace, combos) -> list[Vector]:
@@ -442,7 +447,7 @@ def combine_basis(a: Subspace, combos) -> list[Vector]:
     f = a.field
     add, mul = f.add, f.mul
     zero = f.zero_raw
-    rows = a.basis.raw_rows()
+    rows = a.basis.raw
     m = a.ambient_dim
     out = []
     for combo in combos:

@@ -9,9 +9,10 @@ power subspaces <T^d>, substitution, and (in the veronese module) rho_d
 and the span of a Veronese image are all read off that matrix.
 
 A HomogPoly is a coefficient vector over the monomial order fixed by the
-monomials module.  Subspaces of a homogeneous component are plain
-Subspaces of K^dim(A_d); the variable count and degree travel as explicit
-arguments where they cannot be inferred.
+monomials module, stored as raw field values like a linalg Matrix.
+Subspaces of a homogeneous component are plain Subspaces of K^dim(A_d);
+the variable count and degree travel as explicit arguments where they
+cannot be inferred.
 
 Text syntax for polynomials (CLI fixtures): terms "c*x1^a1*...*xn^an"
 joined by "+", e.g. "1*x1^2 + 2*x1^1*x2^1".  Coefficients use the scalar
@@ -23,27 +24,37 @@ from __future__ import annotations
 
 from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span, span_raw, subspace_intersect
+from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span_raw, subspace_intersect, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
 
 class HomogPoly:
-    """A homogeneous polynomial of degree d in n variables."""
+    """A homogeneous polynomial of degree d in n variables.
 
-    __slots__ = ("field", "n", "d", "coeffs")
+    raw holds the coefficients as raw field values in monomial order.
+    The constructor takes Scalars and from_raw takes raw values; coeffs
+    gives the coefficients back as Scalars.
+    """
+
+    __slots__ = ("field", "n", "d", "raw")
 
     def __init__(self, field: FieldSpec, n: int, d: int, coeffs: tuple[Scalar, ...]) -> None:
-        if len(coeffs) != num_monomials(n, d):
-            raise DegreeMismatch(f"{len(coeffs)} coefficients for (n, d) = ({n}, {d})")
-        self.field = field
-        self.n = n
-        self.d = d
-        self.coeffs = coeffs
+        self._set(field, n, d, tuple(s.v for s in coeffs))
 
     @classmethod
     def from_raw(cls, field: FieldSpec, n: int, d: int, raw) -> HomogPoly:
-        return cls(field, n, d, tuple(Scalar(field, v) for v in raw))
+        poly = cls.__new__(cls)
+        poly._set(field, n, d, tuple(raw))
+        return poly
+
+    def _set(self, field: FieldSpec, n: int, d: int, raw: tuple) -> None:
+        if len(raw) != num_monomials(n, d):
+            raise DegreeMismatch(f"{len(raw)} coefficients for (n, d) = ({n}, {d})")
+        self.field = field
+        self.n = n
+        self.d = d
+        self.raw = raw
 
     @classmethod
     def zero(cls, field: FieldSpec, n: int, d: int) -> HomogPoly:
@@ -62,26 +73,27 @@ class HomogPoly:
         f = coeffs_on_x[0].f
         return cls(f, len(coeffs_on_x), 1, tuple(coeffs_on_x))
 
-    def raw(self) -> list:
-        return [s.v for s in self.coeffs]
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        f = self.field
+        return tuple(Scalar(f, v) for v in self.raw)
 
     def is_zero(self) -> bool:
         z = self.field.zero_raw
-        return all(s.v == z for s in self.coeffs)
+        return all(v == z for v in self.raw)
 
     def evaluate(self, t) -> Scalar:
-        f = self.field
-        acc = f.zero_raw
-        add, mul = f.add, f.mul
+        """g(t), summed term by term from pointwise monomial values."""
+        acc = self.field.zero()
         for c, alpha in zip(self.coeffs, enumerate_exponents(self.n, self.d)):
-            if c.v != f.zero_raw:
-                acc = add(acc, mul(c.v, eval_monomial(t, alpha).v))
-        return Scalar(f, acc)
+            if c:
+                acc = acc + c * eval_monomial(t, alpha)
+        return acc
 
     def __add__(self, other: HomogPoly) -> HomogPoly:
         self._check(other, same_degree=True)
         f = self.field
-        return HomogPoly.from_raw(f, self.n, self.d, [f.add(a.v, b.v) for a, b in zip(self.coeffs, other.coeffs)])
+        return HomogPoly.from_raw(f, self.n, self.d, [f.add(a, b) for a, b in zip(self.raw, other.raw)])
 
     def __mul__(self, other: HomogPoly) -> HomogPoly:
         return poly_mul(self, other)
@@ -91,7 +103,7 @@ class HomogPoly:
 
     def scale(self, c: Scalar) -> HomogPoly:
         f = self.field
-        return HomogPoly.from_raw(f, self.n, self.d, [f.mul(c.v, s.v) for s in self.coeffs])
+        return HomogPoly.from_raw(f, self.n, self.d, [f.mul(c.v, v) for v in self.raw])
 
     def _check(self, other: HomogPoly, same_degree: bool = False) -> None:
         if self.field != other.field or self.n != other.n:
@@ -104,11 +116,11 @@ class HomogPoly:
             isinstance(other, HomogPoly)
             and self.field == other.field
             and (self.n, self.d) == (other.n, other.d)
-            and all(a.v == b.v for a, b in zip(self.coeffs, other.coeffs))
+            and self.raw == other.raw
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.n, self.d, tuple(s.v for s in self.coeffs)))
+        return hash((self.field, self.n, self.d, self.raw))
 
     def __repr__(self) -> str:
         return f"HomogPoly({self.field.name}, n={self.n}, d={self.d}: {format_poly(self)})"
@@ -126,9 +138,8 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
     out = [zero] * num_monomials(n, d)
     exps_f = enumerate_exponents(n, f_poly.d)
     exps_g = enumerate_exponents(n, g_poly.d)
-    raw_f = f_poly.raw()
-    raw_g = g_poly.raw()
-    for i, a in enumerate(raw_f):
+    raw_g = g_poly.raw
+    for i, a in enumerate(f_poly.raw):
         if a == zero:
             continue
         alpha = exps_f[i]
@@ -198,7 +209,7 @@ def linear_form_power(form: HomogPoly, d: int) -> HomogPoly:
     """(t1 x1 + ... + tn xn)^d, the one-row case of sym_power."""
     if form.d != 1:
         raise DegreeMismatch("linear form expected")
-    return HomogPoly.from_raw(form.field, form.n, d, sym_power([form.raw()], d, form.field)[0])
+    return HomogPoly.from_raw(form.field, form.n, d, sym_power([form.raw], d, form.field)[0])
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +225,7 @@ def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
     """Interpret the basis rows of s as degree-d polynomials."""
     if s.ambient_dim != num_monomials(n, d):
         raise DegreeMismatch(f"ambient {s.ambient_dim} is not dim A_{d} in {n} variables")
-    return [HomogPoly(s.field, n, d, r) for r in s.basis.row_list()]
+    return [HomogPoly.from_raw(s.field, n, d, r) for r in s.basis.raw]
 
 
 def power_subspace(t: Subspace, d: int) -> Subspace:
@@ -223,7 +234,7 @@ def power_subspace(t: Subspace, d: int) -> Subspace:
     if d < 1:
         raise DegreeMismatch("power degree must be >= 1")
     fld = t.field
-    return span_raw(sym_power(t.basis.raw_rows(), d, fld), num_monomials(t.ambient_dim, d), fld)
+    return span_raw(sym_power(t.basis.raw, d, fld), num_monomials(t.ambient_dim, d), fld)
 
 
 def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> Subspace:
@@ -234,7 +245,8 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
         raise FieldMismatch("product of subspaces over different fields")
     pp = subspace_polys(p, n, deg_p)
     qq = subspace_polys(q, n, deg_q)
-    return span([poly_mul(a, b).coeffs for a in pp for b in qq], num_monomials(n, deg_p + deg_q), fld)
+    products = [list(poly_mul(a, b).raw) for a in pp for b in qq]
+    return span_raw(products, num_monomials(n, deg_p + deg_q), fld)
 
 
 def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
@@ -242,15 +254,13 @@ def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
     to the coefficients of (sum t_i x_i)^d it yields the vector of all
     degree-d monomial values t^alpha."""
     exps = enumerate_exponents(n, d)
-    for alpha in exps:
-        _, c = multinomial(d, alpha, field)
-        if c.v == field.zero_raw:
-            raise BadCharacteristic(f"c({alpha}) = 0 in {field.name}")
     m = len(exps)
     zero = field.zero_raw
     rows = []
     for i, alpha in enumerate(exps):
         _, c = multinomial(d, alpha, field)
+        if not c:
+            raise BadCharacteristic(f"c({alpha}) = 0 in {field.name}")
         row = [zero] * m
         row[i] = field.inv(c.v)
         rows.append(row)
@@ -264,9 +274,14 @@ def substitute(f_poly: HomogPoly, images) -> HomogPoly:
     if len(images) != f_poly.n or any(g.d != 1 or g.n != f_poly.n for g in images):
         raise DegreeMismatch("need one degree-1 image per variable")
     fld = f_poly.field
-    n, d = f_poly.n, f_poly.d
-    sym = Matrix.from_raw_rows(fld, sym_power([g.raw() for g in images], d, fld))
-    return HomogPoly(fld, n, d, sym.transpose().apply(f_poly.coeffs))
+    add, mul = fld.add, fld.mul
+    zero = fld.zero_raw
+    out = [zero] * len(f_poly.raw)
+    for c, row in zip(f_poly.raw, sym_power([g.raw for g in images], f_poly.d, fld)):
+        if c != zero:
+            for k, x in enumerate(row):
+                out[k] = add(out[k], mul(c, x))
+    return HomogPoly.from_raw(fld, f_poly.n, f_poly.d, out)
 
 
 def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:
@@ -274,7 +289,7 @@ def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:
     lhs = subspace_intersect(power_subspace(b, d), power_subspace(c, d))
     bc = subspace_intersect(b, c)
     if bc.is_zero():
-        rhs = span([], lhs.ambient_dim, b.field)
+        rhs = zero_subspace(b.field, lhs.ambient_dim)
     else:
         rhs = power_subspace(bc, d)
     return lhs == rhs
@@ -285,10 +300,9 @@ def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:
 # ----------------------------------------------------------------------
 
 def format_poly(p: HomogPoly) -> str:
-    zero = p.field.zero_raw
     terms = []
     for c, alpha in zip(p.coeffs, enumerate_exponents(p.n, p.d)):
-        if c.v == zero:
+        if not c:
             continue
         bits = [str(c)]
         for i, a in enumerate(alpha):
@@ -300,11 +314,11 @@ def format_poly(p: HomogPoly) -> str:
 
 def parse_poly(text: str, field: FieldSpec, n: int, d: int) -> HomogPoly:
     """Parse the term syntax into monomial order; rejects degree errors."""
-    raw = [field.zero_raw] * num_monomials(n, d)
+    coeffs = [field.zero()] * num_monomials(n, d)
     idx = _index_map(n, d)
     text = text.strip()
     if text in ("", "0"):
-        return HomogPoly.from_raw(field, n, d, raw)
+        return HomogPoly(field, n, d, coeffs)
     for term in text.split("+"):
         parts = [p.strip() for p in term.strip().split("*") if p.strip()]
         coeff = field.one()
@@ -321,5 +335,5 @@ def parse_poly(text: str, field: FieldSpec, n: int, d: int) -> HomogPoly:
         if sum(alpha) != d:
             raise DegreeMismatch(f"term {term.strip()!r} has degree {sum(alpha)}, expected {d}")
         k = idx[tuple(alpha)]
-        raw[k] = field.add(raw[k], coeff.v)
-    return HomogPoly.from_raw(field, n, d, raw)
+        coeffs[k] = coeffs[k] + coeff
+    return HomogPoly(field, n, d, coeffs)

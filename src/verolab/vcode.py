@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import BadParams, BudgetExceeded
 from .field import FieldSpec
 from .linalg import Matrix, Vector, _rref_raw, dependent_prefixes, projective_points, rank, span
-from .monomials import num_monomials
 from .polyalgebra import HomogPoly, linear_form_power
 from .veronese import veronese_vector
 
@@ -45,7 +44,7 @@ class CheckMatrix:
         return self.h.cols
 
     def column(self, j: int) -> list:
-        return [self.h.at(i, j).v for i in range(self.h.rows)]
+        return [row[j] for row in self.h.raw]
 
 
 def veronese_check_matrix(n: int, d: int, f: FieldSpec) -> CheckMatrix:
@@ -53,33 +52,21 @@ def veronese_check_matrix(n: int, d: int, f: FieldSpec) -> CheckMatrix:
     projective points of K^n, in point-enumeration order."""
     pts = projective_points(f, n)
     cols = [veronese_vector(t, d) for t in pts]
-    big_n = num_monomials(n, d)
-    rows = [
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(big_n)
-    ]
-    return CheckMatrix(f, Matrix.from_rows(f, rows), tuple(pts))
+    return CheckMatrix(f, Matrix.from_rows(f, cols).transpose(), tuple(pts))
 
 
 def powerpoint_check_matrix(n: int, d: int, f: FieldSpec) -> CheckMatrix:
     """Columns are the coefficient vectors of (t1 x1 + ... + tn xn)^d for
     the normalized points t, in the same order."""
     pts = projective_points(f, n)
-    cols = [linear_form_power(HomogPoly.linear_form(t), d).coeffs for t in pts]
-    big_n = num_monomials(n, d)
-    rows = [
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(big_n)
-    ]
-    return CheckMatrix(f, Matrix.from_rows(f, rows), tuple(pts))
-
-
-def _columns_raw(cm: CheckMatrix, idxs) -> list[list]:
-    return [[cm.h.at(i, j).v for i in range(cm.n_rows)] for j in idxs]
+    cols = [linear_form_power(HomogPoly.linear_form(t), d).raw for t in pts]
+    return CheckMatrix(f, Matrix.from_raw_rows(f, cols).transpose(), tuple(pts))
 
 
 def _subset_kernel(cm: CheckMatrix, idxs) -> list | None:
     """A kernel vector of the chosen columns if they are dependent."""
     f = cm.field
-    cols = _columns_raw(cm, idxs)
+    cols = [cm.column(j) for j in idxs]
     w = len(idxs)
     rows = [[cols[j][i] for j in range(w)] for i in range(cm.n_rows)]
     reduced, pivots = _rref_raw(f, rows)
@@ -122,7 +109,7 @@ def minimal_supports(
     f = cm.field
     zero = f.zero_raw
     n_rows = cm.n_rows
-    cols = [list(c) for c in zip(*cm.h.raw_rows())]
+    cols = [list(c) for c in zip(*cm.h.raw)]
 
     def rows_of(j, depth):
         vec = cols[j] + [zero] * w_max
@@ -202,7 +189,7 @@ def verify_dependency(cm: CheckMatrix, support, vec) -> bool:
     f = cm.field
     if any(v == f.zero_raw for v in vec):
         return False
-    cols = _columns_raw(cm, tuple(support))
+    cols = [cm.column(j) for j in support]
     for i in range(cm.n_rows):
         acc = f.zero_raw
         for j, col in enumerate(cols):

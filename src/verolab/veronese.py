@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from .errors import SingularT
 from .field import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, Vector, projective_vectors, rank, span, span_raw, zero_subspace
+from .linalg import Matrix, Subspace, Vector, enumerate_vectors, full_subspace, projective_vectors, rank
+from .linalg import span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, num_monomials
 from .polyalgebra import HomogPoly, sym_power
 
@@ -76,7 +77,7 @@ def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
     if f.is_finite and f.q <= d:
         vecs = projective_vectors(u, budget=budget)
         return span([veronese_vector(v, d) for v in vecs], big_n, f)
-    s = sym_power(u.basis.transpose().raw_rows(), d, f)
+    s = sym_power(u.basis.transpose().raw, d, f)
     return span_raw([list(col) for col in zip(*s)], big_n, f)
 
 
@@ -86,12 +87,10 @@ def lift_functional(g: HomogPoly) -> Vector:
 
 
 def functional_dot(a: Vector, v: Vector) -> Scalar:
-    f = a[0].f
-    acc = f.zero_raw
+    acc = a[0].f.zero()
     for x, y in zip(a, v):
-        if x.v != f.zero_raw and y.v != f.zero_raw:
-            acc = f.add(acc, f.mul(x.v, y.v))
-    return Scalar(f, acc)
+        acc = acc + x * y
+    return acc
 
 
 def rho_d(t_mat: Matrix, d: int) -> Matrix:
@@ -100,7 +99,7 @@ def rho_d(t_mat: Matrix, d: int) -> Matrix:
     is sym_power of the rows of T."""
     if t_mat.cols != t_mat.rows:
         raise SingularT("square matrix required")
-    return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw_rows(), d, t_mat.field))
+    return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw, d, t_mat.field))
 
 
 def all_invertible_matrices(f: FieldSpec, n: int, budget: int = 10 ** 6):
@@ -139,12 +138,8 @@ def veronese_equivariance_check(
     n = t_mat.rows
     if rank(t_mat) != n:
         raise SingularT("map is singular")
-    m = rho_d(t_mat, d)
     if f.is_finite and f.q ** n <= exhaustive_limit:
-        vectors = [
-            tuple(Scalar(f, c) for c in combo)
-            for combo in itertools.product(range(f.q), repeat=n)
-        ]
+        vectors = enumerate_vectors(full_subspace(f, n), budget=exhaustive_limit)
     else:
         rng = random.Random(seed)
         vectors = []
@@ -155,7 +150,13 @@ def veronese_equivariance_check(
                 vectors.append(
                     tuple(Scalar(f, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(n))
                 )
+    return _equivariance_holds(t_mat, rho_d(t_mat, d), vectors, d)
+
+
+def _equivariance_holds(t_mat: Matrix, rho: Matrix, vectors, d: int) -> bool:
+    """veronese_vector(T t) == rho veronese_vector(t) for every t in
+    vectors, where rho is rho_d(T)."""
     for t in vectors:
-        if veronese_vector(t_mat.apply(t), d) != m.apply(veronese_vector(t, d)):
+        if veronese_vector(t_mat.apply(t), d) != rho.apply(veronese_vector(t, d)):
             return False
     return True

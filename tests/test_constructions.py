@@ -191,6 +191,13 @@ def test_gda_profile_single_member():
     assert rep.is_gda and rep.constant_profile() == [3]
 
 
+def test_gda_profile_compares_only_levels_with_subsets():
+    fam = dual_arc_ad(2, 4, F2)  # 3 members: levels 4 and 5 have no subsets
+    rep = gda_profile(fam, 5, expected=(5, 4, 3, 2, 1))
+    assert rep.constant_profile() == [4, 3, 2, -1, -1] and rep.is_gda
+    assert not gda_profile(fam, 5, expected=(5, 4, 9, 2, 1)).is_gda
+
+
 def test_wedge_family_m5():
     from verolab import wedge_family
 

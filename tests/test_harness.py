@@ -99,12 +99,34 @@ def test_cli_reports_budget_errors_cleanly():
     ("T1_1", "--k", "7"),  # T1_1 takes no k
     ("T1_1", "--s", "2"),
     ("P5_4", "--trials", "3"),
+    ("T1_3", "--field", "Q", "--n", "2", "--d", "40"),  # 41 of 40 drawable lines (this hung)
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
     assert out.returncode == 2
     assert out.stdout == "" and out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+
+
+def test_t1_3_over_q_draws_at_most_the_lines_it_can_reach():
+    from verolab import BadParams
+
+    res = run_check("T1_3", {"field": "Q", "n": 2, "d": 39, "trials": 1})  # all 40 lines
+    assert res.hypothesis_ok and res.conclusion_ok
+    with pytest.raises(BadParams):
+        run_check("T1_3", {"field": "Q", "n": 3, "d": 577})  # K^3 has 577 of them
+
+
+@pytest.mark.parametrize("check_id,params,profile", [
+    ("T6_1", {"field": "F2", "n": 2, "d": 4}, [4, 3, 2, -1, -1]),
+    ("T6_1", {"field": "F3", "n": 2, "d": 5}, [5, 4, 3, 2, -1, -1]),
+    ("T6_IK", {"field": "F2", "n": 2, "d": 4, "k": 1}, [4, 3, 2, -1, -1]),
+    ("DERIVED_GDA", {"field": "F2", "n": 2, "d": 4}, [3, 2, -1, -1]),
+])
+def test_dual_arc_levels_without_subsets_do_not_fail(check_id, params, profile):
+    res = run_check(check_id, params)
+    assert res.hypothesis_ok and res.conclusion_ok and res.witness is None
+    assert res.data["profile"] == profile
 
 
 @pytest.mark.parametrize("check_id", ["T1_1", "T3_3", "T3_4"])

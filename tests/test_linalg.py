@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,9 @@ from verolab import (
     zero_subspace,
 )
 from verolab.field import Scalar, scalar_from_str
+from verolab.linalg import span_raw
+from verolab.monomials import num_monomials
+from verolab.polyalgebra import HomogPoly
 
 
 def vec(f, *coords):
@@ -204,3 +208,41 @@ def test_family_fixture_round_trip():
     ]
     back = parse_family_text(format_family(fam))
     assert back == fam
+
+
+# ----------------------------------------------------------------------
+# the Scalar boundary: boxed and raw constructors build the same objects
+# ----------------------------------------------------------------------
+
+BOUNDARY_FIELDS = [parse_field(name) for name in ("F2", "F4", "F9", "F64", "F257", "Q")]
+
+
+def _raw_stored(f, values):
+    """Every value is a raw field value: an int index or a Fraction."""
+    return all(type(v) is (int if f.is_finite else Fraction) for v in values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BOUNDARY_FIELDS), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_boxed_and_raw_constructors_agree(f, nrows, ncols, n, d, rnd):
+    def draw():
+        if f.is_finite:
+            return rnd.randrange(f.q)
+        return Fraction(rnd.randint(-9, 9), rnd.randint(1, 9))
+
+    raw = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+    boxed = [tuple(Scalar(f, v) for v in r) for r in raw]
+    a, b = Matrix.from_rows(f, boxed), Matrix.from_raw_rows(f, raw)
+    assert a == b and hash(a) == hash(b)
+    assert a.row_list() == boxed and Matrix.from_rows(f, a.row_list()) == a
+    s = span(boxed, ncols, f)
+    assert s == span_raw([list(r) for r in raw], ncols, f)
+    coeffs = [draw() for _ in range(num_monomials(n, d))]
+    p = HomogPoly(f, n, d, tuple(Scalar(f, v) for v in coeffs))
+    p_raw = HomogPoly.from_raw(f, n, d, coeffs)
+    assert p == p_raw and hash(p) == hash(p_raw)
+    assert p.coeffs == tuple(Scalar(f, v) for v in coeffs)
+    for m in (a, b, a.transpose(), a * a.transpose(), rref(a)[0], s.basis):
+        assert all(_raw_stored(f, r) for r in m.raw)
+    assert _raw_stored(f, p.raw) and _raw_stored(f, (p * p).raw)

@@ -25,7 +25,7 @@ from verolab.veronese import all_invertible_matrices, veronese_vector
 
 
 def _key(m):
-    return tuple(s.v for s in m.entries)
+    return m
 
 
 def _gl_order(n, q):
@@ -141,6 +141,22 @@ def test_dropping_the_diagonal_generators_over_f3_never_passes(monkeypatch):
 # ----------------------------------------------------------------------
 # work count: 2 products per (generator, map) pair, not |G|^2
 # ----------------------------------------------------------------------
+
+def test_rho_f2_n3_builds_each_rho_once(monkeypatch):
+    from verolab import veronese
+
+    calls = []
+
+    def counting_rho(t_mat, d):
+        calls.append(1)
+        return rho_d(t_mat, d)
+
+    monkeypatch.setattr(harness, "rho_d", counting_rho)
+    monkeypatch.setattr(veronese, "rho_d", counting_rho)
+    res = run_check("RHO", {"field": "F2", "n": 3, "d": 2})
+    assert res.passed and res.data == {"maps": 168}
+    assert len(calls) == 168 + 1  # each map, and the identity check
+
 
 def test_rho_f2_n3_makes_two_products_per_generator_and_map(monkeypatch):
     calls = []
