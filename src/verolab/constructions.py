@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BadParams, BudgetExceeded, OddQForHyperoval
-from .field import FieldSpec, Scalar, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible
+from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
 from .independence import SubspaceFamily
 from .linalg import (
     Subspace,
@@ -81,10 +81,7 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
 
 def conic(f: FieldSpec) -> list[Subspace]:
     """The q+1 points (1, t, t^2) plus (0, 0, 1); no three collinear."""
-    pts = []
-    for i in range(f.q):
-        t = Scalar(f, i)
-        pts.append(span([(f.one(), t, t * t)], 3, f))
+    pts = [span([(f.one(), t, t * t)], 3, f) for t in enumerate_elements(f)]
     pts.append(span([(f.zero(), f.zero(), f.one())], 3, f))
     return pts
 

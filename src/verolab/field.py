@@ -8,7 +8,10 @@ element, and enumeration by increasing index is the canonical element
 order used everywhere downstream (fixture files store these indices).
 
 Elements of Q are represented by fractions.Fraction, which keeps every
-value in lowest terms with a positive denominator.
+value in lowest terms with a positive denominator.  Every stored Q value
+is a Fraction, but the elimination, matrix products and Sym^d over Q
+clear denominators and compute on ints, building one Fraction per output
+value (see the linalg module).
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
 neg, inv, ...) on the underlying representation.  Matrices, subspaces
@@ -126,6 +129,8 @@ def _smallest_irreducible(k: FieldSpec, m: int) -> list:
     element-index order, so the choice is deterministic across runs and
     platforms.
     """
+    if not k.is_finite:
+        raise InfiniteField(f"cannot search the degree-{m} polynomials over Q")
     for tail in itertools.product(range(k.q), repeat=m):
         cand = list(tail) + [k.one_raw]
         if _poly_is_irreducible(k, cand):

@@ -41,6 +41,7 @@ from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField,
 from .field import FieldSpec, Scalar, int_in_field, parse_field
 from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
 from .linalg import (
+    ENUM_BUDGET,
     Matrix,
     Subspace,
     enumerate_vectors,
@@ -421,6 +422,12 @@ def _check_t1_3(params, seed, budget):
     if d + 1 > lines:
         raise BadParams(f"T1_3 over Q samples d + 1 = {d + 1} of the {lines} lines of K^{n} it can draw")
     big_n = num_monomials(n, d)
+    # Gauss-Jordan: d + 1 pivots, each updating up to d + 1 rows of big_n integers
+    cells = (d + 1) ** 2 * big_n
+    if cells > ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"T1_3 over Q: reducing {d + 1} powers of {big_n} coefficients takes {cells} cell updates "
+            f"per trial, over budget {ENUM_BUDGET}")
 
     def trial(rng, i):
         forms = set()

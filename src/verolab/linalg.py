@@ -6,7 +6,15 @@ representations are equal; no separate equivalence test exists or is
 needed.
 
 A Matrix stores raw field values (integer indices or Fractions, see the
-field module), one tuple per row, and all elimination runs on them.
+field module), one tuple per row.  Over GF(q) all elimination runs on
+them.  Over Q the elimination, Matrix products and polyalgebra.sym_power
+clear denominators once (_int_rows: each row becomes integers over the
+lcm of its denominators) and then run on ints.  The elimination is
+fraction-free Gauss-Jordan that divides out each row's content (Bareiss,
+Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
+Theory, 2.2).  One Fraction is built per output value, so every stored Q
+value is still a Fraction and equality and hashing are unchanged.
+
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
 unbox what they are given, and the vector enumerations and fixtures
@@ -26,6 +34,9 @@ A family fixture is subspace fixtures joined by lines containing "--".
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul as _imul
 
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteField, LengthMismatch
 from .field import FieldSpec, Scalar, parse_field, scalar_from_str
@@ -39,8 +50,59 @@ Vector = tuple[Scalar, ...]
 # raw elimination
 # ----------------------------------------------------------------------
 
+_QZERO = Fraction(0)
+
+
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Rows of Fractions as (int_rows, dens): row i times dens[i], the lcm
+    of its denominators, is int_rows[i]."""
+    out, dens = [], []
+    for r in rows:
+        den = lcm(*[x.denominator for x in r])
+        if den == 1:
+            out.append([x.numerator for x in r])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in r])
+        dens.append(den)
+    return out, dens
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num / den as a stored Q value."""
+    if not num:
+        return _QZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
+    """Row i, entry j: the dot product of rows[i] and cols[j], raw.  Over Q
+    it is an integer dot product over one denominator per row and column."""
+    if not f.is_finite:
+        a, da = _int_rows(rows)
+        b, db = _int_rows(cols)
+        return tuple(
+            tuple(_fraction(sum(map(_imul, ar, bc)), x * y) for bc, y in zip(b, db))
+            for ar, x in zip(a, da)
+        )
+    add, mul = f.add, f.mul
+    zero = f.zero_raw
+    out = []
+    for ar in rows:
+        orow = []
+        for bc in cols:
+            acc = zero
+            for x, y in zip(ar, bc):
+                if x != zero and y != zero:
+                    acc = add(acc, mul(x, y))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
 def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    if not f.is_finite:
+        return _rref_q(rows)
     zero = f.zero_raw
     one = f.one_raw
     mul, sub, div = f.mul, f.sub, f.div
@@ -73,6 +135,56 @@ def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
         if r == nrows:
             break
     return rows, pivots
+
+
+def _rref_q(rows: list[list]) -> tuple[list[list], list[int]]:
+    """_rref_raw over Q: _rref_int on the integer rows, then each pivot row
+    divided by its pivot into Fractions."""
+    work, _ = _int_rows(rows)
+    pivots = _rref_int(work)
+    for i, c in enumerate(pivots):
+        pv = work[i][c]
+        rows[i] = [_fraction(x, pv) for x in work[i]]
+    for i in range(len(pivots), len(rows)):
+        rows[i] = [_QZERO] * len(work[i])
+    return rows, pivots
+
+
+def _rref_int(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    pivot columns.  Each update is a r_i - b r_p, with a and b the pivot
+    and target entries over their gcd, and every row's content is divided
+    out, so each nonzero row ends as the primitive integer multiple of its
+    RREF row and the rows past the rank are zero."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g > 1:
+            rows[i] = [x // g for x in row]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        row = rows[r]
+        pv = row[c]
+        for i in range(nrows):
+            tgt = rows[i]
+            b = tgt[c]
+            if b and i != r:
+                g = gcd(pv, b)
+                a, b = pv // g, b // g
+                tgt = [a * x - b * y for x, y in zip(tgt, row)]
+                g = gcd(*tgt)
+                rows[i] = [x // g for x in tgt] if g > 1 else tgt
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: list, width: int) -> bool:
@@ -227,38 +339,14 @@ class Matrix:
     def __mul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        f = self.field
-        add, mul = f.add, f.mul
-        zero = f.zero_raw
-        bt = other.transpose().raw
-        out = []
-        for ar in self.raw:
-            orow = []
-            for bc in bt:
-                acc = zero
-                for x, y in zip(ar, bc):
-                    if x != zero and y != zero:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Matrix(f, tuple(out), other.cols)
+        return Matrix(self.field, _dots(self.field, self.raw, other.transpose().raw), other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j."""
         if len(v) != self.cols:
             raise LengthMismatch(f"vector length {len(v)} != {self.cols}")
         f = self.field
-        add, mul = f.add, f.mul
-        zero = f.zero_raw
-        raw = [s.v for s in v]
-        out = []
-        for row in self.raw:
-            acc = zero
-            for x, y in zip(row, raw):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
-            out.append(Scalar(f, acc))
-        return tuple(out)
+        return tuple(Scalar(f, r[0]) for r in _dots(f, self.raw, [[s.v for s in v]]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -419,15 +507,16 @@ def contains(a: Subspace, v: Vector) -> bool:
     RREF basis is zero)."""
     if len(v) != a.ambient_dim:
         raise LengthMismatch(f"vector length {len(v)} != ambient {a.ambient_dim}")
-    return _contains_raw(a, [s.v for s in v])
+    return _contains_raw(a, [s.v for s in v], _pivots(a))
 
 
-def _contains_raw(a: Subspace, w: list) -> bool:
-    """contains() of a raw coordinate list, which is reduced in place."""
+def _contains_raw(a: Subspace, w: list, pivots: list[int]) -> bool:
+    """contains() of a raw coordinate list, which is reduced in place;
+    pivots is _pivots(a)."""
     f = a.field
     zero = f.zero_raw
     mul, sub = f.mul, f.sub
-    for row, p in zip(a.basis.raw, _pivots(a)):
+    for row, p in zip(a.basis.raw, pivots):
         fac = w[p]
         if fac != zero:
             for j in range(p, len(w)):
@@ -438,7 +527,8 @@ def _contains_raw(a: Subspace, w: list) -> bool:
 def subspace_le(a: Subspace, b: Subspace) -> bool:
     """True iff a is contained in b."""
     _check_compatible(a, b)
-    return all(_contains_raw(b, list(r)) for r in a.basis.raw)
+    pivots = _pivots(b)
+    return all(_contains_raw(b, list(r), pivots) for r in a.basis.raw)
 
 
 def combine_basis(a: Subspace, combos) -> list[Vector]:

@@ -22,9 +22,13 @@ not mentioned in a term have exponent 0.
 
 from __future__ import annotations
 
+import math
+import operator
+
 from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
 from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span_raw, subspace_intersect, zero_subspace
+from .linalg import _fraction, _int_rows
 from .monomials import enumerate_exponents, eval_monomial, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
@@ -175,6 +179,10 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     monomial order over n variables.  It is built degree by degree: row
     beta is row beta - e_i times form i, for i the first nonzero index of
     beta.  No rows give no rows; d = 0 gives the constant 1 per row.
+
+    Over Q the table is built on the integer forms rows[i] * dens[i] (see
+    linalg._int_rows), and row beta is divided by prod_i dens[i]^beta_i
+    into Fractions at the end.
     """
     m = len(rows)
     if m == 0:
@@ -184,10 +192,13 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     if cells > ENUM_BUDGET:
         raise BudgetExceeded(
             f"Sym^{d} of {m} forms in {n} variables has {cells} entries, over budget {ENUM_BUDGET}")
-    zero = field.zero_raw
-    add, mul = field.add, field.mul
+    if field.is_finite:
+        zero, one, add, mul = field.zero_raw, field.one_raw, field.add, field.mul
+    else:
+        rows, dens = _int_rows(rows)
+        zero, one, add, mul = 0, 1, operator.add, operator.mul
     terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]
-    table = [[field.one_raw]]
+    table = [[one]]
     for k in range(1, d + 1):
         shift = _shift_table(n, k)
         width = num_monomials(n, k)
@@ -202,7 +213,12 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
                         out[s] = add(out[s], mul(c, l))
             nxt.append(out)
         table = nxt
-    return table
+    if field.is_finite:
+        return table
+    return [
+        [_fraction(x, den) for x in row]
+        for row, den in zip(table, (math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(m, d)))
+    ]
 
 
 def linear_form_power(form: HomogPoly, d: int) -> HomogPoly:

@@ -100,6 +100,7 @@ def test_cli_reports_budget_errors_cleanly():
     ("T1_1", "--s", "2"),
     ("P5_4", "--trials", "3"),
     ("T1_3", "--field", "Q", "--n", "2", "--d", "40"),  # 41 of 40 drawable lines (this hung)
+    ("T1_3", "--field", "Q", "--n", "3", "--d", "60", "--trials", "1"),  # 7,036,411 cell updates
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
@@ -115,6 +116,16 @@ def test_t1_3_over_q_draws_at_most_the_lines_it_can_reach():
     assert res.hypothesis_ok and res.conclusion_ok
     with pytest.raises(BadParams):
         run_check("T1_3", {"field": "Q", "n": 3, "d": 577})  # K^3 has 577 of them
+
+
+def test_t1_3_over_q_bounds_its_reduction():
+    from verolab import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded, match=r"61 powers of 1891 coefficients takes 7036411 cell updates"
+                                             r" per trial, over budget 1000000"):
+        run_check("T1_3", {"field": "Q", "n": 3, "d": 60, "trials": 1})
+    res = run_check("T1_3", {"field": "Q", "n": 4, "d": 12, "trials": 1})  # 169 * 455 cells
+    assert res.hypothesis_ok and res.conclusion_ok
 
 
 @pytest.mark.parametrize("check_id,params,profile", [
@@ -225,6 +236,9 @@ def test_cli_construct_round_trips():
     ("construct", "spread", "--field", "F2"),  # --k missing
     ("construct", "rnc", "--field", "F3"),  # --d missing
     ("construct", "dual-arc-ad", "--field", "F3", "--d", "2"),  # --n missing
+    ("construct", "conic", "--field", "Q"),  # this printed a one-point conic
+    ("construct", "ovoid", "--field", "Q"),  # these two ended in an AssertionError
+    ("construct", "spread", "--field", "Q", "--k", "2"),
 ])
 def test_cli_construct_reports_bad_params_cleanly(argv):
     out = _cli(*argv)
