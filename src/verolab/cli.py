@@ -4,12 +4,17 @@
     verolab suite <smoke|full-desk> [--out json|text] [--timing]
     verolab construct <kind> --field F [--n N --d D --k K --m M] [--out FILE]
     verolab vcode --n N --d D --field F --wmax W [--powerpoints] [--out json]
+
+Exit codes: 0 pass, 1 a check failed, 2 bad input (VerolabError), and
+141 (128 + SIGPIPE, as a shell reports a process killed by it) when the
+reader of stdout closes it early, as `verolab ... | head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .constructions import (
@@ -165,10 +170,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except VerolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone; send what is still buffered to devnull, so
+        # the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

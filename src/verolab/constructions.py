@@ -89,7 +89,7 @@ def conic(f: FieldSpec) -> list[Subspace]:
 def hyperoval(f: FieldSpec) -> list[Subspace]:
     """Conic plus its nucleus (0, 1, 0); q must be even."""
     if f.char != 2:
-        raise OddQForHyperoval(f"{f.name} has odd characteristic")
+        raise OddQForHyperoval(f"hyperoval needs characteristic 2; {f.name} has characteristic {f.char}")
     pts = conic(f)
     pts.append(span([(f.zero(), f.one(), f.zero())], 3, f))
     return pts

@@ -74,6 +74,9 @@ def is_r_independent(
     prefixes visited earlier and found direct, or shares P + (i,) and
     would need a smaller tail than i+1, i+2, ..., which does not exist.
     So the witness is the lexicographically first violating r-set.
+    When every member is a point (one basis row), the kernel tests all
+    last members of a prefix of size r - 1 in one batch against that
+    prefix; the witness is the same.
 
     When C(|F|, r) exceeds the budget, a seeded sample of sample_trials
     subsets is checked instead, each by the same extension step (the

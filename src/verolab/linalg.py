@@ -222,6 +222,44 @@ def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: lis
     return True
 
 
+def _leaf_columns(n: int, rows_of, leaf: int, width: int) -> list[list] | None:
+    """cols[j][i] = entry j of item i's row at depth leaf, for j < width,
+    when every item has exactly one row; None otherwise."""
+    rows = [rows_of(i, leaf) for i in range(n)]
+    if any(len(r) != 1 for r in rows):
+        return None
+    return [[r[0][j] for r in rows] for j in range(width)]
+
+
+def _dependent_leaves(f: FieldSpec, cols: list[list], basis: list[list], width: int, cand: list[int]) -> list[int]:
+    """The candidates i, in order, whose leaf row (cols[j][i] for
+    j < width) lies in the span of basis on [0, width).
+
+    With R the reduced echelon form of basis and p_k its pivots, v is in
+    the span exactly when h_j(v) = v[j] - sum_k v[p_k] R_k[j] is zero at
+    every non-pivot column j < width.  The h_j are evaluated on all
+    surviving candidates at once, one column at a time, and the
+    candidates where h_j is nonzero are dropped."""
+    zero = f.zero_raw
+    mul, sub = f.mul, f.sub
+    red, piv = _rref_raw(f, [row[:width] for row in basis])
+    pivot_set = set(piv)
+    for j in range(width):
+        if not cand:
+            break
+        if j in pivot_set:
+            continue
+        col = cols[j]
+        h = [col[i] for i in cand]
+        for row, p in zip(red, piv):
+            c = row[j]
+            if c != zero:
+                colp = cols[p]
+                h = [sub(x, mul(colp[i], c)) for x, i in zip(h, cand)]
+        cand = [i for x, i in zip(h, cand) if x == zero]
+    return cand
+
+
 def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int, complete: bool = False):
     """Depth-first search over the index tuples of range(n) of size at
     most max_size, in lexicographic order, yielding each tuple whose
@@ -237,7 +275,19 @@ def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int,
     the item was added.  With complete=True an index is tried only when
     the tuple can still be completed to max_size inside range(n), i.e.
     i <= n - (max_size - depth).
+
+    When every item has exactly one row (point families, the tagged
+    columns of a check matrix), the last depth max_size - 1 is tested as
+    one batch per prefix: the leaf rows' first width entries are read
+    once per search, and _dependent_leaves finds every candidate leaf
+    in the span of the prefix at once, without touching the basis.
+    Each dependent leaf, in increasing order, is then rebuilt by rows_of
+    and reduced by _echelon_extend, so it yields the same tuples and
+    residues, in the same order, as the per-candidate test that items
+    with several rows keep.
     """
+    leaf = max_size - 1
+    cols = _leaf_columns(n, rows_of, leaf, width)
     basis: list[list] = []
     pivots: list[int] = []
     prefix: list[int] = []
@@ -245,6 +295,12 @@ def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int,
     i = 0
     while True:
         depth = len(prefix)
+        if cols is not None and depth == leaf:
+            for j in _dependent_leaves(f, cols, basis, width, list(range(i, n))):
+                vec = rows_of(j, depth)[0]
+                _echelon_extend(f, basis, pivots, vec, width)
+                yield tuple(prefix) + (j,), vec
+            i = n
         if i > (n - max_size + depth if complete else n - 1):
             if not prefix:
                 return

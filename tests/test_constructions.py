@@ -90,6 +90,12 @@ def test_hyperoval_q4_and_parity_guard():
         hyperoval(F3)
 
 
+@pytest.mark.parametrize("name,char", [("Q", 0), ("F9", 3)])
+def test_hyperoval_guard_names_the_characteristic(name, char):
+    with pytest.raises(OddQForHyperoval, match=rf"^hyperoval needs characteristic 2; {name} has characteristic {char}$"):
+        hyperoval(parse_field(name))
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_elliptic_ovoid(q):
     f = parse_field(f"F{q}")

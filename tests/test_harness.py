@@ -220,6 +220,39 @@ def test_cli_check_text_failure_exit_code():
     assert "hypothesis-not-met" in out.stdout
 
 
+def test_python_dash_m_verolab_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "verolab", "check", "T1_1", "--field", "F3", "--n", "2", "--d", "2", "--out", "json"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["check_id"] == "T1_1" and doc["conclusion_ok"] is True
+
+
+def test_cli_exits_quietly_when_the_reader_closes_stdout():
+    # about 174 KB of fixture text, more than a pipe holds, so the writer
+    # is still printing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "verolab", "construct", "spread", "--field", "F64", "--k", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=300)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"field=F64 ambient=4\n"
+    assert err == b""
+    assert code == 141
+
+
 def test_cli_construct_round_trips():
     out = _cli("construct", "spread", "--field", "F2", "--k", "2")
     assert out.returncode == 0
@@ -239,6 +272,7 @@ def test_cli_construct_round_trips():
     ("construct", "conic", "--field", "Q"),  # this printed a one-point conic
     ("construct", "ovoid", "--field", "Q"),  # these two ended in an AssertionError
     ("construct", "spread", "--field", "Q", "--k", "2"),
+    ("construct", "hyperoval", "--field", "Q"),
 ])
 def test_cli_construct_reports_bad_params_cleanly(argv):
     out = _cli(*argv)

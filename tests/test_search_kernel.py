@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,15 +25,26 @@ from verolab import (
     minimal_supports,
     parse_field,
     powerpoint_check_matrix,
+    rank,
     rationals,
     span,
     veronese_check_matrix,
 )
+from verolab import linalg
 from verolab.field import Scalar
 from verolab.linalg import _rref_raw
 from verolab.vcode import CheckMatrix
 
 FIELDS = [parse_field("F2"), parse_field("F3"), parse_field("F4"), parse_field("F9"), rationals()]
+# one-row items take the batched last depth; these cover the 2-D table
+# fields, the log-table fields past the table limit (xor, Zech and
+# prime-modulus additions) and Q
+POINT_FIELDS = [parse_field(f"F{q}") for q in (2, 4, 5, 7, 128, 243, 257)] + [rationals()]
+
+
+def _batch_spy():
+    """Counts the prefixes whose last depth is tested as one batch."""
+    return mock.patch.object(linalg, "_dependent_leaves", wraps=linalg._dependent_leaves)
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +133,55 @@ def families(draw):
 
 
 @st.composite
+def point_families(draw):
+    """Families of distinct points in K^2 .. K^4.  Some points are
+    combinations of two earlier ones, so small dependent sets are common
+    even over the large fields."""
+    f = draw(st.sampled_from(POINT_FIELDS))
+    m = draw(st.integers(2, 4))
+    vecs = []
+    for _ in range(draw(st.integers(2, 8))):
+        if len(vecs) >= 2 and draw(st.booleans()):
+            u, w = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            a, b = draw(elements(f)), draw(elements(f))
+            vecs.append(tuple(a * x + b * y for x, y in zip(u, w)))
+        else:
+            vecs.append(draw(vectors(f, m)))
+    members = []
+    for v in vecs:
+        s = span([v], m, f)
+        if s.dim and s not in members:
+            members.append(s)
+    assume(len(members) >= 2)
+    return SubspaceFamily(members)
+
+
+@st.composite
+def low_rank_check_matrices(draw):
+    """Check matrices whose columns are combinations of at most n_rows
+    base vectors, plus zero and repeated columns, so that many leaves
+    under one independent prefix are dependent at once."""
+    f = draw(st.sampled_from(POINT_FIELDS))
+    n_rows = draw(st.integers(1, 4))
+    base = draw(st.lists(vectors(f, n_rows), min_size=1, max_size=n_rows))
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        pick = draw(st.sampled_from(["zero", "repeat", "combo"] if cols else ["zero", "combo"]))
+        if pick == "zero":
+            cols.append(tuple(f.zero() for _ in range(n_rows)))
+        elif pick == "repeat":
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            col = [f.zero()] * n_rows
+            for b in base:
+                c = draw(elements(f))
+                col = [x + c * y for x, y in zip(col, b)]
+            cols.append(tuple(col))
+    h = Matrix.from_rows(f, [tuple(c[i] for c in cols) for i in range(n_rows)])
+    return CheckMatrix(f, h, tuple(cols))
+
+
+@st.composite
 def check_matrices(draw):
     """Random check matrices, often with a zero column and a repeated
     column, which give supports of size 1 and 2."""
@@ -177,6 +238,29 @@ def test_non_direct_pair_at_the_end():
     assert is_r_independent(fam, 4) == (False, (0, 3, 4, 5))
 
 
+@settings(max_examples=300, deadline=None)
+@given(point_families())
+def test_point_families_match_reference_through_the_batched_leaves(fam):
+    with _batch_spy() as spy:
+        for r in range(2, len(fam) + 1):
+            assert is_r_independent(fam, r) == ref_is_r_independent(fam, r)
+    assert spy.call_count > 0
+
+
+def test_mixed_dimensions_keep_the_per_candidate_leaves():
+    f = parse_field("F3")
+    e = [tuple(f.one() if j == i else f.zero() for j in range(4)) for i in range(4)]
+    e01 = tuple(a + b for a, b in zip(e[0], e[1]))
+    # one 2-dimensional member among points; (1, 2, 4) and (0, 3, 4) meet
+    fam = SubspaceFamily([span([v], 4, f) for v in (e[0], e[1])] + [span([e[2], e[3]], 4, f)]
+                         + [span([v], 4, f) for v in (e01, e[3])])
+    with _batch_spy() as spy:
+        for r in range(2, 6):
+            assert is_r_independent(fam, r) == ref_is_r_independent(fam, r)
+        assert is_r_independent(fam, 3) == (False, (0, 1, 3))
+    assert spy.call_count == 0
+
+
 def test_r_outside_range_is_bad_params():
     f = parse_field("F2")
     fam = SubspaceFamily([span([tuple(f.one() if j == i else f.zero() for j in range(3))], 3, f)
@@ -214,6 +298,42 @@ def test_zero_and_repeated_columns_are_small_supports():
     found = minimal_supports(cm, 3)
     assert found == {1: [(1,)], 2: [(0, 3)], 3: [(0, 2, 4), (2, 3, 4)]}
     assert found == ref_minimal_supports(cm, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_check_matrices(), st.integers(1, 9))
+def test_supports_match_reference_on_low_rank_matrices(cm, w_max):
+    w_max = min(w_max, cm.n_cols)
+    with _batch_spy() as spy:
+        assert minimal_supports(cm, w_max) == ref_minimal_supports(cm, w_max)
+    # the last depth is reached exactly when some w_max - 1 columns are independent
+    assert (spy.call_count > 0) == (rank(cm.h) >= w_max - 1)
+
+
+def test_every_dependent_leaf_under_one_prefix_is_yielded_in_order():
+    f = parse_field("F5")
+    # under the prefix (0, 1) = (e0, e1), leaves 2, 3, 4 and 6 are in
+    # its span and 5 is not; 6 repeats 0, so (0, 1, 6) is no circuit
+    cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 3, 0), (1, 2, 0), (0, 0, 1), (1, 0, 0), (0, 0, 0)]
+    h = Matrix.from_raw_rows(f, [[c[i] for c in cols] for i in range(3)])
+    cm = CheckMatrix(f, h, ())
+    found = minimal_supports(cm, 3)
+    assert found[1] == [(7,)]
+    assert found[2] == [(0, 6)]
+    assert found[3][:3] == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    assert found == ref_minimal_supports(cm, 3)
+
+
+def test_w_max_one_tests_every_column_against_the_empty_basis():
+    for f in POINT_FIELDS:
+        z, o = f.zero_raw, f.one_raw
+        cols = [(z, z), (o, z), (z, z), (o, o), (z, z)]
+        h = Matrix.from_raw_rows(f, [[c[i] for c in cols] for i in range(2)])
+        cm = CheckMatrix(f, h, ())
+        with _batch_spy() as spy:
+            assert minimal_supports(cm, 1) == {1: [(0,), (2,), (4,)]}
+        assert spy.call_count == 1
+        assert minimal_supports(cm, 1) == ref_minimal_supports(cm, 1)
 
 
 def test_w_max_below_one_is_bad_params():
