@@ -68,13 +68,11 @@ from .polyalgebra import (
     power_subspace,
     product_space,
     sigma_iso,
-    substitute,
     sym_power,
 )
 from .veronese import (
     lift_functional,
     rho_d,
-    veronese_equivariance_check,
     veronese_point,
     veronese_subspace,
     veronese_vector,
@@ -100,7 +98,6 @@ from .constructions import (
     gda_profile,
     hyperoval,
     is_regular,
-    is_strongly_regular,
     rational_normal_curve,
     wedge_family,
 )

@@ -4,34 +4,35 @@ Spreads, conics, hyperovals, elliptic ovoids and rational normal curves
 give the harness concrete families with known properties.  The dual-arc
 side builds families inside a degree-d coefficient space from multiples
 of linear (or prime-power) polynomials, measures their j-wise
-intersection profiles, and tests the two lattice regularity conditions.
+intersection profiles, and tests lattice regularity.
 
 Regularity here is the containment form: every nonzero intersection U of
 members must satisfy U = U cap <D : D not containing U>, i.e. U lies in
-the span of the members that do not contain it.  Strong regularity
-additionally requires the family to span the ambient space and the
-distributivity U cap <D_1..D_l> = <U cap D_1, ..., U cap D_l> for every
-intersection U and every subfamily, exhaustively when affordable and by
-seeded sampling otherwise.
+the span of the members that do not contain it.
+
+The intersection census walks the members' meets with linalg.meet_walk,
+which reads each meet's dimension off a stack of annihilator rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadParams, BudgetExceeded, OddQForHyperoval
 from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
 from .independence import SubspaceFamily
 from .linalg import (
+    SUBSET_BUDGET,
     Subspace,
     annihilator,
+    meet_walk,
     projective_points,
     span,
     span_raw,
+    stack_meet,
     subspace_intersect,
     subspace_join,
     subspace_le,
@@ -39,8 +40,6 @@ from .linalg import (
 from .monomials import num_monomials
 from .polyalgebra import HomogPoly, component_space, product_space
 from .veronese import veronese_point
-
-SUBSET_BUDGET = 10 ** 7
 
 
 # ----------------------------------------------------------------------
@@ -275,38 +274,31 @@ def gda_profile(
     expected: tuple[int, ...] | None = None,
     budget: int = SUBSET_BUDGET,
 ) -> DualArcReport:
-    """Full intersection-dimension census for subset sizes 1..j_max."""
+    """Full intersection-dimension census for subset sizes 1..j_max.  The
+    subsets that extend a zero meet are counted, not visited."""
     members = fam.members
     n_mem = len(members)
     total = sum(math.comb(n_mem, j) for j in range(1, j_max + 1))
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
     levels = [Counter() for _ in range(j_max)]
-
-    def rec(start: int, current: Subspace | None, depth: int) -> None:
-        for i in range(start, n_mem):
-            nxt = members[i] if current is None else subspace_intersect(current, members[i])
-            levels[depth][nxt.dim] += 1
-            if depth + 1 < j_max:
-                if nxt.is_zero():
-                    rem = n_mem - i - 1
-                    for extra in range(1, j_max - depth):
-                        if depth + extra < j_max and rem >= extra:
-                            levels[depth + extra][0] += math.comb(rem, extra)
-                else:
-                    rec(i + 1, nxt, depth + 1)
-
-    rec(0, None, 0)
-
-    # infer constancy cascade
-    const: list[int | None] = []
-    for lvl in levels:
-        if not lvl:
-            const.append(-1)  # vacuous: no subsets of this size
-        elif len(lvl) == 1:
-            const.append(next(iter(lvl)))
-        else:
-            const.append(None)
+    for idx, stack in meet_walk(members, j_max):
+        size = len(idx)
+        dim = fam.ambient_dim - len(stack)
+        levels[size - 1][dim] += 1
+        if not dim:  # every extension by later members meets in 0 too
+            rem = n_mem - idx[-1] - 1
+            for extra in range(1, min(rem, j_max - size) + 1):
+                levels[size - 1 + extra][0] += math.comb(rem, extra)
+    report = DualArcReport(
+        member_count=n_mem,
+        ambient_dim=fam.ambient_dim,
+        j_max=j_max,
+        intersection_dims=tuple(tuple(sorted(lvl.items())) for lvl in levels),
+        is_gda=False,
+        expected_dims=tuple(expected) if expected is not None else None,
+    )
+    const = report.constant_profile()
     d_star = 0
     for j in range(1, j_max + 1):
         if const[j - 1] is not None and const[j - 1] not in (-1, 0) :
@@ -326,15 +318,7 @@ def gda_profile(
         if ok:
             ok = all(const[j - 1] == exp[j - 1] for j in range(1, d_star + 1))
         is_gda = ok
-    dims = tuple(tuple(sorted(lvl.items())) for lvl in levels)
-    return DualArcReport(
-        member_count=n_mem,
-        ambient_dim=fam.ambient_dim,
-        j_max=j_max,
-        intersection_dims=dims,
-        is_gda=is_gda,
-        expected_dims=tuple(expected) if expected is not None else None,
-    )
+    return replace(report, is_gda=is_gda)
 
 
 def derived_family(fam: SubspaceFamily, fixed: int = 0) -> SubspaceFamily:
@@ -354,28 +338,24 @@ def intersection_lattice(
     fam: SubspaceFamily, budget: int = SUBSET_BUDGET
 ) -> list[tuple[tuple[int, ...], Subspace]]:
     """All distinct nonzero intersections of members, each with the first
-    (in size-then-lex order) index set producing it.  Levels are explored
-    until every intersection vanishes."""
-    members = fam.members
+    (in size-then-lex order) index set producing it.  linalg.meet_walk
+    visits every index set whose proper subsets' meets are nonzero; the
+    budget caps how many."""
+    f, m = fam.field, fam.ambient_dim
     found: dict[Subspace, tuple[int, ...]] = {}
-    level = [((i,), members[i]) for i in range(len(members))]
-    explored = len(level)
-    for idx, s in level:
-        found.setdefault(s, idx)
-    while level:
-        nxt = []
-        for idx, s in level:
-            for j in range(idx[-1] + 1, len(members)):
-                explored += 1
-                if explored > budget:
-                    raise BudgetExceeded(f"intersection lattice exceeds budget {budget}")
-                t = subspace_intersect(s, members[j])
-                if t.is_zero():
-                    continue
-                nidx = idx + (j,)
-                nxt.append((nidx, t))
-                found.setdefault(t, nidx)
-        level = nxt
+    ranks: list[int] = []  # the stack length at each prefix of idx
+    for explored, (idx, stack) in enumerate(meet_walk(fam.members, len(fam)), 1):
+        if explored > budget:
+            raise BudgetExceeded(f"intersection lattice exceeds budget {budget}")
+        del ranks[len(idx) - 1:]
+        ranks.append(len(stack))
+        # skip a zero meet, and the meet of idx[:-1] again: that index set comes first
+        if len(stack) == m or (len(idx) > 1 and ranks[-2] == len(stack)):
+            continue
+        u = stack_meet(stack, m, f)
+        first = found.get(u)
+        if first is None or (len(idx), idx) < (len(first), first):
+            found[u] = idx
     return sorted(((idx, s) for s, idx in found.items()), key=lambda p: (len(p[0]), p[0]))
 
 
@@ -391,64 +371,6 @@ def is_regular(
         if not subspace_le(u, spanned):
             return False, idx
     return True, None
-
-
-def is_strongly_regular(
-    fam: SubspaceFamily,
-    sample_budget: int = 50_000,
-    seed: int = 0,
-    budget: int = SUBSET_BUDGET,
-) -> tuple[bool, tuple | None, str]:
-    """Regular, spanning, and meet-distributive over every subfamily.
-
-    Returns (ok, witness, mode); witness is (U index set, member index
-    set) for a distributivity failure, ("span",) or the regularity
-    witness otherwise.  mode records exhaustive vs sampled(seed, trials):
-    a sampled true only means no counterexample was found.
-    """
-    members = fam.members
-    total_span = subspace_join(members, fam.ambient_dim, fam.field)
-    if total_span.dim != fam.ambient_dim:
-        return False, ("span",), "exhaustive"
-    reg_ok, reg_wit = is_regular(fam, budget)
-    if not reg_ok:
-        return False, reg_wit, "exhaustive"
-    lattice = intersection_lattice(fam, budget)
-    n_mem = len(members)
-    n_subsets = (1 << n_mem) - 1
-    meets: dict[tuple[int, int], Subspace] = {}
-
-    def meet(ui: int, mi: int) -> Subspace:
-        key = (ui, mi)
-        got = meets.get(key)
-        if got is None:
-            got = subspace_intersect(lattice[ui][1], members[mi])
-            meets[key] = got
-        return got
-
-    def sr_holds(ui: int, subset: tuple[int, ...]) -> bool:
-        u = lattice[ui][1]
-        joined = subspace_join([members[i] for i in subset], fam.ambient_dim, fam.field)
-        lhs = subspace_intersect(u, joined)
-        rhs = subspace_join([meet(ui, i) for i in subset], fam.ambient_dim, fam.field)
-        return lhs == rhs
-
-    total_pairs = len(lattice) * n_subsets
-    if total_pairs <= sample_budget:
-        for ui in range(len(lattice)):
-            for size in range(1, n_mem + 1):
-                for subset in itertools.combinations(range(n_mem), size):
-                    if not sr_holds(ui, subset):
-                        return False, (lattice[ui][0], subset), "exhaustive"
-        return True, None, "exhaustive"
-    rng = random.Random(seed)
-    for _ in range(sample_budget):
-        ui = rng.randrange(len(lattice))
-        mask = rng.randrange(1, n_subsets + 1)
-        subset = tuple(i for i in range(n_mem) if mask & (1 << i))
-        if not sr_holds(ui, subset):
-            return False, (lattice[ui][0], subset), f"sampled(seed={seed},trials={sample_budget})"
-    return True, None, f"sampled(seed={seed},trials={sample_budget})"
 
 
 # ----------------------------------------------------------------------

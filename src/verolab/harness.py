@@ -28,6 +28,7 @@ parameter grids; bump MANIFEST_VERSION when they change.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -42,15 +43,20 @@ from .field import FieldSpec, Scalar, int_in_field, parse_field
 from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
 from .linalg import (
     ENUM_BUDGET,
+    SUBSET_BUDGET,
     Matrix,
     Subspace,
+    _echelon_extend,
+    annihilator,
     enumerate_vectors,
     full_subspace,
+    meet_walk,
     projective_points,
     projective_vectors,
     rank,
     span,
     span_raw,
+    stack_meet,
     subspace_intersect,
     subspace_join,
     subspace_le,
@@ -91,7 +97,6 @@ from . import vcode as vc
 
 MANIFEST_VERSION = 1
 DEFAULT_SEED = 20260810
-DEFAULT_BUDGET = 10 ** 7
 
 
 @dataclass
@@ -271,9 +276,14 @@ def _check_t1_1_sharp(params, seed, budget):
     plane = span(_unit_rows(f, n, (0, 1)), n, f)
     images = [veronese_vector(t, d) for t in projective_vectors(plane)]
     big_n = num_monomials(n, d)
-    for idxs in itertools.combinations(range(len(images)), d + 2):
-        if span([images[i] for i in idxs], big_n, f).dim == d + 2:
-            return "exhaustive", True, False, idxs, {}
+    # in a matroid the first d + 2 images that extend the greedy basis are the
+    # lex-first independent (d + 2)-set; fewer than d + 2 means there is none
+    basis, pivots, extending = [], [], []
+    for i, v in enumerate(images):
+        if _echelon_extend(f, basis, pivots, [s.v for s in v], big_n):
+            extending.append(i)
+    if len(extending) >= d + 2:
+        return "exhaustive", True, False, tuple(extending[:d + 2]), {}
     return "exhaustive", True, True, None, {"points_on_plane": len(images)}
 
 
@@ -569,20 +579,25 @@ def _check_t6_1(params, seed, budget):
 def _check_eq_gda(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     fam = dual_arc_ad(n, d, f)
-    points = projective_points(f, n)
+    total = sum(math.comb(len(fam), j) for j in range(2, d + 1))
+    if total > budget:
+        raise BudgetExceeded(f"EQ_GDA: {total} subsets of {len(fam)} members exceed budget {budget}")
+    forms = [HomogPoly.linear_form(t) for t in projective_points(f, n)]
     a_spaces = {j: component_space(f, n, d - j) for j in range(2, d + 1)}
-    for j in range(2, d + 1):
-        for idxs in itertools.combinations(range(len(fam)), j):
-            inter = fam[idxs[0]]
-            for i in idxs[1:]:
-                inter = subspace_intersect(inter, fam[i])
-            prod = HomogPoly.linear_form(points[idxs[0]])
-            for i in idxs[1:]:
-                prod = poly_mul(prod, HomogPoly.linear_form(points[i]))
-            y_space = span_raw([list(prod.raw)], num_monomials(n, j), f)
-            rhs = product_space(a_spaces[j], d - j, y_space, j, n)
-            if inter != rhs:
-                return "exhaustive", True, False, {"subset": idxs}, {}
+    # the (size, lex)-first failing subset.  Product spaces are nonzero, so a zero
+    # meet of fewer than d members fails itself, and meet_walk skips no first failure.
+    first = None
+    for idxs, stack in meet_walk(fam.members, d):
+        j = len(idxs)
+        if j < 2 or (first and j >= len(first)):
+            continue
+        inter = stack_meet(stack, fam.ambient_dim, f)
+        prod = functools.reduce(poly_mul, [forms[i] for i in idxs])
+        y_space = span_raw([list(prod.raw)], num_monomials(n, j), f)
+        if inter != product_space(a_spaces[j], d - j, y_space, j, n):
+            first = idxs
+    if first:
+        return "exhaustive", True, False, {"subset": first}, {}
     return "exhaustive", True, True, None, {}
 
 
@@ -672,7 +687,8 @@ def _check_ex10(params, seed, budget):
     d3 = wedge_family(f, 5)
     count3 = len(d3) == 1 + q + q * q + q ** 3 + q ** 4
     dims3 = all(m.dim == 4 for m in d3)
-    pair_points = [subspace_intersect(a, b) for a, b in itertools.combinations(d3, 2)]
+    m3 = d3.ambient_dim
+    pair_points = [stack_meet(stack, m3, f) for idxs, stack in meet_walk(d3.members, 2) if len(idxs) == 2]
     pairs_ok = all(pt.dim == 1 for pt in pair_points)
     # each distinct pair point lies in exactly q + 1 members
     membership_ok = pairs_ok and all(
@@ -687,8 +703,7 @@ def _check_ex10(params, seed, budget):
             break
 
     def triple_dim(idxs):
-        inter = subspace_intersect(d3[idxs[0]], d3[idxs[1]])
-        return subspace_intersect(inter, d3[idxs[2]]).dim
+        return m3 - subspace_join([annihilator(d3[i]) for i in idxs], m3, f).dim
 
     not_gda = triple_dim(by_rank[2]) != triple_dim(by_rank[3])
     ok3 = count3 and dims3 and pairs_ok and membership_ok and not_gda
@@ -885,7 +900,7 @@ def run_check(check_id: str, params: dict | None = None, seed: int | None = None
     check = CHECK_REGISTRY[check_id]
     shown, full = _resolve(check_id, check, params or {})
     seed = DEFAULT_SEED if seed is None else seed
-    budget = DEFAULT_BUDGET if budget is None else budget
+    budget = SUBSET_BUDGET if budget is None else budget
     t0 = time.perf_counter()
     mode, hyp, concl, wit, data = check.body(full, seed, budget)
     dt = (time.perf_counter() - t0) * 1000.0

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
 from .field import FieldSpec
-from .linalg import Subspace, _echelon_extend, dependent_prefixes
+from .linalg import SUBSET_BUDGET, Subspace, _echelon_extend, dependent_prefixes
 from .veronese import veronese_subspace
-
-SUBSET_BUDGET = 10 ** 7
 
 
 class SubspaceFamily:

@@ -42,6 +42,7 @@ from .errors import AmbientMismatch, BudgetExceeded, InfiniteField, LengthMismat
 from .field import FieldSpec, Scalar, parse_field, scalar_from_str
 
 ENUM_BUDGET = 10 ** 6  # default cap on enumerate_vectors
+SUBSET_BUDGET = 10 ** 7  # default cap on the subsets a search may visit
 
 Vector = tuple[Scalar, ...]
 
@@ -322,6 +323,59 @@ def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int,
                 continue
             del basis[mark:], pivots[mark:]
         i += 1
+
+
+def meet_walk(members, max_size: int):
+    """Depth-first search over the index tuples of members (subspaces of
+    one K^m) of size at most max_size, in lexicographic order, yielding
+    every tuple whose proper prefixes meet in a nonzero subspace, with
+    its annihilator stack.
+
+    The annihilator of a meet is the sum of the annihilators, so the
+    stack is kept as the semi-echelon basis of the annihilator rows of
+    the tuple's members: dim(D_1 cap ... cap D_j) = m - len(stack), and
+    the meet is the annihilator of its span (stack_meet).  Visiting
+    prefix + (i,) pushes member i's annihilator rows by _echelon_extend.
+    The search descends from a tuple while its meet is nonzero and its
+    size is below max_size, and on backtrack cuts the stack back to its
+    length before the member was pushed, as dependent_prefixes does.
+    The stack is the search's own: read it before resuming the search,
+    and change none of its rows.
+    """
+    f, m = members[0].field, members[0].ambient_dim
+    ann = [annihilator(s).basis.raw for s in members]
+    n = len(ann)
+    basis: list[list] = []
+    pivots: list[int] = []
+    prefix: list[int] = []
+    marks: list[int] = []
+    i = 0
+    while True:
+        if i == n:
+            if not prefix:
+                return
+            i = prefix.pop() + 1
+            mark = marks.pop()
+            del basis[mark:], pivots[mark:]
+            continue
+        mark = len(basis)
+        for row in ann[i]:
+            if len(basis) == m:
+                break
+            _echelon_extend(f, basis, pivots, list(row), m)
+        node = (*prefix, i)
+        yield node, basis
+        if len(basis) < m and len(node) < max_size:
+            prefix.append(i)
+            marks.append(mark)
+        else:
+            del basis[mark:], pivots[mark:]
+        i += 1
+
+
+def stack_meet(stack: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
+    """The meet a meet_walk stack stands for: the annihilator of its span."""
+    return annihilator(span_raw([list(r) for r in stack], ambient_dim, field))
 
 
 def _solve_raw(f: FieldSpec, a_rows: list[list], b: list) -> list | None:

@@ -5,8 +5,9 @@ powerpoints with degree-d monomial evaluation vectors.
 One kernel builds every symmetric power: sym_power(rows, d, field) is the
 matrix Sym^d of a list of linear forms, whose row beta holds the
 coefficients of prod_i (rows[i] . x)^beta_i.  Powers of one linear form,
-power subspaces <T^d>, substitution, and (in the veronese module) rho_d
-and the span of a Veronese image are all read off that matrix.
+power subspaces <T^d>, and (in the veronese module) the substitution
+action rho_d and the span of a Veronese image are all read off that
+matrix.
 
 A HomogPoly is a coefficient vector over the monomial order fixed by the
 monomials module, stored as raw field values like a linalg Matrix.
@@ -281,23 +282,6 @@ def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
         row[i] = field.inv(c.v)
         rows.append(row)
     return Matrix.from_raw_rows(field, rows, m)
-
-
-def substitute(f_poly: HomogPoly, images) -> HomogPoly:
-    """Replace x_i by images[i] (all degree 1) and expand: the coefficient
-    vector of f times sym_power of the images."""
-    images = list(images)
-    if len(images) != f_poly.n or any(g.d != 1 or g.n != f_poly.n for g in images):
-        raise DegreeMismatch("need one degree-1 image per variable")
-    fld = f_poly.field
-    add, mul = fld.add, fld.mul
-    zero = fld.zero_raw
-    out = [zero] * len(f_poly.raw)
-    for c, row in zip(f_poly.raw, sym_power([g.raw for g in images], f_poly.d, fld)):
-        if c != zero:
-            for k, x in enumerate(row):
-                out[k] = add(out[k], mul(c, x))
-    return HomogPoly.from_raw(fld, f_poly.n, f_poly.d, out)
 
 
 def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:

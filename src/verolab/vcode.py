@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 from .errors import BadParams, BudgetExceeded
 from .field import FieldSpec
-from .linalg import Matrix, Vector, _rref_raw, dependent_prefixes, projective_points, rank, span
+from .linalg import SUBSET_BUDGET, Matrix, Vector, _rref_raw, dependent_prefixes, projective_points, rank, span
 from .polyalgebra import HomogPoly, linear_form_power
 from .veronese import veronese_vector
-
-SEARCH_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def _subset_kernel(cm: CheckMatrix, idxs) -> list | None:
 
 
 def minimal_supports(
-    cm: CheckMatrix, w_max: int, budget: int = SEARCH_BUDGET
+    cm: CheckMatrix, w_max: int, budget: int = SUBSET_BUDGET
 ) -> dict[int, list[tuple[int, ...]]]:
     """Minimal dependent column sets of each size up to w_max: dependent
     subsets all of whose proper subsets are independent, in lexicographic
@@ -124,7 +122,7 @@ def minimal_supports(
 
 
 def min_weight(
-    cm: CheckMatrix, w_max: int, budget: int = SEARCH_BUDGET
+    cm: CheckMatrix, w_max: int, budget: int = SUBSET_BUDGET
 ) -> tuple[int | None, list[tuple[int, ...]]]:
     """Smallest w <= w_max with a full-support dependency among some w
     columns, plus all minimal supports of that size; (None, []) if none."""

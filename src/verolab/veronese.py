@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import SingularT
 from .field import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, Vector, enumerate_vectors, full_subspace, projective_vectors, rank
+from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
 from .linalg import span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, num_monomials
 from .polyalgebra import HomogPoly, sym_power
@@ -123,34 +123,6 @@ def random_invertible_matrix(rng: random.Random, f: FieldSpec, n: int) -> Matrix
         m = Matrix.from_raw_rows(f, rows, n)
         if rank(m) == n:
             return m
-
-
-def veronese_equivariance_check(
-    t_mat: Matrix,
-    d: int,
-    trials: int = 100,
-    seed: int = 0,
-    exhaustive_limit: int = 10 ** 4,
-) -> bool:
-    """Does the image of T(t) equal rho_d(T) applied to the image of t,
-    for every t?  Exhaustive when q^n is small, else seeded sampling."""
-    f = t_mat.field
-    n = t_mat.rows
-    if rank(t_mat) != n:
-        raise SingularT("map is singular")
-    if f.is_finite and f.q ** n <= exhaustive_limit:
-        vectors = enumerate_vectors(full_subspace(f, n), budget=exhaustive_limit)
-    else:
-        rng = random.Random(seed)
-        vectors = []
-        for _ in range(trials):
-            if f.is_finite:
-                vectors.append(tuple(Scalar(f, rng.randrange(f.q)) for _ in range(n)))
-            else:
-                vectors.append(
-                    tuple(Scalar(f, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(n))
-                )
-    return _equivariance_holds(t_mat, rho_d(t_mat, d), vectors, d)
 
 
 def _equivariance_holds(t_mat: Matrix, rho: Matrix, vectors, d: int) -> bool:

@@ -1,0 +1,323 @@
+"""Differential tests of the dual-arc census on linalg.meet_walk against
+the Zassenhaus searches it replaced, which are kept here as references.
+
+The references intersect members pairwise with subspace_intersect:
+gda_profile's census recursed over index prefixes, the intersection
+lattice grew breadth first one level per subset size, and EQ_GDA
+intersected each j-subset from scratch.  T1_1_SHARP spanned every
+(d+2)-subset of the images of a 2-space; it now takes one greedy basis.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from verolab import (
+    BudgetExceeded,
+    HomogPoly,
+    SubspaceFamily,
+    derived_family,
+    dual_arc_ad,
+    dual_arc_ik,
+    dual_family,
+    gda_profile,
+    is_regular,
+    parse_field,
+    projective_points,
+    rationals,
+    run_check,
+    span,
+    subspace_intersect,
+    subspace_le,
+    veronese_vector,
+    wedge_family,
+)
+from verolab import harness
+from verolab.constructions import intersection_lattice, partial_spread_products
+from verolab.field import Scalar
+from verolab.linalg import projective_vectors, subspace_join
+from verolab.monomials import num_monomials
+from verolab.polyalgebra import component_space, poly_mul, product_space
+
+FIELDS = [parse_field(f"F{q}") for q in (2, 3, 4, 5, 8, 9)]
+
+
+# ----------------------------------------------------------------------
+# references
+# ----------------------------------------------------------------------
+
+def _ref_levels(fam, j_max):
+    """gda_profile's intersection_dims, by recursion over prefixes."""
+    members = fam.members
+    n_mem = len(members)
+    levels = [Counter() for _ in range(j_max)]
+
+    def rec(start, current, depth):
+        for i in range(start, n_mem):
+            nxt = members[i] if current is None else subspace_intersect(current, members[i])
+            levels[depth][nxt.dim] += 1
+            if depth + 1 < j_max:
+                if nxt.is_zero():
+                    rem = n_mem - i - 1
+                    for extra in range(1, j_max - depth):
+                        if depth + extra < j_max and rem >= extra:
+                            levels[depth + extra][0] += math.comb(rem, extra)
+                else:
+                    rec(i + 1, nxt, depth + 1)
+
+    rec(0, None, 0)
+    return tuple(tuple(sorted(lvl.items())) for lvl in levels)
+
+
+def _ref_lattice(fam):
+    """intersection_lattice, one breadth-first level per subset size."""
+    members = fam.members
+    found = {}
+    level = [((i,), members[i]) for i in range(len(members))]
+    for idx, s in level:
+        found.setdefault(s, idx)
+    while level:
+        nxt = []
+        for idx, s in level:
+            for j in range(idx[-1] + 1, len(members)):
+                t = subspace_intersect(s, members[j])
+                if not t.is_zero():
+                    nxt.append((idx + (j,), t))
+                    found.setdefault(t, idx + (j,))
+        level = nxt
+    return sorted(((idx, s) for s, idx in found.items()), key=lambda p: (len(p[0]), p[0]))
+
+
+def _ref_is_regular(fam):
+    for idx, u in _ref_lattice(fam):
+        others = [d for d in fam.members if not subspace_le(u, d)]
+        if not subspace_le(u, subspace_join(others, fam.ambient_dim, fam.field)):
+            return False, idx
+    return True, None
+
+
+def _ref_eq_gda(fam, f, n, d):
+    """EQ_GDA's first failing subset, j = 2..d in combination order."""
+    points = projective_points(f, n)
+    for j in range(2, d + 1):
+        a_space = component_space(f, n, d - j)
+        for idxs in itertools.combinations(range(len(fam)), j):
+            inter = fam[idxs[0]]
+            for i in idxs[1:]:
+                inter = subspace_intersect(inter, fam[i])
+            prod = HomogPoly.linear_form(points[idxs[0]])
+            for i in idxs[1:]:
+                prod = poly_mul(prod, HomogPoly.linear_form(points[i]))
+            y_space = span([prod.coeffs], num_monomials(n, j), f)
+            if inter != product_space(a_space, d - j, y_space, j, n):
+                return idxs
+    return None
+
+
+def _ref_sharp(f, n, d, images):
+    """T1_1_SHARP's first independent (d+2)-set of images, or None."""
+    big_n = num_monomials(n, d)
+    for idxs in itertools.combinations(range(len(images)), d + 2):
+        if span([images[i] for i in idxs], big_n, f).dim == d + 2:
+            return idxs
+    return None
+
+
+# ----------------------------------------------------------------------
+# families
+# ----------------------------------------------------------------------
+
+def _ad_grid():
+    # the P6_2 boundary cases over F2 (n3 d4, n2 d2, n2 d3) are not regular
+    grid = [("F2", 3, 2), ("F2", 3, 3), ("F2", 3, 4), ("F2", 2, 2), ("F2", 2, 3),
+            ("F3", 3, 2), ("F3", 2, 2), ("F3", 2, 3), ("F4", 2, 3), ("F4", 2, 4),
+            ("F5", 2, 3), ("F8", 2, 2), ("F9", 2, 3)]
+    return [pytest.param(parse_field(q), n, d, id=f"{q}-n{n}-d{d}") for q, n, d in grid]
+
+
+F2, F3, F4, F5, F8, F9 = FIELDS
+NAMED = {  # built when the test runs, not at collection
+    "ik-F2-n2-d4-k2": lambda: dual_arc_ik(2, 4, 2, F2),
+    "ik-F3-n2-d3-k2": lambda: dual_arc_ik(2, 3, 2, F3),
+    "ik-F5-n2-d2-k1": lambda: dual_arc_ik(2, 2, 1, F5),
+    "spread-products-F2": lambda: partial_spread_products(F2, 2),
+    "dual-ad-F2-n3-d3": lambda: dual_family(dual_arc_ad(3, 3, F2)),
+    "dual-ad-F4-n2-d3": lambda: dual_family(dual_arc_ad(2, 3, F4)),
+    "dual-ad-F9-n2-d2": lambda: dual_family(dual_arc_ad(2, 2, F9)),
+    "dual-spread-products-F2": lambda: dual_family(partial_spread_products(F2, 2)),
+    "derived-F2-n3-d3": lambda: derived_family(dual_arc_ad(3, 3, F2), 0),
+    "derived-F3-n3-d2": lambda: derived_family(dual_arc_ad(3, 2, F3), 4),
+    "derived-F8-n2-d3": lambda: derived_family(dual_arc_ad(2, 3, F8), 1),
+    "wedge-F2-m4": lambda: wedge_family(F2, 4),
+    "wedge-F3-m3": lambda: wedge_family(F3, 3),
+}
+
+
+def _elements(f):
+    if f.is_finite:
+        return st.integers(0, f.q - 1).map(lambda v: Scalar(f, v))
+    return st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3)).map(lambda v: Scalar(f, v))
+
+
+@st.composite
+def families(draw):
+    """Random families in K^2 .. K^5.  Small members in a larger space
+    meet in 0 after a few steps; members drawn around one shared core
+    meet in the core again and again, so one meet has many index sets."""
+    f = draw(st.sampled_from(FIELDS + [rationals()]))
+    m = draw(st.integers(2, 5))
+    vectors = st.tuples(*[_elements(f)] * m)
+    core = draw(st.lists(vectors, max_size=2))
+    members = []
+    for _ in range(draw(st.integers(2, 7))):
+        rows = draw(st.lists(vectors, min_size=1, max_size=3))
+        s = span(core + rows if draw(st.booleans()) else rows, m, f)
+        if s.dim and s not in members:
+            members.append(s)
+    assume(len(members) >= 2)
+    return SubspaceFamily(members)
+
+
+def _census_matches(fam, j_max):
+    assert gda_profile(fam, j_max).intersection_dims == _ref_levels(fam, j_max)
+    assert intersection_lattice(fam) == _ref_lattice(fam)
+    assert is_regular(fam) == _ref_is_regular(fam)
+
+
+# ----------------------------------------------------------------------
+# census
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("f,n,d", _ad_grid())
+def test_dual_arc_ad_census_matches_reference(f, n, d):
+    _census_matches(dual_arc_ad(n, d, f), d + 1)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_family_census_matches_reference(name):
+    _census_matches(NAMED[name](), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_random_family_census_matches_reference(fam):
+    _census_matches(fam, len(fam))
+
+
+def test_deep_family_ends_in_budget_not_recursion():
+    # the 1,032 lines through a point of PG(2, 1031): every index set meets
+    # in the point, so the walk goes 1,032 members deep
+    f = parse_field("F1031")
+    e1 = (f.one(), f.zero(), f.zero())
+    others = [(f.zero(), f.one(), Scalar(f, t)) for t in range(f.q)] + [(f.zero(), f.zero(), f.one())]
+    fam = SubspaceFamily([span([e1, v], 3, f) for v in others])
+    with pytest.raises(BudgetExceeded):
+        intersection_lattice(fam, budget=10 ** 5)
+
+
+# ----------------------------------------------------------------------
+# EQ_GDA
+# ----------------------------------------------------------------------
+
+def _perturbed(fam, seed):
+    """fam with one member swapped for a random subspace of its dimension."""
+    rng = random.Random(seed)
+    f, m = fam.field, fam.ambient_dim
+    k = rng.randrange(len(fam))
+    while True:
+        rows = [tuple(Scalar(f, rng.randrange(f.q)) for _ in range(m)) for _ in range(fam[k].dim)]
+        s = span(rows, m, f)
+        if s.dim == fam[k].dim and s not in fam.members:
+            return SubspaceFamily(fam.members[:k] + (s,) + fam.members[k + 1:])
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 2, 3), (4, 2, 3)])
+def test_eq_gda_matches_reference(q, n, d):
+    f = parse_field(f"F{q}")
+    fam = dual_arc_ad(n, d, f)
+    res = run_check("EQ_GDA", {"field": f"F{q}", "n": n, "d": d})
+    assert res.conclusion_ok and _ref_eq_gda(fam, f, n, d) is None
+    for seed in range(4):
+        bad = _perturbed(fam, seed)
+        with mock.patch.object(harness, "dual_arc_ad", lambda n_, d_, f_: bad):
+            res = run_check("EQ_GDA", {"field": f"F{q}", "n": n, "d": d})
+        ref = _ref_eq_gda(bad, f, n, d)
+        assert ref is not None and not res.conclusion_ok
+        assert res.witness == {"subset": list(ref)}, seed
+
+
+def _cli(*argv, timeout):
+    return subprocess.run([sys.executable, "-m", "verolab.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_eq_gda_runs_behind_the_budget():
+    # C(57, 2) + C(57, 3) + C(57, 4) = 425,866 subsets, over the budget given
+    out = _cli("check", "EQ_GDA", "--field", "F7", "--n", "3", "--d", "4", "--budget", "100000", timeout=60)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "425866 subsets" in out.stderr and "budget 100000" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+# ----------------------------------------------------------------------
+# T1_1_SHARP
+# ----------------------------------------------------------------------
+
+def _plane_points(f, n):
+    plane = span([tuple(f.one() if k == i else f.zero() for k in range(n)) for i in (0, 1)], n, f)
+    return projective_vectors(plane)
+
+
+def _bumped(f, n, positions):
+    """veronese_vector with one coordinate raised by one at the plane
+    points in the given positions: the last coordinate at the first of
+    them, the one before at the second.  For n = 3 these monomials
+    contain x3, so each bump leaves the span of the other images."""
+    bumps = {tuple(s.v for s in t): -1 - positions.index(i)
+             for i, t in enumerate(_plane_points(f, n)) if i in positions}
+
+    def vec(t, d):
+        v = list(veronese_vector(t, d))
+        k = bumps.get(tuple(s.v for s in t))
+        if k is not None:
+            v[k] += f.one()
+        return tuple(v)
+
+    return vec
+
+
+@pytest.mark.parametrize("q,n,d,positions", [
+    (3, 3, 2, ()), (4, 2, 3, ()),  # the criterion-02 grids
+    (2, 3, 2, ()), (5, 3, 3, ()), (8, 2, 3, ()),
+    (3, 3, 2, (0,)), (3, 3, 2, (2,)), (3, 3, 2, (3,)), (3, 3, 2, (1, 2)),
+    (4, 3, 3, (1,)), (5, 3, 3, (4,)), (5, 3, 3, (0, 5)), (5, 3, 2, (5,)),
+])
+def test_sharp_matches_reference(q, n, d, positions):
+    f = parse_field(f"F{q}")
+    vec = _bumped(f, n, positions)
+    images = [vec(t, d) for t in _plane_points(f, n)]
+    ref = _ref_sharp(f, n, d, images)
+    assert (ref is None) == (not positions)
+    with mock.patch.object(harness, "veronese_vector", vec):
+        res = run_check("T1_1_SHARP", {"field": f"F{q}", "n": n, "d": d})
+    if ref is None:
+        assert res.conclusion_ok and res.data == {"points_on_plane": len(images)}
+    else:
+        assert not res.conclusion_ok and res.witness == list(ref)
+
+
+def test_sharp_finishes_on_a_large_field():
+    # C(258, 5) subsets one by one; one greedy pass over the 258 images decides it
+    out = _cli("check", "T1_1_SHARP", "--field", "F257", "--n", "2", "--d", "3", "--out", "json", timeout=60)
+    assert out.returncode == 0
+    assert '"points_on_plane":258' in out.stdout

@@ -23,7 +23,6 @@ from verolab import (
     hyperoval,
     is_r_independent,
     is_regular,
-    is_strongly_regular,
     parse_field,
     parse_poly,
     rational_normal_curve,
@@ -35,7 +34,7 @@ from verolab import (
 from verolab.constructions import homog_divides, partial_spread_products
 from verolab.linalg import enumerate_vectors
 from verolab.monomials import num_monomials
-from verolab.polyalgebra import HomogPoly, component_space, product_space
+from verolab.polyalgebra import HomogPoly
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -248,30 +247,6 @@ def test_regularity_boundary_q2(n, d, expect):
 
 def test_regularity_q3_small_d():
     assert is_regular(dual_arc_ad(3, 2, F3))[0]
-
-
-def test_strong_regularity_fails_with_known_witness():
-    fam = dual_arc_ad(3, 2, F2)
-    ok, wit, mode = is_strongly_regular(fam)
-    assert not ok and mode == "exhaustive" and wit is not None
-    # the documented counterexample, checked directly: U = A_1(x1+x2)
-    # inside <A_1 x1, A_1 x2> but spanned meets have dimension 2 < 3
-    a1 = component_space(F2, 3, 1)
-    x1 = span([parse_poly("1*x1", F2, 3, 1).coeffs], 3, F2)
-    x2 = span([parse_poly("1*x2", F2, 3, 1).coeffs], 3, F2)
-    x12 = span([parse_poly("1*x1 + 1*x2", F2, 3, 1).coeffs], 3, F2)
-    d1 = product_space(a1, 1, x1, 1, 3)
-    d2 = product_space(a1, 1, x2, 1, 3)
-    u = product_space(a1, 1, x12, 1, 3)
-    lhs = subspace_intersect(u, subspace_sum(d1, d2))
-    rhs = subspace_sum(subspace_intersect(u, d1), subspace_intersect(u, d2))
-    assert lhs.dim == 3 and rhs.dim == 2 and lhs != rhs
-
-
-def test_strong_regularity_sampled_mode_finds_counterexample():
-    fam = dual_arc_ad(3, 2, F3)
-    ok, wit, mode = is_strongly_regular(fam, sample_budget=4000, seed=3)
-    assert not ok and mode.startswith("sampled(")
 
 
 def test_partial_spread_products_dims():

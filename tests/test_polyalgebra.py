@@ -23,7 +23,6 @@ from verolab import (
     rationals,
     sigma_iso,
     span,
-    substitute,
     subspace_intersect,
     veronese_vector,
 )
@@ -125,24 +124,6 @@ def test_sigma_allowed_when_no_multinomial_vanishes():
     assert sig.apply(p.coeffs) == veronese_vector(t, 3)
     with pytest.raises(BadCharacteristic):
         sigma_iso(3, 3, F2)  # c(1,1,1) = 6 = 0
-
-
-def test_substitute_examples():
-    f = parse_poly("1*x1^1*x2^1", Q, 2, 2)
-    x1 = HomogPoly.monomial(Q, 2, (1, 0))
-    x2 = HomogPoly.monomial(Q, 2, (0, 1))
-    assert substitute(f, [x2, x1]) == f
-    g = parse_poly("2*x1^2 + 3*x1^1*x2^1", Q, 2, 2)
-    assert substitute(g, [x1, x2]) == g
-    h = parse_poly("1*x3^2", Q, 3, 2)
-    imgs = [
-        HomogPoly.monomial(Q, 3, (1, 0, 0)),
-        HomogPoly.monomial(Q, 3, (0, 1, 0)),
-        parse_poly("1*x1 + 1*x2", Q, 3, 1),
-    ]
-    assert format_poly(substitute(h, imgs)) == "1/1*x1^2 + 2/1*x1^1*x2^1 + 1/1*x2^2"
-    with pytest.raises(DegreeMismatch):
-        substitute(h, imgs[:2])
 
 
 def test_power_intersection_trivial_cases():
