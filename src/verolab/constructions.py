@@ -11,7 +11,10 @@ members must satisfy U = U cap <D : D not containing U>, i.e. U lies in
 the span of the members that do not contain it.
 
 The intersection census walks the members' meets with linalg.meet_walk,
-which reads each meet's dimension off a stack of annihilator rows.
+which reads each meet's dimension off a stack of annihilator rows.  The
+regularity test answers containment in the dual form too: U lies in D
+exactly when ann(D) U^T = 0, one product per meet over the members'
+annihilator rows, with no intersection formed.
 """
 
 from __future__ import annotations
@@ -27,15 +30,14 @@ from .independence import SubspaceFamily
 from .linalg import (
     SUBSET_BUDGET,
     Subspace,
-    annihilator,
+    _echelon_extend,
+    contained_in,
     meet_walk,
     projective_points,
     span,
     span_raw,
     stack_meet,
     subspace_intersect,
-    subspace_join,
-    subspace_le,
 )
 from .monomials import num_monomials
 from .polyalgebra import HomogPoly, component_space, product_space
@@ -282,12 +284,12 @@ def gda_profile(
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
     levels = [Counter() for _ in range(j_max)]
-    for idx, stack in meet_walk(members, j_max):
-        size = len(idx)
+    for prefix, i, stack in meet_walk(fam.annihilators(), j_max):
+        size = len(prefix) + 1
         dim = fam.ambient_dim - len(stack)
         levels[size - 1][dim] += 1
         if not dim:  # every extension by later members meets in 0 too
-            rem = n_mem - idx[-1] - 1
+            rem = n_mem - i - 1
             for extra in range(1, min(rem, j_max - size) + 1):
                 levels[size - 1 + extra][0] += math.comb(rem, extra)
     report = DualArcReport(
@@ -343,19 +345,21 @@ def intersection_lattice(
     budget caps how many."""
     f, m = fam.field, fam.ambient_dim
     found: dict[Subspace, tuple[int, ...]] = {}
-    ranks: list[int] = []  # the stack length at each prefix of idx
-    for explored, (idx, stack) in enumerate(meet_walk(fam.members, len(fam)), 1):
+    ranks: list[int] = []  # the stack length at each prefix of the index set
+    for explored, (prefix, i, stack) in enumerate(meet_walk(fam.annihilators(), len(fam)), 1):
         if explored > budget:
             raise BudgetExceeded(f"intersection lattice exceeds budget {budget}")
-        del ranks[len(idx) - 1:]
+        size = len(prefix) + 1
+        del ranks[size - 1:]
         ranks.append(len(stack))
-        # skip a zero meet, and the meet of idx[:-1] again: that index set comes first
-        if len(stack) == m or (len(idx) > 1 and ranks[-2] == len(stack)):
+        # skip a zero meet, and the meet of the prefix again: that index set comes first
+        if len(stack) == m or (size > 1 and ranks[-2] == len(stack)):
             continue
         u = stack_meet(stack, m, f)
         first = found.get(u)
-        if first is None or (len(idx), idx) < (len(first), first):
-            found[u] = idx
+        # the walk runs in lex order, so an index set found later comes first only if smaller
+        if first is None or size < len(first):
+            found[u] = (*prefix, i)
     return sorted(((idx, s) for s, idx in found.items()), key=lambda p: (len(p[0]), p[0]))
 
 
@@ -363,13 +367,29 @@ def is_regular(
     fam: SubspaceFamily, budget: int = SUBSET_BUDGET
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Containment regularity: every nonzero intersection U of members
-    lies in the span of the members not containing U."""
-    members = fam.members
+    lies in the span of the members not containing U.  The witness is
+    the first failing U's index set, in the order of intersection_lattice.
+
+    U lies in a member D exactly when ann(D) U^T = 0, so the members'
+    annihilators, computed once per family for the census walk and this
+    test, say which members contain U in one product
+    (linalg.contained_in).  The basis rows of the others are pushed into
+    one semi-echelon basis until it has rank m, and then U lies in their
+    span; otherwise U lies in it exactly when none of U's rows extends
+    the basis."""
+    f, m = fam.field, fam.ambient_dim
+    anns = fam.annihilators()
     for idx, u in intersection_lattice(fam, budget):
-        others = [d_sub for d_sub in members if not subspace_le(u, d_sub)]
-        spanned = subspace_join(others, fam.ambient_dim, fam.field)
-        if not subspace_le(u, spanned):
-            return False, idx
+        others = (r for s, held in zip(fam, contained_in(anns, u)) if not held for r in s.basis.raw)
+        basis: list[list] = []
+        pivots: list[int] = []
+        for row in others:
+            _echelon_extend(f, basis, pivots, list(row), m)
+            if len(basis) == m:
+                break
+        else:
+            if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.basis.raw):
+                return False, idx
     return True, None
 
 
@@ -415,7 +435,7 @@ def wedge_family(f: FieldSpec, m: int) -> SubspaceFamily:
 
 def dual_family(fam: SubspaceFamily) -> SubspaceFamily:
     """Annihilator of each member, in order; dimensions complement."""
-    return SubspaceFamily([annihilator(m) for m in fam])
+    return SubspaceFamily(fam.annihilators())
 
 
 def partial_spread_products(f: FieldSpec, k: int) -> SubspaceFamily:

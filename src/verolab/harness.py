@@ -47,7 +47,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _echelon_extend,
-    annihilator,
+    contained_in,
     enumerate_vectors,
     full_subspace,
     meet_walk,
@@ -59,7 +59,6 @@ from .linalg import (
     stack_meet,
     subspace_intersect,
     subspace_join,
-    subspace_le,
     subspace_sum,
 )
 from .monomials import enumerate_exponents, num_monomials, _index_map
@@ -587,15 +586,15 @@ def _check_eq_gda(params, seed, budget):
     # the (size, lex)-first failing subset.  Product spaces are nonzero, so a zero
     # meet of fewer than d members fails itself, and meet_walk skips no first failure.
     first = None
-    for idxs, stack in meet_walk(fam.members, d):
-        j = len(idxs)
+    for prefix, i, stack in meet_walk(fam.annihilators(), d):
+        j = len(prefix) + 1
         if j < 2 or (first and j >= len(first)):
             continue
         inter = stack_meet(stack, fam.ambient_dim, f)
-        prod = functools.reduce(poly_mul, [forms[i] for i in idxs])
+        prod = poly_mul(functools.reduce(poly_mul, [forms[k] for k in prefix]), forms[i])
         y_space = span_raw([list(prod.raw)], num_monomials(n, j), f)
         if inter != product_space(a_spaces[j], d - j, y_space, j, n):
-            first = idxs
+            first = (*prefix, i)
     if first:
         return "exhaustive", True, False, {"subset": first}, {}
     return "exhaustive", True, True, None, {}
@@ -688,11 +687,12 @@ def _check_ex10(params, seed, budget):
     count3 = len(d3) == 1 + q + q * q + q ** 3 + q ** 4
     dims3 = all(m.dim == 4 for m in d3)
     m3 = d3.ambient_dim
-    pair_points = [stack_meet(stack, m3, f) for idxs, stack in meet_walk(d3.members, 2) if len(idxs) == 2]
+    anns3 = d3.annihilators()
+    pair_points = [stack_meet(stack, m3, f) for prefix, _, stack in meet_walk(anns3, 2) if prefix]
     pairs_ok = all(pt.dim == 1 for pt in pair_points)
     # each distinct pair point lies in exactly q + 1 members
     membership_ok = pairs_ok and all(
-        sum(1 for m in d3 if subspace_le(pt, m)) == 1 + q for pt in dict.fromkeys(pair_points)
+        sum(contained_in(anns3, pt)) == 1 + q for pt in dict.fromkeys(pair_points)
     )
     # the shared 1-spaces force unequal triple dimensions, so not a dual arc
     pts = projective_points(f, 5)
@@ -703,7 +703,7 @@ def _check_ex10(params, seed, budget):
             break
 
     def triple_dim(idxs):
-        return m3 - subspace_join([annihilator(d3[i]) for i in idxs], m3, f).dim
+        return m3 - subspace_join([anns3[i] for i in idxs], m3, f).dim
 
     not_gda = triple_dim(by_rank[2]) != triple_dim(by_rank[3])
     ok3 = count3 and dims3 and pairs_ok and membership_ok and not_gda

@@ -11,14 +11,14 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
 from .field import FieldSpec
-from .linalg import SUBSET_BUDGET, Subspace, _echelon_extend, dependent_prefixes
+from .linalg import SUBSET_BUDGET, Subspace, _echelon_extend, annihilator, dependent_prefixes
 from .veronese import veronese_subspace
 
 
 class SubspaceFamily:
     """An ordered family of distinct nonzero subspaces of one K^m."""
 
-    __slots__ = ("field", "ambient_dim", "members")
+    __slots__ = ("field", "ambient_dim", "members", "_annihilators")
 
     def __init__(self, members) -> None:
         members = list(members)
@@ -38,6 +38,7 @@ class SubspaceFamily:
         self.field: FieldSpec = f
         self.ambient_dim: int = m
         self.members: tuple[Subspace, ...] = tuple(members)
+        self._annihilators: tuple[Subspace, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -47,6 +48,13 @@ class SubspaceFamily:
 
     def __getitem__(self, i: int) -> Subspace:
         return self.members[i]
+
+    def annihilators(self) -> tuple[Subspace, ...]:
+        """The annihilator of each member, in order, computed once per
+        family: the census walk and the regularity test both read them."""
+        if self._annihilators is None:
+            self._annihilators = tuple(annihilator(s) for s in self.members)
+        return self._annihilators
 
     def __repr__(self) -> str:
         return f"SubspaceFamily({len(self.members)} members in {self.field.name}^{self.ambient_dim})"

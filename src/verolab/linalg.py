@@ -325,25 +325,29 @@ def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int,
         i += 1
 
 
-def meet_walk(members, max_size: int):
-    """Depth-first search over the index tuples of members (subspaces of
-    one K^m) of size at most max_size, in lexicographic order, yielding
-    every tuple whose proper prefixes meet in a nonzero subspace, with
-    its annihilator stack.
+def meet_walk(anns, max_size: int):
+    """Depth-first search over the index tuples of a family of subspaces
+    of one K^m, given by the members' annihilators anns, of size at most
+    max_size, in lexicographic order, yielding every tuple whose proper
+    prefixes meet in a nonzero subspace, with its annihilator stack.
 
     The annihilator of a meet is the sum of the annihilators, so the
     stack is kept as the semi-echelon basis of the annihilator rows of
     the tuple's members: dim(D_1 cap ... cap D_j) = m - len(stack), and
     the meet is the annihilator of its span (stack_meet).  Visiting
-    prefix + (i,) pushes member i's annihilator rows by _echelon_extend.
-    The search descends from a tuple while its meet is nonzero and its
-    size is below max_size, and on backtrack cuts the stack back to its
+    prefix + (i,) pushes the rows of anns[i] by _echelon_extend.  The
+    search descends from a tuple while its meet is nonzero and its size
+    is below max_size, and on backtrack cuts the stack back to its
     length before the member was pushed, as dependent_prefixes does.
-    The stack is the search's own: read it before resuming the search,
-    and change none of its rows.
+
+    Each tuple is yielded as (prefix, i, stack): prefix is the list of
+    its first indices and i its last, so a consumer builds the tuple
+    (*prefix, i) only when it keeps one.  The prefix and the stack are
+    the search's own: read them before resuming the search, and change
+    neither.
     """
-    f, m = members[0].field, members[0].ambient_dim
-    ann = [annihilator(s).basis.raw for s in members]
+    f, m = anns[0].field, anns[0].ambient_dim
+    ann = [a.basis.raw for a in anns]
     n = len(ann)
     basis: list[list] = []
     pivots: list[int] = []
@@ -363,9 +367,8 @@ def meet_walk(members, max_size: int):
             if len(basis) == m:
                 break
             _echelon_extend(f, basis, pivots, list(row), m)
-        node = (*prefix, i)
-        yield node, basis
-        if len(basis) < m and len(node) < max_size:
+        yield prefix, i, basis
+        if len(basis) < m and len(prefix) + 1 < max_size:
             prefix.append(i)
             marks.append(mark)
         else:
@@ -376,6 +379,22 @@ def meet_walk(members, max_size: int):
 def stack_meet(stack: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
     """The meet a meet_walk stack stands for: the annihilator of its span."""
     return annihilator(span_raw([list(r) for r in stack], ambient_dim, field))
+
+
+def contained_in(anns, u: Subspace) -> list[bool]:
+    """Whether u lies in each member D of a family, given by the members'
+    annihilators anns: u is in D exactly when ann(D) u^T = 0, so one
+    product of the stacked annihilator rows with u's basis answers every
+    member."""
+    f = u.field
+    zero = f.zero_raw
+    prod = _dots(f, [r for a in anns for r in a.basis.raw], u.basis.raw)
+    out = []
+    k = 0
+    for a in anns:
+        out.append(all(x == zero for row in prod[k:k + a.dim] for x in row))
+        k += a.dim
+    return out
 
 
 def _solve_raw(f: FieldSpec, a_rows: list[list], b: list) -> list | None:

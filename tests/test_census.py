@@ -42,10 +42,10 @@ from verolab import (
     veronese_vector,
     wedge_family,
 )
-from verolab import harness
+from verolab import constructions, harness, linalg
 from verolab.constructions import intersection_lattice, partial_spread_products
 from verolab.field import Scalar
-from verolab.linalg import projective_vectors, subspace_join
+from verolab.linalg import annihilator, contained_in, meet_walk, projective_vectors, stack_meet, subspace_join
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import component_space, poly_mul, product_space
 
@@ -223,6 +223,93 @@ def test_deep_family_ends_in_budget_not_recursion():
     fam = SubspaceFamily([span([e1, v], 3, f) for v in others])
     with pytest.raises(BudgetExceeded):
         intersection_lattice(fam, budget=10 ** 5)
+
+
+# ----------------------------------------------------------------------
+# regularity on the annihilators
+# ----------------------------------------------------------------------
+
+def _in_hyperplane(fam):
+    """fam inside the hyperplane x_(m+1) = 0 of K^(m+1)."""
+    f, m = fam.field, fam.ambient_dim
+    return SubspaceFamily(span([r + (f.zero(),) for r in s.basis.row_list()], m + 1, f) for s in fam)
+
+
+@pytest.mark.parametrize("q,n,d,regular", [
+    (2, 3, 2, True), (2, 3, 3, True), (3, 3, 2, True), (2, 3, 4, False), (2, 2, 2, False), (4, 2, 4, False),
+])
+def test_regularity_in_a_hyperplane_is_decided_by_the_final_reduction(q, n, d, regular):
+    # the members span at most the hyperplane, so no join reaches full rank
+    fam = dual_arc_ad(n, d, parse_field(f"F{q}"))
+    flat = _in_hyperplane(fam)
+    assert is_regular(flat) == _ref_is_regular(flat) == is_regular(fam)
+    assert is_regular(flat)[0] is regular
+
+
+def test_members_around_one_core_fail_on_the_core():
+    # the four 2-spaces through e1 in F3^3 meet pairwise in <e1>, which every
+    # member contains: no member is left to span it
+    f = F3
+    e1 = (f.one(), f.zero(), f.zero())
+    rest = [(f.zero(), Scalar(f, t), f.one()) for t in range(3)] + [(f.zero(), f.one(), f.zero())]
+    fam = SubspaceFamily(span([e1, v], 3, f) for v in rest)
+    core = span([e1], 3, f)
+    assert ((0, 1), core) in intersection_lattice(fam)
+    assert all(contained_in([annihilator(s) for s in fam], core))
+    assert is_regular(fam) == _ref_is_regular(fam) == (False, (0, 1))
+
+
+@pytest.mark.parametrize("q,n,d,witness", [(2, 3, 4, (0, 1, 3, 6)), (4, 2, 4, (0, 1, 2, 3))])
+def test_boundary_cases_are_not_regular(q, n, d, witness):
+    fam = dual_arc_ad(n, d, parse_field(f"F{q}"))
+    assert is_regular(fam) == _ref_is_regular(fam) == (False, witness)
+
+
+def test_join_test_runs_both_branches_on_the_grid():
+    # per meet U, the rows is_regular pushes: at most the others' rows when
+    # their join reaches full rank (the early exit), more when U's rows are
+    # reduced against it (the final reduction)
+    early = final = 0
+    for param in _ad_grid():
+        f, n, d = param.values
+        fam = dual_arc_ad(n, d, f)
+        pushes = []
+
+        def held(anns, u):
+            pushes.append(0)
+            return linalg.contained_in(anns, u)
+
+        def push(*args):
+            pushes[-1] += 1
+            return linalg._echelon_extend(*args)
+
+        with mock.patch.object(constructions, "contained_in", wraps=held), \
+                mock.patch.object(constructions, "_echelon_extend", wraps=push):
+            assert is_regular(fam) == _ref_is_regular(fam)
+        for (idx, u), count in zip(intersection_lattice(fam), pushes):
+            others = [s for s in fam if not subspace_le(u, s)]
+            rows = sum(s.dim for s in others)
+            if subspace_join(others, fam.ambient_dim, f).dim == fam.ambient_dim:
+                early += 1
+                assert count <= rows, idx
+            else:
+                final += 1
+                assert count > rows, idx
+    assert early and final
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_ex10_membership_matches_subspace_le(q):
+    f = parse_field(f"F{q}")
+    fam = wedge_family(f, 5)
+    anns = [annihilator(s) for s in fam]
+    points = dict.fromkeys(stack_meet(st, fam.ambient_dim, f) for prefix, _, st in meet_walk(anns, 2) if prefix)
+    if q == 3:
+        points = list(points)[::7]  # every seventh of the 1,210 points keeps the reference short
+    for pt in points:
+        flags = contained_in(anns, pt)
+        assert flags == [subspace_le(pt, s) for s in fam]
+        assert sum(flags) == 1 + q
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,185 @@
+"""Mutation gate for the fast paths: apply each catalogued mutant to a
+temporary copy of the package, run the test module that must kill it,
+and exit nonzero if any mutant survives.
+
+    python3 tools/mutants.py
+
+Each mutant names a function in src/verolab, one or more exact text
+edits inside that function (each old text must occur there exactly
+once) and the test module that must fail with them applied.  src/,
+tests/ and pyproject.toml are copied to a fresh temporary directory per
+run, and pytest runs there with that copy first on PYTHONPATH, without
+bytecode files, so no stale .pyc, hypothesis database or cache from the
+checkout or from another mutant takes part.  Each named test module must
+pass on the unmutated copy first.
+
+Exit status: 0 when every mutant was killed, 1 when one survived, 2 when
+the catalogue no longer applies (an edit that does not match once) or a
+test module fails unmutated.  Standard library only; not part of the
+tier-1 run, whose testpaths is tests/.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 900  # a mutant that makes its module hang counts as killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # under src/verolab
+    function: str
+    edits: tuple[tuple[str, str], ...]  # (old, new) text inside the function
+    tests: str  # the test module that must kill it
+    fault: str
+
+
+CATALOGUE = (
+    # _rref_int and the integer core over Q
+    Mutant("rref-int-no-update-content", "linalg.py", "_rref_int",
+           (("rows[i] = [x // g for x in tgt] if g > 1 else tgt", "rows[i] = tgt"),),
+           "tests/test_rational_core.py", "the row content is not divided out after each update"),
+    Mutant("rref-int-no-initial-content", "linalg.py", "_rref_int",
+           (("        if g > 1:\n            rows[i] = [x // g for x in row]", "        pass"),),
+           "tests/test_rational_core.py", "the rows' content is not divided out before elimination"),
+    Mutant("int-rows-first-den-one", "linalg.py", "_int_rows",
+           (("dens.append(den)", "dens.append(den if dens else 1)"),),
+           "tests/test_rational_core.py", "dens[0] forced to 1"),
+    Mutant("rref-q-int-zero-rows", "linalg.py", "_rref_q",
+           (("rows[i] = [_QZERO] * len(work[i])", "rows[i] = [0] * len(work[i])"),),
+           "tests/test_rational_core.py", "rows past the rank left as int 0"),
+    # the batched last depth of the subset search
+    Mutant("leaves-last-column-skipped", "linalg.py", "_dependent_leaves",
+           (("for j in range(width):", "for j in range(width - 1):"),),
+           "tests/test_search_kernel.py", "the last free column is not tested"),
+    Mutant("leaves-survivors-reversed", "linalg.py", "_dependent_leaves",
+           (("return cand", "return cand[::-1]"),),
+           "tests/test_search_kernel.py", "the dependent leaves come back in reverse order"),
+    Mutant("leaves-one-term-dropped", "linalg.py", "_dependent_leaves",
+           (("for row, p in zip(red, piv):", "for row, p in zip(red[1:], piv[1:]):"),),
+           "tests/test_search_kernel.py", "the R_0 term is dropped from every h_j"),
+    Mutant("leaves-single-row-condition-dropped", "linalg.py", "_leaf_columns",
+           (("if any(len(r) != 1 for r in rows):", "if any(len(r) < 1 for r in rows):"),),
+           "tests/test_search_kernel.py", "items with several rows are batched on their first row"),
+    # the RHO generator walk
+    Mutant("rho-diagonal-generator-dropped", "harness.py", "_elementary_matrices",
+           (("if mu != f.one_raw", "if mu not in (f.one_raw, nonzero[-1])"),),
+           "tests/test_rho_proof.py", "the last diagonal generator is left out"),
+    Mutant("rho-short-walk-accepted", "harness.py", "_rho_functoriality_witness",
+           (("if len(reached) != len(mats):", "if not reached:"),),
+           "tests/test_rho_proof.py", "a walk that stops short of |GL(n, q)| passes"),
+    # regularity on the members' annihilators
+    Mutant("containment-row-skipped", "linalg.py", "contained_in",
+           (("prod[k:k + a.dim]", "prod[k:k + a.dim - 1]"),),
+           "tests/test_census.py", "each member's last annihilator row is not tested"),
+    Mutant("regular-early-exit-short", "constructions.py", "is_regular",
+           (("if len(basis) == m:", "if len(basis) == m - 1:"),),
+           "tests/test_census.py", "the join stops at m - 1 rows"),
+    Mutant("regular-final-reduction-skipped", "constructions.py", "is_regular",
+           (("if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.basis.raw):", "if False:"),),
+           "tests/test_census.py", "a join below full rank always holds U"),
+    Mutant("regular-last-failure", "constructions.py", "is_regular",
+           (("    for idx, u in intersection_lattice(fam, budget):",
+             "    last = None\n    for idx, u in intersection_lattice(fam, budget):"),
+            ("                return False, idx\n    return True, None",
+             "                last = idx\n    return (False, last) if last else (True, None)")),
+           "tests/test_census.py", "the last failing meet is the witness, not the first"),
+    Mutant("lattice-last-first-index-set", "constructions.py", "intersection_lattice",
+           (("size < len(first)", "size <= len(first)"),),
+           "tests/test_census.py", "a meet keeps its last index set of the smallest size"),
+)
+
+
+def _function_span(source: str, name: str) -> tuple[int, int]:
+    """Character offsets of the one function called name in source."""
+    found = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == name]
+    if len(found) != 1:
+        raise LookupError(f"{len(found)} functions named {name}")
+    starts = [0]
+    for line in source.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    return starts[found[0].lineno - 1], starts[found[0].end_lineno]
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    """source with mutant's edits applied inside its function."""
+    lo, hi = _function_span(source, mutant.function)
+    body = source[lo:hi]
+    for old, new in mutant.edits:
+        if body.count(old) != 1:
+            raise LookupError(f"{mutant.name}: {old!r} occurs {body.count(old)} times in {mutant.function}")
+        body = body.replace(old, new)
+    return source[:lo] + body + source[hi:]
+
+
+def run_tests(tests: str, mutant: Mutant | None) -> tuple[str, float]:
+    """('passed' | 'failed: <first failing test>' | 'timeout' | 'error: ...', seconds)
+    for tests on a fresh copy of the checkout, with mutant applied."""
+    with tempfile.TemporaryDirectory(prefix="verolab-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, part), os.path.join(tmp, part),
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        if mutant is not None:
+            path = os.path.join(tmp, "src", "verolab", mutant.module)
+            with open(path) as fh:
+                source = fh.read()
+            with open(path, "w") as fh:
+                fh.write(mutate(source, mutant))
+        env = dict(os.environ, PYTHONPATH=os.path.join(tmp, "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider", tests],
+                cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout", time.perf_counter() - start
+        took = time.perf_counter() - start
+    if out.returncode == 0:
+        return "passed", took
+    if out.returncode == 1:
+        failed = [ln.split()[1] for ln in out.stdout.splitlines() if ln.startswith("FAILED ")]
+        return f"failed: {failed[0] if failed else '?'}", took
+    tail = (out.stdout + out.stderr).strip().splitlines()[-1:] or ["?"]
+    return f"error: exit {out.returncode}, {tail[0]}", took
+
+
+def main() -> int:
+    for m in CATALOGUE:  # every edit must still apply before anything runs
+        with open(os.path.join(ROOT, "src", "verolab", m.module)) as fh:
+            try:
+                mutate(fh.read(), m)
+            except LookupError as exc:
+                print(f"catalogue out of date: {exc}", file=sys.stderr)
+                return 2
+    for tests in dict.fromkeys(m.tests for m in CATALOGUE):
+        verdict, took = run_tests(tests, None)
+        print(f"{'unmutated':40} {tests:30} {verdict} ({took:.1f} s)", flush=True)
+        if verdict != "passed":
+            return 2
+    survivors = []
+    for m in CATALOGUE:
+        verdict, took = run_tests(m.tests, m)
+        killed = verdict.startswith("failed") or verdict == "timeout"
+        if not killed:
+            survivors.append(m.name)
+        print(f"{m.name:40} {m.tests:30} {'killed' if killed else 'SURVIVED'}: {verdict} ({took:.1f} s)",
+              flush=True)
+    print(f"{len(CATALOGUE) - len(survivors)} of {len(CATALOGUE)} mutants killed"
+          + (f"; survived: {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
