@@ -11,7 +11,6 @@ from .errors import (
     DivisionByZero,
     DuplicateMember,
     FieldMismatch,
-    IndexOutOfRange,
     InfiniteField,
     LengthMismatch,
     NonPrimeP,
@@ -52,8 +51,6 @@ from .linalg import (
 from .monomials import (
     enumerate_exponents,
     eval_monomial,
-    exponent_index,
-    index_exponent,
     multinomial,
     num_monomials,
 )
@@ -71,7 +68,6 @@ from .polyalgebra import (
     sym_power,
 )
 from .veronese import (
-    lift_functional,
     rho_d,
     veronese_point,
     veronese_subspace,

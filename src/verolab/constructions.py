@@ -4,7 +4,8 @@ Spreads, conics, hyperovals, elliptic ovoids and rational normal curves
 give the harness concrete families with known properties.  The dual-arc
 side builds families inside a degree-d coefficient space from multiples
 of linear (or prime-power) polynomials, measures their j-wise
-intersection profiles, and tests lattice regularity.
+intersection profiles, and tests lattice regularity.  The prime powers
+I_k come from a sieve by products (enumerate_ik), with no division.
 
 Regularity here is the containment form: every nonzero intersection U of
 members must satisfy U = U cap <D : D not containing U>, i.e. U lies in
@@ -40,7 +41,7 @@ from .linalg import (
     subspace_intersect,
 )
 from .monomials import num_monomials
-from .polyalgebra import HomogPoly, component_space, product_space
+from .polyalgebra import HomogPoly, component_space, poly_mul, poly_pow, product_space
 from .veronese import veronese_point
 
 
@@ -144,79 +145,31 @@ def dual_arc_ad(n: int, d: int, f: FieldSpec) -> SubspaceFamily:
     return SubspaceFamily(members)
 
 
-def homog_divides(g: HomogPoly, h: HomogPoly) -> HomogPoly | None:
-    """The quotient g / h when h divides g exactly, else None.  Solves
-    the linear system (multiplication by h) f = g over the coefficient
-    space of degree deg(g) - deg(h)."""
-    from .linalg import _solve_raw
-    from .monomials import enumerate_exponents
-
-    if h.d > g.d or g.n != h.n:
-        return None
-    fld = g.field
-    n = g.n
-    dq = g.d - h.d
-    cols = []
-    for alpha in enumerate_exponents(n, dq):
-        mono = HomogPoly.monomial(fld, n, alpha)
-        cols.append((mono * h).raw)
-    nrows = num_monomials(n, g.d)
-    a_rows = [[col[r] for col in cols] for r in range(nrows)]
-    x = _solve_raw(fld, a_rows, g.raw)
-    if x is None:
-        return None
-    return HomogPoly.from_raw(fld, n, dq, x)
-
-
-_IRR_CACHE: dict = {}
-
-
-def irreducible_homogeneous(f: FieldSpec, n: int, j: int, budget: int = SUBSET_BUDGET) -> list[HomogPoly]:
-    """Normalized representatives of the irreducible homogeneous degree-j
-    polynomials, by trial division against lower-degree irreducibles."""
-    key = (f, n, j)
-    if key in _IRR_CACHE:
-        return _IRR_CACHE[key]
-    dim = num_monomials(n, j)
-    if f.q ** dim > budget:
-        raise BudgetExceeded(f"{f.q}^{dim} degree-{j} candidates exceed budget")
-    reps = [HomogPoly(f, n, j, p) for p in projective_points(f, dim)]
-    if j == 1:
-        _IRR_CACHE[key] = reps
-        return reps
-    lower: list[HomogPoly] = []
-    for jj in range(1, j):
-        lower.extend(irreducible_homogeneous(f, n, jj, budget))
-    out = [g for g in reps if not any(homog_divides(g, h) for h in lower if h.d < g.d)]
-    _IRR_CACHE[key] = out
-    return out
-
-
 def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> list[HomogPoly]:
-    """Normalized degree-k representatives that are powers of a single
-    irreducible: exactly one irreducible divisor in their lattice."""
+    """I_k: the normalized degree-k forms h^(k/j) with h irreducible of
+    degree j | k, which are exactly the forms with one irreducible
+    divisor, in projective_points order.
+
+    The irreducibles come from a sieve by products: the normalized
+    degree-j forms less every a b with a irreducible of degree i <= j/2
+    and b normalized of degree j - i.  Descending lex is a monomial
+    order, so a product of normalized forms is normalized.  The product
+    count is checked against the budget before any product is formed."""
     dim = num_monomials(n, k)
-    if f.q ** dim > budget:
+    if f.q ** dim > budget:  # N(n, j) does not fall as j grows, so this bounds every j <= k
         raise BudgetExceeded(f"{f.q}^{dim} degree-{k} candidates exceed budget")
-    candidates = [HomogPoly(f, n, k, p) for p in projective_points(f, dim)]
-    irr: list[HomogPoly] = []
+    forms = {j: [HomogPoly(f, n, j, p) for p in projective_points(f, num_monomials(n, j))]
+             for j in range(1, k + 1)}
+    irr: dict[int, list[HomogPoly]] = {}
     for j in range(1, k + 1):
-        irr.extend(irreducible_homogeneous(f, n, j, budget))
-    out = []
-    for g in candidates:
-        divisors = 0
-        for h in irr:
-            if h.d == g.d:
-                hit = g == h
-            else:
-                hit = homog_divides(g, h) is not None
-            if hit:
-                divisors += 1
-                if divisors > 1:
-                    break
-        if divisors == 1:
-            out.append(g)
-    return out
+        factors = range(1, j // 2 + 1)
+        count = sum(len(irr[i]) * len(forms[j - i]) for i in factors)
+        if count > budget:
+            raise BudgetExceeded(f"{count} degree-{j} products exceed budget {budget}")
+        reducible = {poly_mul(a, b).raw for i in factors for a in irr[i] for b in forms[j - i]}
+        irr[j] = [g for g in forms[j] if g.raw not in reducible]
+    powers = {poly_pow(h, k // j).raw for j in irr if k % j == 0 for h in irr[j]}
+    return [g for g in forms[k] if g.raw in powers]
 
 
 def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> SubspaceFamily:

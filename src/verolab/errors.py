@@ -38,10 +38,6 @@ class BudgetExceeded(VerolabError, RuntimeError):
     """An enumeration or subset search would exceed its budget."""
 
 
-class IndexOutOfRange(VerolabError, IndexError):
-    """Monomial index outside [0, N)."""
-
-
 class BadCharacteristic(VerolabError, ValueError):
     """A required multinomial coefficient vanishes in the field."""
 

@@ -230,8 +230,12 @@ def _point_family_law(fam: SubspaceFamily, r: int, budget: int):
 def _spread_image_law(params, budget, image, r_hyp, r_conc, show_r=False):
     """Hypothesis: the spread of K^2k is r_hyp-independent with at least
     r_conc members.  Conclusion: the images image(t, d) of its members are
-    r_conc-independent.  show_r adds r_conc to the data of a verdict."""
+    r_conc-independent.  show_r adds r_conc to the data of a verdict.
+    A spread with fewer than r_hyp members fails the hypothesis without
+    a search (r_hyp <= r_conc)."""
     fam = desarguesian_spread(_field(params), params["k"])
+    if len(fam) < r_hyp:
+        return "exhaustive", False, None, None, {"hypothesis_witness": None}
     hyp_ok, hyp_wit = is_r_independent(fam, r_hyp, budget=budget)
     if not hyp_ok or len(fam) < r_conc:
         return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}

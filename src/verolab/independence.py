@@ -6,12 +6,11 @@ index set, so reports stay actionable and reproducible.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
 from .field import FieldSpec
-from .linalg import SUBSET_BUDGET, Subspace, _echelon_extend, annihilator, dependent_prefixes
+from .linalg import SUBSET_BUDGET, Subspace, annihilator, dependent_prefixes
 from .veronese import veronese_subspace
 
 
@@ -64,8 +63,6 @@ def is_r_independent(
     fam: SubspaceFamily,
     r: int,
     budget: int = SUBSET_BUDGET,
-    sample_trials: int | None = None,
-    seed: int = 0,
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Does every r-subset span its direct sum?
 
@@ -84,35 +81,21 @@ def is_r_independent(
     last members of a prefix of size r - 1 in one batch against that
     prefix; the witness is the same.
 
-    When C(|F|, r) exceeds the budget, a seeded sample of sample_trials
-    subsets is checked instead, each by the same extension step (the
-    caller opts in by passing sample_trials); otherwise BudgetExceeded
-    is raised.
+    When C(|F|, r) exceeds the budget, BudgetExceeded is raised before
+    any subset is visited.
     """
     n = len(fam)
     if not 2 <= r <= n:
         raise BadParams(f"r={r} outside [2, {n}]")
-    f, m = fam.field, fam.ambient_dim
+    count = math.comb(n, r)
+    if count > budget:
+        raise BudgetExceeded(f"C({n}, {r}) = {count} subsets exceed budget {budget}")
     raw = [s.basis.raw for s in fam.members]
 
     def rows_of(i, depth):
         return [list(row) for row in raw[i]]
 
-    count = math.comb(n, r)
-    if count > budget:
-        if sample_trials is None:
-            raise BudgetExceeded(f"C({n}, {r}) = {count} subsets exceed budget {budget}")
-        rng = random.Random(seed)
-        for _ in range(sample_trials):
-            idxs = tuple(sorted(rng.sample(range(n), r)))
-            basis: list[list] = []
-            pivots: list[int] = []
-            if not all(
-                _echelon_extend(f, basis, pivots, vec, m) for i in idxs for vec in rows_of(i, 0)
-            ):
-                return False, idxs
-        return True, None
-    for prefix, _ in dependent_prefixes(f, n, rows_of, m, r, complete=True):
+    for prefix, _ in dependent_prefixes(fam.field, n, rows_of, fam.ambient_dim, r, complete=True):
         last = prefix[-1]
         return False, prefix + tuple(range(last + 1, last + 1 + r - len(prefix)))
     return True, None

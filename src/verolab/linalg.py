@@ -397,21 +397,6 @@ def contained_in(anns, u: Subspace) -> list[bool]:
     return out
 
 
-def _solve_raw(f: FieldSpec, a_rows: list[list], b: list) -> list | None:
-    """One exact solution x of A x = b (free variables 0), or None."""
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    aug = [list(a_rows[i]) + [b[i]] for i in range(nrows)]
-    aug, pivots = _rref_raw(f, aug)
-    zero = f.zero_raw
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return x
-
-
 # ----------------------------------------------------------------------
 # Matrix
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import BadParams, IndexOutOfRange
+from .errors import BadParams
 from .field import FieldSpec, Scalar, int_in_field
 
 
@@ -60,22 +60,6 @@ def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 def num_monomials(n: int, d: int) -> int:
     return math.comb(d + n - 1, d)
-
-
-def exponent_index(alpha: tuple[int, ...]) -> int:
-    """Position of alpha in enumerate_exponents(len(alpha), sum(alpha))."""
-    n, d = len(alpha), sum(alpha)
-    try:
-        return _index_map(n, d)[tuple(alpha)]
-    except KeyError:
-        raise IndexOutOfRange(f"{alpha} is not a valid exponent vector") from None
-
-
-def index_exponent(n: int, d: int, i: int) -> tuple[int, ...]:
-    exps = enumerate_exponents(n, d)
-    if not 0 <= i < len(exps):
-        raise IndexOutOfRange(f"index {i} out of range for (n, d) = ({n}, {d})")
-    return exps[i]
 
 
 def multinomial(d: int, alpha: tuple[int, ...], f: FieldSpec) -> tuple[int, Scalar]:

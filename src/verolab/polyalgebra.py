@@ -30,7 +30,7 @@ from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMism
 from .field import FieldSpec, Scalar, scalar_from_str
 from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span_raw, subspace_intersect, zero_subspace
 from .linalg import _fraction, _int_rows
-from .monomials import enumerate_exponents, eval_monomial, multinomial, num_monomials
+from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
 
@@ -86,14 +86,6 @@ class HomogPoly:
     def is_zero(self) -> bool:
         z = self.field.zero_raw
         return all(v == z for v in self.raw)
-
-    def evaluate(self, t) -> Scalar:
-        """g(t), summed term by term from pointwise monomial values."""
-        acc = self.field.zero()
-        for c, alpha in zip(self.coeffs, enumerate_exponents(self.n, self.d)):
-            if c:
-                acc = acc + c * eval_monomial(t, alpha)
-        return acc
 
     def __add__(self, other: HomogPoly) -> HomogPoly:
         self._check(other, same_degree=True)

@@ -1,6 +1,6 @@
 """The degree-d monomial-evaluation map K^n -> K^N, its action on
-subspaces, lifted functionals, and the substitution representation of
-invertible linear maps on the degree-d component.
+subspaces, and the substitution representation of invertible linear
+maps on the degree-d component.
 
 Conventions.  A linear map T on K^n is an n x n Matrix whose row i is
 the image of the i-th basis vector; it acts on column vectors via
@@ -29,12 +29,12 @@ import random
 import warnings
 from fractions import Fraction
 
-from .errors import SingularT
-from .field import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
+from .errors import BudgetExceeded, SingularT
+from .field import FieldSpec
+from .linalg import ENUM_BUDGET, Matrix, Subspace, Vector, projective_vectors, rank
 from .linalg import span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, num_monomials
-from .polyalgebra import HomogPoly, sym_power
+from .polyalgebra import sym_power
 
 
 def veronese_vector(t: Vector, d: int) -> Vector:
@@ -56,7 +56,7 @@ def veronese_point(t: Vector, d: int) -> Subspace:
     return span([v], len(v), t[0].f)
 
 
-def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
+def veronese_subspace(u: Subspace, d: int) -> Subspace:
     """Span of the images of all vectors of u.
 
     Write v = sum_k c_k b_k over the basis b of u.  Coordinate j of v is
@@ -68,29 +68,17 @@ def veronese_subspace(u: Subspace, d: int, budget: int = 10 ** 6) -> Subspace:
     vanishes on all of K^dim is zero), so the vectors v_d(c) span all of
     K^N(dim, d) and the image spans exactly the column space of S.  When
     q <= d that fails, and the span is taken over one vector per 1-space
-    of u (images scale by lambda^d), raising BudgetExceeded if q^dim > budget.
+    of u (images scale by lambda^d), raising BudgetExceeded if q^dim > ENUM_BUDGET.
     """
     f = u.field
     big_n = num_monomials(u.ambient_dim, d)
     if u.is_zero():
         return zero_subspace(f, big_n)
     if f.is_finite and f.q <= d:
-        vecs = projective_vectors(u, budget=budget)
+        vecs = projective_vectors(u)
         return span([veronese_vector(v, d) for v in vecs], big_n, f)
     s = sym_power(u.basis.transpose().raw, d, f)
     return span_raw([list(col) for col in zip(*s)], big_n, f)
-
-
-def lift_functional(g: HomogPoly) -> Vector:
-    """Coefficient vector a with dot(a, veronese_vector(t, d)) == g(t)."""
-    return g.coeffs
-
-
-def functional_dot(a: Vector, v: Vector) -> Scalar:
-    acc = a[0].f.zero()
-    for x, y in zip(a, v):
-        acc = acc + x * y
-    return acc
 
 
 def rho_d(t_mat: Matrix, d: int) -> Matrix:
@@ -102,11 +90,11 @@ def rho_d(t_mat: Matrix, d: int) -> Matrix:
     return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw, d, t_mat.field))
 
 
-def all_invertible_matrices(f: FieldSpec, n: int, budget: int = 10 ** 6):
+def all_invertible_matrices(f: FieldSpec, n: int):
     """Every invertible n x n matrix over a finite field, in a fixed order."""
     q = f.q
-    if q ** (n * n) > budget:
-        raise SingularT(f"GL({n}, {f.name}) enumeration exceeds budget")
+    if q ** (n * n) > ENUM_BUDGET:
+        raise BudgetExceeded(f"{q}^{n * n} {n} x {n} matrices over {f.name} exceed budget {ENUM_BUDGET}")
     for combo in itertools.product(range(q), repeat=n * n):
         rows = [list(combo[i * n: (i + 1) * n]) for i in range(n)]
         m = Matrix.from_raw_rows(f, rows, n)

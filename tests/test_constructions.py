@@ -8,10 +8,12 @@ import math
 import pytest
 
 from verolab import (
+    BudgetExceeded,
     OddQForHyperoval,
     SubspaceFamily,
     WedgeSpace,
     conic,
+    contains,
     derived_family,
     desarguesian_spread,
     dual_arc_ad,
@@ -25,16 +27,18 @@ from verolab import (
     is_regular,
     parse_field,
     parse_poly,
+    projective_points,
     rational_normal_curve,
     span,
     subspace_intersect,
     subspace_le,
     subspace_sum,
+    veronese_vector,
 )
-from verolab.constructions import homog_divides, partial_spread_products
-from verolab.linalg import enumerate_vectors
+from verolab.constructions import partial_spread_products
+from verolab.linalg import enumerate_vectors, span_raw
 from verolab.monomials import num_monomials
-from verolab.polyalgebra import HomogPoly
+from verolab.polyalgebra import HomogPoly, component_space, product_space
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -166,20 +170,71 @@ def test_ik_n2_k2_q2_explicit():
 
 def test_ik_against_brute_force_factorization():
     # oracle: a binary quadratic is a prime power iff it has at most one
-    # distinct linear divisor (irreducible, or the square of one form)
-    from verolab.linalg import projective_points
-
+    # distinct linear divisor (irreducible, or the square of one form).
+    # A linear form divides g exactly when g vanishes at the form's one
+    # projective zero t, and g(t) = g . veronese_vector(t, 2).
     f = F3
-    n, k = 2, 2
-    lin = [HomogPoly(f, n, 1, p) for p in projective_points(f, 2)]
-    got = {g for g in enumerate_ik(n, k, f)}
-    for cand in [HomogPoly(f, n, 2, p) for p in projective_points(f, 3)]:
-        divisors = {tuple(x.v for x in h.coeffs) for h in lin if homog_divides(cand, h)}
-        if not divisors:
-            in_ik = True  # irreducible
-        else:
-            in_ik = len(divisors) == 1  # a square of one linear form
-        assert (cand in got) == in_ik
+    points = projective_points(f, 2)
+    got = set(enumerate_ik(2, 2, f))
+    for cand in [HomogPoly(f, 2, 2, p) for p in projective_points(f, 3)]:
+        values = [sum((c * v for c, v in zip(cand.coeffs, veronese_vector(t, 2))), f.zero()) for t in points]
+        assert (cand in got) == (sum(not x for x in values) <= 1)
+
+
+# ----------------------------------------------------------------------
+# I_k against trial division
+# ----------------------------------------------------------------------
+
+def ref_multiples(h, deg):
+    """<h A_(deg - h.d)>: the degree-deg multiples of h."""
+    f, n = h.field, h.n
+    dq = deg - h.d
+    h_space = span_raw([list(h.raw)], num_monomials(n, h.d), f)
+    return product_space(component_space(f, n, dq), dq, h_space, h.d, n)
+
+
+def ref_enumerate_ik(n, k, f):
+    """Trial division: a degree-j form is irreducible when no irreducible
+    of lower degree divides it, and I_k holds the degree-k forms with
+    exactly one irreducible divisor.  h divides g when g lies in the
+    span of h's multiples, one elimination per pair."""
+    def forms(j):
+        return [HomogPoly(f, n, j, p) for p in projective_points(f, num_monomials(n, j))]
+
+    irr = []
+    for j in range(1, k + 1):
+        spaces = [ref_multiples(h, j) for h in irr]
+        irr.extend([g for g in forms(j) if not any(contains(s, g.coeffs) for s in spaces)])
+    spaces = [ref_multiples(h, k) for h in irr]
+    return [g for g in forms(k) if sum(contains(s, g.coeffs) for s in spaces) == 1]
+
+
+# (q, n, k) with q^N(n, k) <= 20,000 where the reference takes under 0.5 s
+IK_GRID = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2),
+           (3, 2, 3), (3, 2, 4), (3, 3, 1), (4, 2, 1), (4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 3, 1),
+           (5, 2, 1), (5, 2, 2), (5, 2, 3), (5, 3, 1)]
+
+
+@pytest.mark.parametrize("q,n,k", IK_GRID, ids=[f"F{q}-n{n}-k{k}" for q, n, k in IK_GRID])
+def test_ik_sieve_matches_trial_division(q, n, k):
+    f = parse_field(f"F{q}")
+    assert enumerate_ik(n, k, f) == ref_enumerate_ik(n, k, f)
+
+
+@pytest.mark.parametrize("q,n,d,k", [(2, 2, 4, 2), (3, 2, 3, 2), (5, 2, 2, 1)])
+def test_dual_arc_ik_matches_trial_division(q, n, d, k):
+    f = parse_field(f"F{q}")
+    want = [ref_multiples(g, d) for g in ref_enumerate_ik(n, k, f)]
+    assert list(dual_arc_ik(n, d, k, f).members) == want
+
+
+def test_ik_budget_counts_products_before_forming_them():
+    # 2^3 = 8 degree-2 candidates fit a budget of 8; the 3 x 3 products do not
+    with pytest.raises(BudgetExceeded, match="9 degree-2 products exceed budget 8"):
+        enumerate_ik(2, 2, F2, budget=8)
+    with pytest.raises(BudgetExceeded, match="candidates"):
+        enumerate_ik(2, 2, F2, budget=7)
+    assert len(enumerate_ik(2, 2, F2, budget=9)) == 4
 
 
 def test_dual_arc_ik_2422():

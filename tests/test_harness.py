@@ -376,6 +376,9 @@ BRANCH_PINS = [
      "8d59f2a8495213ce8e17bc68ed79a744f6bc131918aefbd4876877308939f6a6"),
     ("VCODE", {"field": "F2", "n": 2, "d": 2, "wmax": 4, "powerpoints": True},
      "f129ddf79aa32c8d3bed3d7c9bf58216ef6cd18bd23ba84234f8561bd71d08a9"),
+    # a spread with fewer members than the hypothesis level: not met, no search
+    ("T1_4", {"field": "F3", "k": 1, "d": 2, "r": 2, "e": 4}, "765e189728c755e091d018d492b9375bc3b8275b1e3268097166d0bc0d1cf448"),
+    ("T5_1", {"field": "F3", "k": 1, "d": 2, "r": 5}, "ab9ee535713251ebe703df32a810df3aaf5aee4d951dc530b6d613d79b9a4498"),
 ]
 
 

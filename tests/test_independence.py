@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from verolab import (
     BudgetExceeded,
@@ -138,14 +137,3 @@ def test_budget_and_bounds():
         is_r_independent(fam, 5)
     with pytest.raises(BudgetExceeded):
         is_r_independent(fam, 2, budget=3)
-    ok, wit = is_r_independent(fam, 2, budget=3, sample_trials=10, seed=1)
-    assert ok and wit is None
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_sampling_is_deterministic_per_seed(seed):
-    fam = point_family(F3, [unit(F3, 4, i) for i in range(4)], 4)
-    a = is_r_independent(fam, 3, budget=1, sample_trials=5, seed=seed)
-    b = is_r_independent(fam, 3, budget=1, sample_trials=5, seed=seed)
-    assert a == b

@@ -1,4 +1,4 @@
-"""Exponent enumeration, indexing, multinomials, monomial evaluation."""
+"""Exponent enumeration, the index map, multinomials, monomial evaluation."""
 
 from __future__ import annotations
 
@@ -8,17 +8,15 @@ import pytest
 
 from verolab import (
     BadParams,
-    IndexOutOfRange,
     enumerate_exponents,
     eval_monomial,
-    exponent_index,
-    index_exponent,
     multinomial,
     num_monomials,
     parse_field,
     rationals,
 )
 from verolab.field import int_in_field
+from verolab.monomials import _index_map
 
 
 def test_enumerate_n2_d2():
@@ -48,15 +46,10 @@ def test_descending_lex_order():
 
 
 def test_index_round_trip():
-    assert exponent_index((1, 1)) == 1
-    assert index_exponent(3, 2, 0) == (2, 0, 0)
+    assert _index_map(2, 2)[(1, 1)] == 1
     for i, alpha in enumerate(enumerate_exponents(3, 3)):
-        assert exponent_index(alpha) == i
-        assert index_exponent(3, 3, i) == alpha
-    with pytest.raises(IndexOutOfRange):
-        index_exponent(3, 3, 99)
-    with pytest.raises(IndexOutOfRange):
-        exponent_index((1, 1, -2))
+        assert _index_map(3, 3)[alpha] == i
+    assert len(_index_map(3, 3)) == num_monomials(3, 3)
 
 
 def test_multinomial_examples():

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from verolab import Matrix, rank, rationals, subspace_intersect
 from verolab.field import Scalar
-from verolab.linalg import Subspace, _rref_int, _rref_raw, _solve_raw, span_raw
+from verolab.linalg import Subspace, _rref_int, _rref_raw, span_raw
 from verolab.monomials import _parent_steps, _shift_table, num_monomials
 from verolab.polyalgebra import sym_power
 
@@ -72,17 +72,6 @@ def ref_intersect(a_rows, b_rows, m):
     reduced, pivots = ref_rref(stacked)
     gens = [row[m:] for row in reduced[: len(pivots)] if all(x == ZERO for x in row[:m])]
     return ref_subspace(gens, m)
-
-
-def ref_solve(a_rows, b):
-    ncols = len(a_rows[0]) if a_rows else 0
-    reduced, pivots = ref_rref([list(r) + [x] for r, x in zip(a_rows, b)])
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][ncols]
-    return x
 
 
 def ref_sym_power(rows, d):
@@ -222,31 +211,6 @@ def test_intersection_matches_fraction_elimination(args):
     got = subspace_intersect(a, b)
     want = ref_intersect(a_rows, b_rows, m)
     assert got == want and hash(got) == hash(want) and all_fractions(got.basis.raw)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
-    q_rows(ncols=m), st.lists(values, min_size=m, max_size=m), st.lists(values, min_size=6, max_size=6),
-    st.booleans())))
-def test_solve_matches_fraction_elimination(args):
-    a_rows, x, b, consistent = args
-    if not a_rows:
-        return
-    b = [ref_dot(r, x) for r in a_rows] if consistent else b[: len(a_rows)]
-    want = ref_solve(a_rows, b)
-    got = _solve_raw(Q, a_rows, b)
-    assert got == want
-    if consistent:
-        assert got is not None
-    if got is not None:
-        assert all_fractions([got])
-
-
-def test_solve_reports_inconsistent_systems():
-    a_rows = [[ONE, Fraction(HUGE, 3)], [Fraction(2), Fraction(2 * HUGE, 3)]]
-    assert _solve_raw(Q, a_rows, [ONE, ONE]) is None
-    assert ref_solve(a_rows, [ONE, ONE]) is None
-    assert _solve_raw(Q, a_rows, [ONE, Fraction(2)]) == [ONE, ZERO]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The monomial-evaluation map, lifted functionals, and rho_d."""
+"""The monomial-evaluation map, its images of subspaces, and rho_d."""
 
 from __future__ import annotations
 
@@ -8,11 +8,10 @@ import random
 import pytest
 
 from verolab import (
-    HomogPoly,
+    BudgetExceeded,
     Matrix,
     contains,
     full_subspace,
-    lift_functional,
     parse_field,
     projective_points,
     rationals,
@@ -26,7 +25,7 @@ from verolab.field import Scalar, int_in_field
 from verolab import veronese as veronese_mod
 from verolab.linalg import combine_basis, enumerate_vectors, projective_vectors, rank
 from verolab.monomials import num_monomials
-from verolab.veronese import _equivariance_holds, all_invertible_matrices, functional_dot, random_invertible_matrix
+from verolab.veronese import _equivariance_holds, all_invertible_matrices, random_invertible_matrix
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -142,23 +141,6 @@ def test_veronese_subspace_rational_grid_matches_functional_test():
         assert contains(s, veronese_vector(v, 2))
 
 
-def test_lift_functional_examples():
-    g = HomogPoly.monomial(Q, 2, (1, 1))
-    assert [str(s) for s in lift_functional(g)] == ["0/1", "1/1", "0/1"]
-    z = HomogPoly.zero(F3, 2, 2)
-    assert all(s.v == 0 for s in lift_functional(z))
-
-
-def test_lift_functional_exhaustive_eval():
-    rng = random.Random(9)
-    raw = [rng.randrange(3) for _ in range(6)]
-    g = HomogPoly.from_raw(F3, 3, 2, raw)
-    a = lift_functional(g)
-    for combo in itertools.product(range(3), repeat=3):
-        t = tuple(Scalar(F3, c) for c in combo)
-        assert functional_dot(a, veronese_vector(t, 2)) == g.evaluate(t)
-
-
 def test_rho_identity():
     for n, d in ((2, 2), (3, 2), (2, 3)):
         big_n = len(veronese_vector(tuple(F3.one() for _ in range(n)), d))
@@ -201,6 +183,13 @@ def test_equivariance_exhaustive_gl3_f2():
     mats = list(all_invertible_matrices(F2, 3))
     assert len(mats) == 168
     assert all(_equivariant(m, 2) for m in mats)
+
+
+def test_enumerations_past_the_budget_raise_budget_exceeded():
+    with pytest.raises(BudgetExceeded, match="2\\^25"):
+        list(all_invertible_matrices(F2, 5))
+    with pytest.raises(BudgetExceeded):  # F2 <= d: one image per 1-space of 2^20 vectors
+        veronese_subspace(full_subspace(F2, 20), 2)
 
 
 def test_equivariance_sampled_gf5():

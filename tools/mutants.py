@@ -97,6 +97,10 @@ CATALOGUE = (
     Mutant("lattice-last-first-index-set", "constructions.py", "intersection_lattice",
            (("size < len(first)", "size <= len(first)"),),
            "tests/test_census.py", "a meet keeps its last index set of the smallest size"),
+    # the I_k sieve
+    Mutant("ik-sieve-half-degree-factor-dropped", "constructions.py", "enumerate_ik",
+           (("range(1, j // 2 + 1)", "range(1, j // 2)"),),
+           "tests/test_constructions.py", "a product of two degree-j/2 irreducibles is not sieved out"),
 )
 
 
