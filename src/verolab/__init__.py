@@ -74,9 +74,7 @@ from .veronese import (
     veronese_vector,
 )
 from .independence import (
-    IndependenceReport,
     SubspaceFamily,
-    check_image_independence,
     is_r_independent,
     max_independence,
 )

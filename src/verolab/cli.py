@@ -29,8 +29,8 @@ from .constructions import (
 )
 from .errors import BadParams, VerolabError
 from .field import parse_field
-from .harness import CHECK_REGISTRY, result_to_json, run_check, run_suite, suite_to_json
-from .linalg import format_family
+from .harness import CHECK_REGISTRY, _resolve, result_to_json, run_check, run_suite, suite_to_json
+from .linalg import format_family, rank
 from . import vcode as vc
 
 
@@ -95,7 +95,10 @@ def _construct_cmd(args) -> int:
 
 
 def _vcode_cmd(args) -> int:
-    f = parse_field(args.field)
+    # the VCODE check's schema bounds n, d and wmax and asks for a finite field
+    given = {key: getattr(args, key) for key in ("field", "n", "d", "wmax", "powerpoints")}
+    _, params = _resolve("VCODE", CHECK_REGISTRY["VCODE"], given)
+    f = params["field"]
     cm = (
         vc.powerpoint_check_matrix(args.n, args.d, f)
         if args.powerpoints
@@ -113,7 +116,7 @@ def _vcode_cmd(args) -> int:
         },
         "M": cm.n_cols,
         "N": cm.n_rows,
-        "rank": vc.code_rank(cm),
+        "rank": rank(cm.h),
         "min_weight": w,
         "supports": [
             {"indices": list(rep.indices), "source_rank": rep.source_rank}

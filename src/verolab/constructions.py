@@ -29,6 +29,7 @@ from .errors import BadParams, BudgetExceeded, OddQForHyperoval
 from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
 from .independence import SubspaceFamily
 from .linalg import (
+    ENUM_BUDGET,
     SUBSET_BUDGET,
     Subspace,
     _echelon_extend,
@@ -53,7 +54,13 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
     """The q^k + 1 pairwise-disjoint k-spaces of K^2k induced by viewing
     K^2k as a 2-space over the degree-k extension of K: the graphs of
     multiplication by each extension scalar, plus the vertical axis."""
+    if k < 1:
+        raise BadParams(f"desarguesian_spread needs k >= 1, got k = {k}")
     q = f.q
+    # q^k >= 2^k passes the budget once k reaches its bit length, so a huge k
+    # raises without forming q^k
+    if f.is_finite and (k >= ENUM_BUDGET.bit_length() or q ** k + 1 > ENUM_BUDGET):
+        raise BudgetExceeded(f"{q}^{k} + 1 spread members over {f.name} exceed budget {ENUM_BUDGET}")
     g = _smallest_irreducible(f, k)
     ambient = 2 * k
     zero = f.zero_raw
@@ -174,8 +181,8 @@ def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> l
 
 def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> SubspaceFamily:
     """Members are the degree-d multiples of each prime power in I_k."""
-    if not 1 <= k <= d:
-        raise BadParams(f"dual_arc_ik needs 1 <= k <= d, got (d, k) = ({d}, {k})")
+    if not 1 <= k <= d or n < 2:
+        raise BadParams(f"dual_arc_ik needs 1 <= k <= d and n >= 2, got (n, d, k) = ({n}, {d}, {k})")
     a_dmk = component_space(f, n, d - k)
     dim_k = num_monomials(n, k)
     members = []
@@ -196,16 +203,12 @@ class DualArcReport:
     intersection_dims[j-1] maps a dimension to the number of j-subsets
     whose intersection has that dimension.  is_gda is true when each
     level up to some depth is constant and positive and every deeper
-    computed level is zero or vacuous (matching expected_dims when
-    provided, on the levels that have subsets).
+    computed level is zero or vacuous (matching the expected dimensions
+    gda_profile was given, on the levels that have subsets).
     """
 
-    member_count: int
-    ambient_dim: int
-    j_max: int
     intersection_dims: tuple[tuple[tuple[int, int], ...], ...]
     is_gda: bool
-    expected_dims: tuple[int, ...] | None
 
     def level(self, j: int) -> dict[int, int]:
         return dict(self.intersection_dims[j - 1])
@@ -245,14 +248,7 @@ def gda_profile(
             rem = n_mem - i - 1
             for extra in range(1, min(rem, j_max - size) + 1):
                 levels[size - 1 + extra][0] += math.comb(rem, extra)
-    report = DualArcReport(
-        member_count=n_mem,
-        ambient_dim=fam.ambient_dim,
-        j_max=j_max,
-        intersection_dims=tuple(tuple(sorted(lvl.items())) for lvl in levels),
-        is_gda=False,
-        expected_dims=tuple(expected) if expected is not None else None,
-    )
+    report = DualArcReport(tuple(tuple(sorted(lvl.items())) for lvl in levels), is_gda=False)
     const = report.constant_profile()
     d_star = 0
     for j in range(1, j_max + 1):

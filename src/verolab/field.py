@@ -371,9 +371,6 @@ class FieldSpec:
 
     # -- Scalar constructors ---------------------------------------------
 
-    def scalar(self, raw) -> Scalar:
-        return Scalar(self, raw)
-
     def zero(self) -> Scalar:
         return Scalar(self, self.zero_raw)
 

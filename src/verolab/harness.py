@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
-from .independence import SubspaceFamily, check_image_independence, is_r_independent, max_independence
+from .independence import SubspaceFamily, is_r_independent, max_independence
 from .linalg import (
     ENUM_BUDGET,
     SUBSET_BUDGET,
@@ -291,14 +291,11 @@ def _check_t1_1_sharp(params, seed, budget):
 
 
 def _check_t1_2(params, seed, budget):
-    f, k, d, e = _field(params), params["k"], params["d"], params["e"]
-    fam = desarguesian_spread(f, k)
-    rep = check_image_independence(fam, d, e, budget=budget)
-    data = {"members": len(fam), "r": rep.r}
-    if not rep.hypothesis_ok:
-        data["hypothesis_witness"] = _jsonable(rep.witness)
-        return "exhaustive", False, None, None, data
-    return "exhaustive", True, rep.conclusion_ok, rep.witness, data
+    # distinct subspaces have distinct images: for t outside U, a form l
+    # vanishing on U with l(t) != 0 and any m with m(t) != 0 make
+    # l * m^(d-1) vanish on <v_d(U)> but not at v_d(t)
+    e, d = params["e"], params["d"]
+    return _spread_image_law(params, budget, veronese_subspace, e + 1, d * e + 1, show_r=True)
 
 
 def _check_t2_3(params, seed, budget):
@@ -749,7 +746,7 @@ def _check_vcode(params, seed, budget):
     sizes = sorted(supports)
     data = {
         "columns": cm.n_cols,
-        "rank": vc.code_rank(cm),
+        "rank": rank(cm.h),
         "support_sizes": {str(w): len(v) for w, v in supports.items()},
     }
     for w, sups in supports.items():

@@ -6,12 +6,10 @@ index set, so reports stay actionable and reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
 from .field import FieldSpec
 from .linalg import SUBSET_BUDGET, Subspace, annihilator, dependent_prefixes
-from .veronese import veronese_subspace
 
 
 class SubspaceFamily:
@@ -117,37 +115,3 @@ def max_independence(fam: SubspaceFamily, budget: int = SUBSET_BUDGET) -> int:
         best = r
     return best
 
-
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Outcome of a hypothesis-gated independence check."""
-
-    hypothesis_ok: bool
-    conclusion_ok: bool | None
-    r: int | None = None
-    witness: tuple[int, ...] | None = None
-    detail: dict = dc_field(default_factory=dict)
-
-
-def check_image_independence(
-    fam: SubspaceFamily,
-    d: int,
-    e: int,
-    budget: int = SUBSET_BUDGET,
-) -> IndependenceReport:
-    """Verify that (e+1)-independence of a family with at least de+1
-    members forces (de+1)-independence of the family of image spans
-    under the degree-d map."""
-    r_hyp = e + 1
-    r_conc = d * e + 1
-    if len(fam) < r_conc or len(fam) < r_hyp:
-        return IndependenceReport(False, None, r=r_conc, detail={"reason": "too few members"})
-    hyp_ok, hyp_wit = is_r_independent(fam, r_hyp, budget=budget)
-    if not hyp_ok:
-        return IndependenceReport(False, None, r=r_conc, witness=hyp_wit, detail={"reason": "hypothesis"})
-    try:
-        images = SubspaceFamily([veronese_subspace(u, d) for u in fam])
-    except DuplicateMember:
-        return IndependenceReport(True, False, r=r_conc, detail={"reason": "image collision"})
-    ok, wit = is_r_independent(images, r_conc, budget=budget)
-    return IndependenceReport(True, ok, r=r_conc, witness=wit)

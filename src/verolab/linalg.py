@@ -41,7 +41,7 @@ from operator import mul as _imul
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteField, LengthMismatch
 from .field import FieldSpec, Scalar, parse_field, scalar_from_str
 
-ENUM_BUDGET = 10 ** 6  # default cap on enumerate_vectors
+ENUM_BUDGET = 10 ** 6  # cap on the vectors (or members) an enumeration may list
 SUBSET_BUDGET = 10 ** 7  # default cap on the subsets a search may visit
 
 Vector = tuple[Scalar, ...]
@@ -665,25 +665,25 @@ def combine_basis(a: Subspace, combos) -> list[Vector]:
     return out
 
 
-def enumerate_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
+def enumerate_vectors(a: Subspace) -> list[Vector]:
     """All q^dim vectors of a, as coefficient combinations of the basis in
     element-enumeration order."""
     f = a.field
     if not f.is_finite:
         raise InfiniteField("cannot enumerate vectors over Q")
-    if f.q ** a.dim > budget:
-        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {budget}")
+    if f.q ** a.dim > ENUM_BUDGET:
+        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {ENUM_BUDGET}")
     return combine_basis(a, itertools.product(range(f.q), repeat=a.dim))
 
 
-def projective_vectors(a: Subspace, budget: int = ENUM_BUDGET) -> list[Vector]:
+def projective_vectors(a: Subspace) -> list[Vector]:
     """One representative per 1-space of a: coefficient combinations whose
     first nonzero coefficient is 1, in enumeration order."""
     f = a.field
     if not f.is_finite:
         raise InfiniteField("cannot enumerate vectors over Q")
-    if a.dim and f.q ** a.dim > budget:
-        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {budget}")
+    if a.dim and f.q ** a.dim > ENUM_BUDGET:
+        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {ENUM_BUDGET}")
     return combine_basis(a, (
         (f.zero_raw,) * pivot + (f.one_raw,) + tail
         for pivot in range(a.dim - 1, -1, -1)

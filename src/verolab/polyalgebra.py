@@ -66,13 +66,6 @@ class HomogPoly:
         return cls.from_raw(field, n, d, [field.zero_raw] * num_monomials(n, d))
 
     @classmethod
-    def monomial(cls, field: FieldSpec, n: int, alpha: tuple[int, ...]) -> HomogPoly:
-        d = sum(alpha)
-        raw = [field.zero_raw] * num_monomials(n, d)
-        raw[_index_map(n, d)[tuple(alpha)]] = field.one_raw
-        return cls.from_raw(field, n, d, raw)
-
-    @classmethod
     def linear_form(cls, coeffs_on_x: tuple[Scalar, ...]) -> HomogPoly:
         """The form c1*x1 + ... + cn*xn; degree-1 monomial order is x1..xn."""
         f = coeffs_on_x[0].f
@@ -97,10 +90,6 @@ class HomogPoly:
 
     def __pow__(self, e: int) -> HomogPoly:
         return poly_pow(self, e)
-
-    def scale(self, c: Scalar) -> HomogPoly:
-        f = self.field
-        return HomogPoly.from_raw(f, self.n, self.d, [f.mul(c.v, v) for v in self.raw])
 
     def _check(self, other: HomogPoly, same_degree: bool = False) -> None:
         if self.field != other.field or self.n != other.n:

@@ -20,7 +20,17 @@ from dataclasses import dataclass
 
 from .errors import BadParams, BudgetExceeded
 from .field import FieldSpec
-from .linalg import SUBSET_BUDGET, Matrix, Vector, _rref_raw, dependent_prefixes, projective_points, rank, span
+from .linalg import (
+    SUBSET_BUDGET,
+    Matrix,
+    Vector,
+    _dots,
+    annihilator,
+    dependent_prefixes,
+    projective_points,
+    span,
+    span_raw,
+)
 from .polyalgebra import HomogPoly, linear_form_power
 from .veronese import veronese_vector
 
@@ -41,9 +51,6 @@ class CheckMatrix:
     def n_cols(self) -> int:
         return self.h.cols
 
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.h.raw]
-
 
 def veronese_check_matrix(n: int, d: int, f: FieldSpec) -> CheckMatrix:
     """Columns are the degree-d monomial vectors of the normalized
@@ -59,23 +66,6 @@ def powerpoint_check_matrix(n: int, d: int, f: FieldSpec) -> CheckMatrix:
     pts = projective_points(f, n)
     cols = [linear_form_power(HomogPoly.linear_form(t), d).raw for t in pts]
     return CheckMatrix(f, Matrix.from_raw_rows(f, cols).transpose(), tuple(pts))
-
-
-def _subset_kernel(cm: CheckMatrix, idxs) -> list | None:
-    """A kernel vector of the chosen columns if they are dependent."""
-    f = cm.field
-    cols = [cm.column(j) for j in idxs]
-    w = len(idxs)
-    rows = [[cols[j][i] for j in range(w)] for i in range(cm.n_rows)]
-    reduced, pivots = _rref_raw(f, rows)
-    if len(pivots) == w:
-        return None
-    free = [c for c in range(w) if c not in pivots][0]
-    vec = [f.zero_raw] * w
-    vec[free] = f.one_raw
-    for i, p in enumerate(pivots):
-        vec[p] = f.neg(reduced[i][free])
-    return vec
 
 
 def minimal_supports(
@@ -133,12 +123,18 @@ def min_weight(
     return w, found[w]
 
 
+def _restricted_rows(cm: CheckMatrix, support) -> list[list]:
+    """The rows of H restricted to the support's columns."""
+    return [[row[j] for j in support] for row in cm.h.raw]
+
+
 def dependency_vector(cm: CheckMatrix, support) -> list:
-    """The kernel vector witnessing the dependency on a minimal support."""
-    vec = _subset_kernel(cm, tuple(support))
-    if vec is None:
-        raise ValueError(f"columns {support} are independent")
-    return vec
+    """The kernel vector witnessing the dependency on a minimal support:
+    the one basis row of the annihilator of the restricted row space."""
+    kernel = annihilator(span_raw(_restricted_rows(cm, support), len(support), cm.field))
+    if kernel.is_zero():
+        raise ValueError(f"columns {tuple(support)} are independent")
+    return list(kernel.basis.raw[0])
 
 
 @dataclass(frozen=True)
@@ -177,21 +173,10 @@ def classify_supports(cm: CheckMatrix, supports) -> list[SupportReport]:
     return out
 
 
-def code_rank(cm: CheckMatrix) -> int:
-    return rank(cm.h)
-
-
 def verify_dependency(cm: CheckMatrix, support, vec) -> bool:
     """H restricted to the support times vec is zero and vec has full
     support."""
-    f = cm.field
-    if any(v == f.zero_raw for v in vec):
+    zero = cm.field.zero_raw
+    if any(v == zero for v in vec):
         return False
-    cols = [cm.column(j) for j in support]
-    for i in range(cm.n_rows):
-        acc = f.zero_raw
-        for j, col in enumerate(cols):
-            acc = f.add(acc, f.mul(col[i], vec[j]))
-        if acc != f.zero_raw:
-            return False
-    return True
+    return all(x == zero for (x,) in _dots(cm.field, _restricted_rows(cm, support), [vec]))

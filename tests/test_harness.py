@@ -101,6 +101,7 @@ def test_cli_reports_budget_errors_cleanly():
     ("P5_4", "--trials", "3"),
     ("T1_3", "--field", "Q", "--n", "2", "--d", "40"),  # 41 of 40 drawable lines (this hung)
     ("T1_3", "--field", "Q", "--n", "3", "--d", "60", "--trials", "1"),  # 7,036,411 cell updates
+    ("T2_3", "--field", "F2", "--k", "20"),  # 2^20 + 1 spread members over budget (this hung)
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
@@ -273,9 +274,28 @@ def test_cli_construct_round_trips():
     ("construct", "ovoid", "--field", "Q"),  # these two ended in an AssertionError
     ("construct", "spread", "--field", "Q", "--k", "2"),
     ("construct", "hyperoval", "--field", "Q"),
+    ("construct", "spread", "--field", "F2", "--k", "0"),  # these three ended in a ValueError
+    ("construct", "spread", "--field", "F2", "--k", "-1"),
+    ("construct", "dual-arc-ik", "--field", "F2", "--n", "0", "--d", "2", "--k", "1"),
+    ("construct", "spread", "--field", "F2", "--k", "20"),  # 2^20 + 1 members over budget
+    ("construct", "spread", "--field", "F3", "--k", "1000000000"),  # without forming 3^k
 ])
 def test_cli_construct_reports_bad_params_cleanly(argv):
     out = _cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "-1", "--d", "2", "--field", "F3", "--wmax", "3"),  # this printed an empty report
+    ("--n", "1", "--d", "2", "--field", "F3", "--wmax", "3"),
+    ("--n", "2", "--d", "0", "--field", "F3", "--wmax", "3"),
+    ("--n", "2", "--d", "2", "--field", "F3", "--wmax", "0"),
+    ("--n", "2", "--d", "2", "--field", "Q", "--wmax", "3"),
+])
+def test_cli_vcode_applies_the_vcode_check_bounds(argv):
+    out = _cli("vcode", *argv)
     assert out.returncode == 2
     assert out.stdout == "" and out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
@@ -359,9 +379,11 @@ BRANCH_PINS = [
     ("T1_1_SHARP", {"field": "F2", "n": 3, "d": 3}, "e77dcff2c44e5676f366bed2ee08550d56aa4c2276e3eb1c398ffab8d0ee57b2"),
     ("T3_3", {"field": "F5"}, "650a998e135ecb0bb2b2f523c7ef8a64218d9ca6d4de76826e1380a30ffd0921"),
     ("T3_4", {"field": "F4"}, "599839cd7601eb00e6350951bac0935e3949b82bfd1aa42c4b14b911a2e70dd7"),
-    # too few spread members: T1_2 counts them before the hypothesis search
-    ("T1_2", {"field": "F2", "k": 2, "d": 3, "e": 2}, "5c9d99ffa7a1026c1cdd0ec31b6978205ca80889ae00f668405ddafdf5a76bef"),
-    ("T1_2", {"field": "F2", "k": 2, "d": 5, "e": 1}, "5ef70c2e9c52ed537a9b7f8ffa75c83780f30bd5b2e072480840ff3437c5bf3d"),
+    # too few spread members for the conclusion level: the hypothesis is
+    # searched first, and a failure reports its witness (the 5 planes of
+    # F2^4 are not 3-independent)
+    ("T1_2", {"field": "F2", "k": 2, "d": 3, "e": 2}, "a8607ae77be1446f584b70e40cc313ea33f782f0a429cc99d410e85150712b9f"),
+    ("T1_2", {"field": "F2", "k": 2, "d": 5, "e": 1}, "0144c9e884601826ea3addad00e8774b893da431ec8f70e8363d2c13730b3fe1"),
     # a failed spread hypothesis reports its witness
     ("T1_4", {"field": "F5", "k": 2, "d": 3, "r": 3, "e": 2}, "c324d3e52dd28fe7a1fa5750656012970b2b2f4ca140568a786f1c97d735ba5b"),
     ("T5_1", {"field": "F2", "k": 2, "d": 3, "r": 5}, "f626255111f0ec33c66ddced45dac6cff69effb17fb9b228efacf6319654bbc8"),

@@ -10,7 +10,6 @@ from verolab import (
     BudgetExceeded,
     DuplicateMember,
     SubspaceFamily,
-    check_image_independence,
     conic,
     desarguesian_spread,
     elliptic_ovoid,
@@ -96,29 +95,37 @@ def test_max_independence_on_conic_images():
     assert is_r_independent(images, 4)[0]
 
 
+def _images(fam, d):
+    return SubspaceFamily([veronese_subspace(u, d) for u in fam])
+
+
 def test_theorem_1_2_on_spreads():
+    # a spread is 2-independent (e = 1), so its degree-2 images are
+    # 2*1+1 = 3-independent
     for q in (2, 3):
-        f = parse_field(f"F{q}")
-        rep = check_image_independence(desarguesian_spread(f, 2), 2, 1)
-        assert rep.hypothesis_ok and rep.conclusion_ok and rep.r == 3
+        fam = desarguesian_spread(parse_field(f"F{q}"), 2)
+        assert is_r_independent(fam, 2) == (True, None)
+        assert is_r_independent(_images(fam, 2), 3) == (True, None)
 
 
 def test_theorem_1_2_on_hyperoval_and_ovoid():
     # caps have no three collinear points, so they are 3-independent
     # (e = 2) and their degree-2 images must be 2*2+1 = 5-independent
-    f4 = parse_field("F4")
-    rep = check_image_independence(SubspaceFamily(hyperoval(f4)), 2, 2)
-    assert rep.hypothesis_ok and rep.conclusion_ok and rep.r == 5
-    rep = check_image_independence(SubspaceFamily(elliptic_ovoid(F3)), 2, 2)
-    assert rep.hypothesis_ok and rep.conclusion_ok and rep.r == 5
+    for cap in (hyperoval(parse_field("F4")), elliptic_ovoid(F3)):
+        fam = SubspaceFamily(cap)
+        assert is_r_independent(fam, 3) == (True, None)
+        assert is_r_independent(_images(fam, 2), 5) == (True, None)
 
 
 def test_theorem_1_2_hypothesis_gate():
-    e1, e2 = unit(F2, 3, 0), unit(F2, 3, 1)
-    e12 = tuple(a + b for a, b in zip(e1, e2))
-    fam = point_family(F2, [e1, e2, e12], 3)
-    rep = check_image_independence(fam, 2, 2)  # needs 3-independence, which fails
-    assert not rep.hypothesis_ok and rep.conclusion_ok is None
+    # the three coordinate planes of K^3 meet pairwise, so they are not
+    # 2-independent (e = 1) and the law promises nothing; indeed their
+    # degree-2 images meet pairwise too and are not 3-independent
+    planes = SubspaceFamily(
+        [span([unit(F2, 3, i), unit(F2, 3, j)], 3, F2) for i, j in ((0, 1), (0, 2), (1, 2))]
+    )
+    assert is_r_independent(planes, 2) == (False, (0, 1))
+    assert is_r_independent(_images(planes, 2), 3) == (False, (0, 1, 2))
 
 
 def test_family_type_invariants():

@@ -166,7 +166,7 @@ def test_enumerate_vectors():
     assert enumerate_vectors(zero_subspace(F3, 2)) == [vec(F3, 0, 0)]
     assert len(enumerate_vectors(full_subspace(F2, 2))) == 4
     with pytest.raises(BudgetExceeded):
-        enumerate_vectors(full_subspace(F3, 20), budget=100)
+        enumerate_vectors(full_subspace(F3, 20))  # 3^20 vectors
 
 
 def test_projective_points_counts_and_normalization():

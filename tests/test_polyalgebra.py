@@ -41,8 +41,8 @@ def unit_rows(f, n, k):
 
 
 def test_poly_mul_examples():
-    x1 = HomogPoly.monomial(Q, 2, (1, 0))
-    x2 = HomogPoly.monomial(Q, 2, (0, 1))
+    x1 = parse_poly("1*x1^1", Q, 2, 1)
+    x2 = parse_poly("1*x2^1", Q, 2, 1)
     assert format_poly(x1 * x2) == "1/1*x1^1*x2^1"
     s = parse_poly("1*x1^1 + 1*x2^1", Q, 2, 1)
     d = parse_poly("1*x1^1 + -1*x2^1", Q, 2, 1)
@@ -50,7 +50,7 @@ def test_poly_mul_examples():
 
 
 def test_poly_pow_examples():
-    x1 = HomogPoly.monomial(Q, 2, (1, 0))
+    x1 = parse_poly("1*x1^1", Q, 2, 1)
     assert format_poly(poly_pow(x1, 3)) == "1/1*x1^3"
     s_q = parse_poly("1*x1 + 1*x2", Q, 2, 1)
     assert [str(c) for c in poly_pow(s_q, 2).coeffs] == ["1/1", "2/1", "1/1"]

@@ -121,7 +121,7 @@ def _ref_substitute(f_poly, images):
             term = _ref_product_of_powers(images, alpha)
             if term is None:  # d = 0: substitution fixes constants
                 term = HomogPoly.from_raw(fld, f_poly.n, 0, [fld.one_raw])
-            out = out + term.scale(c)
+            out = out + HomogPoly.from_raw(fld, term.n, term.d, [fld.mul(c.v, v) for v in term.raw])
     return out
 
 

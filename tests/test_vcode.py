@@ -13,8 +13,9 @@ from verolab import (
     powerpoint_check_matrix,
     veronese_check_matrix,
 )
+from verolab.linalg import rank
 from verolab.monomials import enumerate_exponents, multinomial
-from verolab.vcode import code_rank, dependency_vector, verify_dependency
+from verolab.vcode import dependency_vector, verify_dependency
 
 F2 = parse_field("F2")
 F3 = parse_field("F3")
@@ -31,7 +32,7 @@ def test_column_counts():
 def test_rank_is_d_plus_1_on_the_line(q, d):
     f = parse_field(f"F{q}")
     if q >= d:
-        assert code_rank(veronese_check_matrix(2, d, f)) == d + 1
+        assert rank(veronese_check_matrix(2, d, f).h) == d + 1
 
 
 def test_min_weight_conic_line_example():
@@ -52,6 +53,23 @@ def test_dependency_witnesses_verify():
         assert verify_dependency(cm, sup, vec)
     with pytest.raises(ValueError):
         dependency_vector(cm, (0, 1, 2))
+
+
+def test_verify_dependency_rejects_bad_vectors():
+    cm = veronese_check_matrix(3, 2, F3)
+    sup = minimal_supports(cm, 4)[4][0]  # the 4 points of one line
+    vec = dependency_vector(cm, sup)
+    # a kernel vector with a zero entry: the circuit's dependency on the
+    # circuit plus one more column
+    extra = min(set(range(cm.n_cols)) - set(sup))
+    wider = tuple(sorted(sup + (extra,)))
+    padded = [F3.zero_raw if j == extra else vec[sup.index(j)] for j in wider]
+    assert all(sum(row[j] * x for j, x in zip(wider, padded)) % 3 == 0 for row in cm.h.raw)
+    assert not verify_dependency(cm, wider, padded)
+    # full support but outside the kernel: one entry doubled
+    off = [F3.mul(vec[0], F3.add(F3.one_raw, F3.one_raw))] + vec[1:]
+    assert F3.zero_raw not in off
+    assert not verify_dependency(cm, sup, off)
 
 
 @pytest.mark.parametrize(

@@ -97,6 +97,17 @@ CATALOGUE = (
     Mutant("lattice-last-first-index-set", "constructions.py", "intersection_lattice",
            (("size < len(first)", "size <= len(first)"),),
            "tests/test_census.py", "a meet keeps its last index set of the smallest size"),
+    # the VCODE witness check, independent of the search
+    Mutant("verify-full-support-dropped", "vcode.py", "verify_dependency",
+           (("if any(v == zero for v in vec):", "if False:"),),
+           "tests/test_vcode.py", "a kernel vector with a zero entry passes"),
+    Mutant("verify-product-dropped", "vcode.py", "verify_dependency",
+           (("return all(x == zero for (x,) in _dots(cm.field, _restricted_rows(cm, support), [vec]))",
+             "return True"),),
+           "tests/test_vcode.py", "a full-support vector outside the kernel passes"),
+    Mutant("dependency-vector-not-kernel", "vcode.py", "dependency_vector",
+           (("kernel = annihilator(span_raw(", "kernel = (span_raw("),),
+           "tests/test_vcode.py", "the witness is a row of the restricted row space, not of its annihilator"),
     # the I_k sieve
     Mutant("ik-sieve-half-degree-factor-dropped", "constructions.py", "enumerate_ik",
            (("range(1, j // 2 + 1)", "range(1, j // 2)"),),
