@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BadParams, BudgetExceeded, OddQForHyperoval
 from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
-from .independence import SubspaceFamily
+from .independence import SubspaceFamily, is_r_independent
 from .linalg import (
     ENUM_BUDGET,
     SUBSET_BUDGET,
@@ -47,6 +47,27 @@ from .veronese import veronese_point
 
 
 # ----------------------------------------------------------------------
+# build budget
+# ----------------------------------------------------------------------
+
+def _check_build_budget(f: FieldSpec, what: str, exponent: int, sizes) -> None:
+    """Raise BudgetExceeded before a family over f is built when its
+    members times the rows times the width of a member's basis, sizes()
+    = (members, rows, width), exceed ENUM_BUDGET.  Each family here has
+    at least 2^(exponent - 1) members of at least exponent^2 entries, so
+    an exponent at the budget's bit length raises without forming
+    q^exponent.  Over Q (q = 0) sizes() counts one member, and the build
+    itself refuses the field."""
+    if exponent >= ENUM_BUDGET.bit_length():
+        raise BudgetExceeded(f"{what} over {f.name}: at least 2^{exponent - 1} members of at least "
+                             f"{exponent}^2 entries exceed budget {ENUM_BUDGET}")
+    members, rows, width = sizes()
+    if members * rows * width > ENUM_BUDGET:
+        raise BudgetExceeded(f"{what} over {f.name}: {members} members of {rows} x {width} entries, "
+                             f"{members * rows * width} in all, exceed budget {ENUM_BUDGET}")
+
+
+# ----------------------------------------------------------------------
 # extension-field model for Desarguesian spreads
 # ----------------------------------------------------------------------
 
@@ -57,10 +78,7 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
     if k < 1:
         raise BadParams(f"desarguesian_spread needs k >= 1, got k = {k}")
     q = f.q
-    # q^k >= 2^k passes the budget once k reaches its bit length, so a huge k
-    # raises without forming q^k
-    if f.is_finite and (k >= ENUM_BUDGET.bit_length() or q ** k + 1 > ENUM_BUDGET):
-        raise BudgetExceeded(f"{q}^{k} + 1 spread members over {f.name} exceed budget {ENUM_BUDGET}")
+    _check_build_budget(f, "desarguesian_spread", k, lambda: (q ** k + 1, k, 2 * k))
     g = _smallest_irreducible(f, k)
     ambient = 2 * k
     zero = f.zero_raw
@@ -122,10 +140,8 @@ def elliptic_ovoid(f: FieldSpec) -> list[Subspace]:
             pts.append(span([p], 4, f))
     if len(pts) != f.q ** 2 + 1:
         raise AssertionError(f"ovoid point count {len(pts)} != {f.q ** 2 + 1}")
-    for trio in itertools.combinations(pts, 3):
-        rows = [list(s.basis.raw[0]) for s in trio]
-        if span_raw(rows, 4, f).dim != 3:
-            raise AssertionError("ovoid has three collinear points")
+    if not is_r_independent(SubspaceFamily(pts), 3)[0]:
+        raise AssertionError("ovoid has three collinear points")
     return pts
 
 
@@ -144,12 +160,10 @@ def dual_arc_ad(n: int, d: int, f: FieldSpec) -> SubspaceFamily:
     all degree-d multiples of y."""
     if d < 2 or n < 2:
         raise BadParams(f"dual_arc_ad needs d >= 2 and n >= 2, got (n, d) = ({n}, {d})")
+    _check_build_budget(f, "dual_arc_ad", n, lambda: (
+        (f.q ** n - 1) // (f.q - 1), num_monomials(n, d - 1), num_monomials(n, d)))
     a_dm1 = component_space(f, n, d - 1)
-    members = []
-    for y in projective_points(f, n):
-        y_space = span([y], n, f)
-        members.append(product_space(a_dm1, d - 1, y_space, 1, n))
-    return SubspaceFamily(members)
+    return SubspaceFamily([product_space(a_dm1, d - 1, span([y], n, f), 1, n) for y in projective_points(f, n)])
 
 
 def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> list[HomogPoly]:
@@ -372,14 +386,9 @@ def wedge_family(f: FieldSpec, m: int) -> SubspaceFamily:
     if m < 3:
         raise BadParams(f"wedge_family needs m >= 3, got {m}")
     w = WedgeSpace(m)
-    basis = [
-        tuple(f.one() if k == i else f.zero() for k in range(m)) for i in range(m)
-    ]
-    members = []
-    for v in projective_points(f, m):
-        rows = [w.wedge(e, v) for e in basis]
-        members.append(span(rows, w.dim, f))
-    return SubspaceFamily(members)
+    _check_build_budget(f, "wedge_family", m, lambda: ((f.q ** m - 1) // (f.q - 1), m, w.dim))
+    basis = [tuple(f.one() if k == i else f.zero() for k in range(m)) for i in range(m)]
+    return SubspaceFamily([span([w.wedge(e, v) for e in basis], w.dim, f) for v in projective_points(f, m)])
 
 
 def dual_family(fam: SubspaceFamily) -> SubspaceFamily:

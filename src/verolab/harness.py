@@ -46,7 +46,7 @@ from .linalg import (
     SUBSET_BUDGET,
     Matrix,
     Subspace,
-    _echelon_extend,
+    _rref_raw,
     contained_in,
     enumerate_vectors,
     full_subspace,
@@ -278,15 +278,12 @@ def _check_t1_1_sharp(params, seed, budget):
         return _not_met("q < d")
     plane = span(_unit_rows(f, n, (0, 1)), n, f)
     images = [veronese_vector(t, d) for t in projective_vectors(plane)]
-    big_n = num_monomials(n, d)
-    # in a matroid the first d + 2 images that extend the greedy basis are the
-    # lex-first independent (d + 2)-set; fewer than d + 2 means there is none
-    basis, pivots, extending = [], [], []
-    for i, v in enumerate(images):
-        if _echelon_extend(f, basis, pivots, [s.v for s in v], big_n):
-            extending.append(i)
-    if len(extending) >= d + 2:
-        return "exhaustive", True, False, tuple(extending[:d + 2]), {}
+    # the pivot columns of the images taken as columns are their lex-first greedy basis, so the
+    # first d + 2 are the lex-first independent (d + 2)-set; fewer than d + 2 means there is none
+    cols = [[s.v for s in v] for v in images]
+    _, pivots = _rref_raw(f, [list(r) for r in zip(*cols)])
+    if len(pivots) >= d + 2:
+        return "exhaustive", True, False, tuple(pivots[:d + 2]), {}
     return "exhaustive", True, True, None, {"points_on_plane": len(images)}
 
 
@@ -379,27 +376,17 @@ def _check_rho(params, seed, budget):
 
 def _check_iterate(params, seed, budget):
     f, n, d, e = _field(params), params["n"], params["d"], params["e"]
-    big_n = num_monomials(n, d)
     idx_ed = _index_map(n, d * e)
-    outer = enumerate_exponents(big_n, e)
-    alphas = enumerate_exponents(n, d)
+    by_var = list(zip(*enumerate_exponents(n, d)))  # each variable's exponent in each coordinate
     # each degree-e exponent over the N coordinates folds to a degree-de one
-    fold = []
-    for m_exp in outer:
-        beta = [0] * n
-        for coord, mult in enumerate(m_exp):
-            if mult:
-                for pos, a in enumerate(alphas[coord]):
-                    beta[pos] += a * mult
-        fold.append(idx_ed[tuple(beta)])
-    for combo in itertools.product(range(f.q), repeat=n):
-        t = tuple(Scalar(f, c) for c in combo)
-        inner = veronese_vector(t, d)
-        lhs = veronese_vector(inner, e)
+    fold = [idx_ed[tuple(sum(a * mult for a, mult in zip(col, m_exp)) for col in by_var)]
+            for m_exp in enumerate_exponents(num_monomials(n, d), e)]
+    for t in enumerate_vectors(full_subspace(f, n)):
+        lhs = veronese_vector(veronese_vector(t, d), e)
         rhs = veronese_vector(t, d * e)
         for i, j in enumerate(fold):
             if lhs[i] != rhs[j]:
-                return "exhaustive", True, False, {"t": list(combo)}, {}
+                return "exhaustive", True, False, {"t": [s.v for s in t]}, {}
     return "exhaustive", True, True, None, {}
 
 
@@ -695,24 +682,21 @@ def _check_ex10(params, seed, budget):
     membership_ok = pairs_ok and all(
         sum(contained_in(anns3, pt)) == 1 + q for pt in dict.fromkeys(pair_points)
     )
-    # the shared 1-spaces force unequal triple dimensions, so not a dual arc
-    pts = projective_points(f, 5)
-    by_rank = {}  # the first collinear (rank 2) and independent (rank 3) triple
-    for idxs in itertools.combinations(range(len(pts)), 3):
-        by_rank.setdefault(span([pts[i] for i in idxs], 5, f).dim, idxs)
-        if 2 in by_rank and 3 in by_rank:
-            break
-
-    def triple_dim(idxs):
-        return m3 - subspace_join([anns3[i] for i in idxs], m3, f).dim
-
-    not_gda = triple_dim(by_rank[2]) != triple_dim(by_rank[3])
-    ok3 = count3 and dims3 and pairs_ok and membership_ok and not_gda
+    # the shared 1-spaces force unequal triple dimensions, so not a dual arc:
+    # walk the triple meets until two of them differ in dimension
+    triple_ranks = set()
+    for prefix, _, stack in meet_walk(anns3, 3):
+        if len(prefix) == 2:
+            triple_ranks.add(len(stack))
+            if len(triple_ranks) == 2:
+                break
+    is_gda = len(triple_ranks) < 2
+    ok3 = count3 and dims3 and pairs_ok and membership_ok and not is_gda
     data["d3"] = {
         "members": len(d3),
         "pairwise_dim_1": pairs_ok,
         "members_per_pair_point": 1 + q if membership_ok else None,
-        "is_gda": not not_gda,
+        "is_gda": is_gda,
     }
     ok = ok1 and ok2 and ok3
     wit = None if ok else {"d1_star": ok1, "d2": ok2, "d3": ok3}

@@ -241,6 +241,11 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
     fld = p.field
     if fld != q.field:
         raise FieldMismatch("product of subspaces over different fields")
+    cells = p.dim * q.dim * num_monomials(n, deg_p + deg_q)
+    if cells > ENUM_BUDGET:
+        raise BudgetExceeded(
+            f"products of a {p.dim}-space of degree {deg_p} and a {q.dim}-space of degree {deg_q} "
+            f"in {n} variables have {cells} entries, over budget {ENUM_BUDGET}")
     pp = subspace_polys(p, n, deg_p)
     qq = subspace_polys(q, n, deg_q)
     products = [list(poly_mul(a, b).raw) for a in pp for b in qq]

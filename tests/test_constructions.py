@@ -99,7 +99,7 @@ def test_hyperoval_guard_names_the_characteristic(name, char):
         hyperoval(parse_field(name))
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_elliptic_ovoid(q):
     f = parse_field(f"F{q}")
     pts = elliptic_ovoid(f)

@@ -6,10 +6,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
-from verolab import UnknownCheck, parse_family_text, run_check, run_suite
+from verolab import UnknownCheck, parse_family_text, parse_field, run_check, run_suite, veronese_vector
+from verolab import harness
 from verolab.harness import CHECK_REGISTRY, SUITES, result_to_json, suite_to_json
 
 EXPECTED_IDS = {
@@ -155,6 +157,27 @@ def test_iterate_over_q_raises_instead_of_passing_vacuously():
         run_check("ITERATE", {"field": "Q", "n": 2, "d": 2, "e": 2})
 
 
+@pytest.mark.parametrize("q,n,d,e,at", [
+    (2, 2, 2, 2, (1, 1)), (3, 2, 2, 2, (0, 2)), (3, 3, 2, 3, (2, 0, 1)), (4, 2, 3, 2, (3, 1)),
+])
+def test_iterate_reports_the_vector_where_the_composition_fails(q, n, d, e, at):
+    # v_de with its last coordinate raised by one at the nonzero vector at:
+    # v_e(v_d(at)) no longer folds onto it, and no other vector fails
+    f = parse_field(f"F{q}")
+
+    def vec(t, deg):
+        v = list(veronese_vector(t, deg))
+        if deg == d * e and tuple(s.v for s in t) == at:
+            v[-1] += f.one()
+        return tuple(v)
+
+    assert run_check("ITERATE", {"field": f"F{q}", "n": n, "d": d, "e": e}).conclusion_ok
+    with mock.patch.object(harness, "veronese_vector", vec):
+        res = run_check("ITERATE", {"field": f"F{q}", "n": n, "d": d, "e": e})
+    assert res.hypothesis_ok and res.conclusion_ok is False
+    assert res.witness == {"t": list(at)}
+
+
 def test_explore_reports_value_without_asserting():
     res = run_check("EXPLORE_SPREAD_R", {"field": "F2", "k": 2, "d": 2})
     assert res.conclusion_ok and res.data["max_independence"] == 3
@@ -197,12 +220,12 @@ def test_smoke_suite_passes_within_budget():
     assert elapsed <= 60
 
 
-def _cli(*argv):
+def _cli(*argv, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "verolab.cli", *argv],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -284,6 +307,24 @@ def test_cli_construct_reports_bad_params_cleanly(argv):
     out = _cli(*argv)
     assert out.returncode == 2
     assert out.stdout == "" and out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # before their work was budgeted, six of these still ran at 30 s and two took 15-20 s
+    ("check", "ITERATE", "--field", "F7", "--n", "8", "--d", "2", "--e", "2"),  # 7^8 vectors
+    ("check", "ITERATE", "--field", "F65536", "--n", "2", "--d", "2", "--e", "2"),  # 65536^2 vectors
+    ("construct", "ovoid", "--field", "F31"),  # C(962, 3) triples to validate
+    ("construct", "spread", "--field", "F997", "--k", "2"),  # 994,010 members of 2 x 4 entries
+    ("construct", "spread", "--field", "F7", "--k", "6"),  # 117,650 members of 6 x 12 entries
+    ("construct", "wedge", "--field", "F3", "--m", "12"),  # 265,720 members of 12 x 66 entries
+    ("construct", "dual-arc-ad", "--field", "F2", "--n", "8", "--d", "4"),  # 255 members of 120 x 330
+    ("check", "L6_4", "--field", "F2", "--n", "60", "--k", "30", "--trials", "1"),  # 60 x 30 products of 1830
+])
+def test_cli_stops_unbounded_work_at_its_budget(argv):
+    out = _cli(*argv, timeout=30)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error:") and "budget" in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -401,6 +442,8 @@ BRANCH_PINS = [
     # a spread with fewer members than the hypothesis level: not met, no search
     ("T1_4", {"field": "F3", "k": 1, "d": 2, "r": 2, "e": 4}, "765e189728c755e091d018d492b9375bc3b8275b1e3268097166d0bc0d1cf448"),
     ("T5_1", {"field": "F3", "k": 1, "d": 2, "r": 5}, "ab9ee535713251ebe703df32a810df3aaf5aee4d951dc530b6d613d79b9a4498"),
+    # EX10's third structure where the first two triples of points are collinear
+    ("EX10", {"field": "F3"}, "cb164454a64846e69c407115663e20754662932784e3d46f11bcff1fd25b1664"),
 ]
 
 

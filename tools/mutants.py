@@ -112,6 +112,19 @@ CATALOGUE = (
     Mutant("ik-sieve-half-degree-factor-dropped", "constructions.py", "enumerate_ik",
            (("range(1, j // 2 + 1)", "range(1, j // 2)"),),
            "tests/test_constructions.py", "a product of two degree-j/2 irreducibles is not sieved out"),
+    # the checks' own searches, read off the library's enumerations and kernels
+    Mutant("sharp-witness-one-short", "harness.py", "_check_t1_1_sharp",
+           (("pivots[:d + 2]", "pivots[:d + 1]"),),
+           "tests/test_census.py", "the witness holds d + 1 images, not d + 2"),
+    Mutant("sharp-rows-not-columns", "harness.py", "_check_t1_1_sharp",
+           (("[list(r) for r in zip(*cols)]", "cols"),),
+           "tests/test_census.py", "the images are reduced as rows, so the pivots index coordinates"),
+    Mutant("ex10-first-triple-only", "harness.py", "_check_ex10",
+           (("if len(triple_ranks) == 2:", "if triple_ranks:"),),
+           "tests/test_harness.py", "the triple walk stops after the first triple"),
+    Mutant("iterate-first-vector-only", "harness.py", "_check_iterate",
+           (("enumerate_vectors(full_subspace(f, n))", "enumerate_vectors(full_subspace(f, n))[:1]"),),
+           "tests/test_harness.py", "only the zero vector is tested"),
 )
 
 
