@@ -14,13 +14,15 @@ clear denominators and compute on ints, building one Fraction per output
 value (see the linalg module).
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
-neg, inv, ...) on the underlying representation.  Matrices, subspaces
-and polynomials store raw values and compute with these operations.
-Scalar, a field plus one raw value with operator syntax and
-field-mismatch checking, is the boundary type: public vectors, fixtures,
-the CLI and the pointwise monomial evaluation speak Scalars, and the
-linalg and polyalgebra modules box and unbox where values cross into
-them.  A finite field
+neg, inv, ...) on the underlying representation, and one fused op,
+fma(a, b, c) = a + b*c, which the elimination and product kernels use
+for every row update (a - f*b is fma(a, -f, b), with -f taken once per
+row).  Matrices, subspaces and polynomials store raw values and compute
+with these operations.  Scalar, a field plus one raw value with operator
+syntax and field-mismatch checking, is the boundary type: public vectors,
+fixtures, the CLI and the pointwise monomial evaluation speak Scalars,
+and the linalg and polyalgebra modules box and unbox where values cross
+into them.  A finite field
 builds log/antilog tables on a primitive element at construction (Lidl &
 Niederreiter, Finite Fields, 9.3); they take O(q) space, so q <= 2^16.
 Above q = 64 the raw operations are lookups in them: mul, inv, div and
@@ -28,6 +30,13 @@ neg always (mul is exp[log[a] + log[b]], or a * b % p for primes), add
 and sub for odd-p extensions (Zech logarithms), while add is XOR for
 p = 2 and mod p for primes.  Up to q = 64 their values fill full q x q
 tables, so every binary op is a single 2-D lookup.
+
+fma is one call on every backend:
+  q <= 64         add_t[a][mul_t[b][c]]
+  p = 2, q > 64   a ^ exp[log[b] + log[c]]
+  primes > 64     (a + b*c) % p
+  odd p, m >= 2   a plus exp[log[b] + log[c]] by the Zech logarithm
+  Q               a + b*c
 """
 
 from __future__ import annotations
@@ -78,26 +87,26 @@ def _poly_trim(k: FieldSpec, c: list) -> list:
 def _poly_mul(k: FieldSpec, a: list, b: list) -> list:
     if not a or not b:
         return []
-    zero, add, mul = k.zero_raw, k.add, k.mul
+    zero, fma = k.zero_raw, k.fma
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai != zero:
             for j, bj in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ai, bj))
+                out[i + j] = fma(out[i + j], ai, bj)
     return _poly_trim(k, out)
 
 
 def _poly_mod(k: FieldSpec, a: list, g: list) -> list:
-    zero, sub, mul = k.zero_raw, k.sub, k.mul
+    zero, fma = k.zero_raw, k.fma
     rem = list(a)
     while len(rem) >= len(g):
         if rem[-1] == zero:
             rem.pop()
             continue
         shift = len(rem) - len(g)
-        fac = k.div(rem[-1], g[-1])
+        fac = k.neg(k.div(rem[-1], g[-1]))
         for i, gi in enumerate(g):
-            rem[shift + i] = sub(rem[shift + i], mul(fac, gi))
+            rem[shift + i] = fma(rem[shift + i], fac, gi)
         rem.pop()
     return _poly_trim(k, rem)
 
@@ -106,13 +115,13 @@ def _poly_is_irreducible(k: FieldSpec, g: list) -> bool:
     """Trial division by every monic polynomial of degree 1..deg(g)//2.
     The linear divisors go first and cheaply: t - r divides g exactly
     when g(r) = 0, which Horner evaluation tests."""
-    deg, zero, add, mul = len(g) - 1, k.zero_raw, k.add, k.mul
+    deg, zero, fma = len(g) - 1, k.zero_raw, k.fma
     if deg >= 2 and g[0] == zero:  # the root 0
         return False
     for r in range(1, k.q if deg >= 2 else 1):
         acc = zero
         for c in reversed(g):
-            acc = add(mul(acc, r), c)
+            acc = fma(c, acc, r)
         if acc == zero:
             return False
     for d in range(2, deg // 2 + 1):
@@ -146,9 +155,13 @@ def _smallest_irreducible(k: FieldSpec, m: int) -> list:
 class FieldSpec:
     """A field: GF(p^m) for prime p and m >= 1, or the rationals.
 
-    Raw operation attributes (add, sub, mul, neg, inv, div) act on the
-    internal representation: int indices for finite fields, Fraction for
-    Q.  They are installed at construction and excluded from equality.
+    Raw operation attributes (add, sub, mul, neg, inv, div, and the
+    fused fma(a, b, c) = a + b*c) act on the internal representation:
+    int indices for finite fields, Fraction for Q.  They are installed
+    at construction and excluded from equality.  fma is a 2-D table
+    lookup up to q = 64; above it, XOR with a log-table product for
+    p = 2, one mod p for primes, a Zech-logarithm sum for odd
+    extensions, and plain a + b*c over Q.
     """
 
     kind: str  # "finite" | "rational"
@@ -218,7 +231,8 @@ class FieldSpec:
             return a / b
 
         self._set_ops(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
-                      inv=inv, div=div, zero_raw=Fraction(0), one_raw=Fraction(1))
+                      fma=lambda a, b, c: a + b * c, inv=inv, div=div,
+                      zero_raw=Fraction(0), one_raw=Fraction(1))
 
     def _install_finite_ops(self) -> None:
         self._install_log_ops(*self._log_tables())
@@ -322,11 +336,12 @@ class FieldSpec:
         self._set_ops(mul=lambda a, b: exp[log[a] + log[b]], inv=inv, div=div,
                       neg=lambda a: exp[log[a] + half])
         if p == 2:
-            self._set_ops(add=operator.xor, sub=operator.xor, neg=lambda a: a)
+            self._set_ops(add=operator.xor, sub=operator.xor, neg=lambda a: a,
+                          fma=lambda a, b, c: a ^ exp[log[b] + log[c]])
             return
         if m == 1:  # a * b % p is twice as fast as the lookup
             self._set_ops(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
-                          mul=lambda a, b: a * b % p)
+                          mul=lambda a, b: a * b % p, fma=lambda a, b, c: (a + b * c) % p)
             return
         # Zech logarithms: 1 + g^k = g^zech[k], or 0 when zech[k] = 2n.
         # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + half); zech
@@ -349,7 +364,16 @@ class FieldSpec:
             la = log[a]
             return exp[la + zech[log[b] + half - la + n]]
 
-        self._set_ops(add=add, sub=sub)
+        def fma(a: int, b: int, c: int) -> int:  # add(a, mul(b, c)) in one call
+            lbc = log[b] + log[c]  # 2n or more when b*c = 0
+            if not a:
+                return exp[lbc]
+            if lbc >= 2 * n:
+                return a
+            la = log[a]
+            return exp[la + zech[lbc - la + n]]
+
+        self._set_ops(add=add, sub=sub, fma=fma)
 
     def _install_table_ops(self) -> None:
         """Replace the log-table ops by full tables of their values."""
@@ -367,7 +391,7 @@ class FieldSpec:
 
         self._set_ops(add=lambda a, b: add_t[a][b], sub=lambda a, b: add_t[a][neg_t[b]],
                       mul=lambda a, b: mul_t[a][b], neg=lambda a: neg_t[a], inv=inv,
-                      div=lambda a, b: mul_t[a][inv(b)])
+                      div=lambda a, b: mul_t[a][inv(b)], fma=lambda a, b, c: add_t[a][mul_t[b][c]])
 
     # -- Scalar constructors ---------------------------------------------
 

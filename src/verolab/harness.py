@@ -376,6 +376,10 @@ def _check_rho(params, seed, budget):
 
 def _check_iterate(params, seed, budget):
     f, n, d, e = _field(params), params["n"], params["d"], params["e"]
+    coords = num_monomials(num_monomials(n, d), e)
+    if f.q ** n * coords > ENUM_BUDGET:
+        raise BudgetExceeded(f"ITERATE over {f.name}: {f.q}^{n} vectors of {coords} degree-{e} coordinates "
+                             f"exceed budget {ENUM_BUDGET}")
     idx_ed = _index_map(n, d * e)
     by_var = list(zip(*enumerate_exponents(n, d)))  # each variable's exponent in each coordinate
     # each degree-e exponent over the N coordinates folds to a degree-de one

@@ -77,7 +77,10 @@ def _fraction(num: int, den: int) -> Fraction:
 
 def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
     """Row i, entry j: the dot product of rows[i] and cols[j], raw.  Over Q
-    it is an integer dot product over one denominator per row and column."""
+    it is an integer dot product over one denominator per row and column.
+    Over GF(q) each column's nonzero (index, value) pairs are listed once
+    per call, and each dot product walks only that list, skipping the
+    zeros of the row, with one fma per term."""
     if not f.is_finite:
         a, da = _int_rows(rows)
         b, db = _int_rows(cols)
@@ -85,16 +88,17 @@ def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
             tuple(_fraction(sum(map(_imul, ar, bc)), x * y) for bc, y in zip(b, db))
             for ar, x in zip(a, da)
         )
-    add, mul = f.add, f.mul
-    zero = f.zero_raw
+    fma, zero = f.fma, f.zero_raw
+    nonzeros = [[(i, y) for i, y in enumerate(bc) if y != zero] for bc in cols]
     out = []
     for ar in rows:
         orow = []
-        for bc in cols:
+        for nz in nonzeros:
             acc = zero
-            for x, y in zip(ar, bc):
-                if x != zero and y != zero:
-                    acc = add(acc, mul(x, y))
+            for i, y in nz:
+                x = ar[i]
+                if x != zero:
+                    acc = fma(acc, x, y)
             orow.append(acc)
         out.append(tuple(orow))
     return tuple(out)
@@ -106,7 +110,7 @@ def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
         return _rref_q(rows)
     zero = f.zero_raw
     one = f.one_raw
-    mul, sub, div = f.mul, f.sub, f.div
+    fma, neg, div = f.fma, f.neg, f.div
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -127,10 +131,10 @@ def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
                 row[j] = div(row[j], pv)
         for i in range(nrows):
             if i != r and rows[i][c] != zero:
-                fac = rows[i][c]
+                fac = neg(rows[i][c])
                 tgt = rows[i]
                 for j in range(c, ncols):
-                    tgt[j] = sub(tgt[j], mul(fac, row[j]))
+                    tgt[j] = fma(tgt[j], fac, row[j])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -200,15 +204,16 @@ def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: lis
     pivoted on, so a tag there records the combination that was taken.
     """
     zero = f.zero_raw
-    mul, sub = f.mul, f.sub
+    fma, neg = f.fma, f.neg
     n = len(vec)
     for row, p in zip(basis, pivots):
         c = vec[p]
         if c != zero:
+            c = neg(c)
             for j in range(p, n):
                 x = row[j]
                 if x != zero:
-                    vec[j] = sub(vec[j], mul(c, x))
+                    vec[j] = fma(vec[j], c, x)
     for p in range(width):
         if vec[p] != zero:
             break
@@ -242,7 +247,7 @@ def _dependent_leaves(f: FieldSpec, cols: list[list], basis: list[list], width: 
     surviving candidates at once, one column at a time, and the
     candidates where h_j is nonzero are dropped."""
     zero = f.zero_raw
-    mul, sub = f.mul, f.sub
+    fma, neg = f.fma, f.neg
     red, piv = _rref_raw(f, [row[:width] for row in basis])
     pivot_set = set(piv)
     for j in range(width):
@@ -255,8 +260,9 @@ def _dependent_leaves(f: FieldSpec, cols: list[list], basis: list[list], width: 
         for row, p in zip(red, piv):
             c = row[j]
             if c != zero:
+                c = neg(c)
                 colp = cols[p]
-                h = [sub(x, mul(colp[i], c)) for x, i in zip(h, cand)]
+                h = [fma(x, colp[i], c) for x, i in zip(h, cand)]
         cand = [i for x, i in zip(h, cand) if x == zero]
     return cand
 
@@ -629,12 +635,13 @@ def _contains_raw(a: Subspace, w: list, pivots: list[int]) -> bool:
     pivots is _pivots(a)."""
     f = a.field
     zero = f.zero_raw
-    mul, sub = f.mul, f.sub
+    fma, neg = f.fma, f.neg
     for row, p in zip(a.basis.raw, pivots):
         fac = w[p]
         if fac != zero:
+            fac = neg(fac)
             for j in range(p, len(w)):
-                w[j] = sub(w[j], mul(fac, row[j]))
+                w[j] = fma(w[j], fac, row[j])
     return all(x == zero for x in w)
 
 
@@ -649,7 +656,7 @@ def combine_basis(a: Subspace, combos) -> list[Vector]:
     """The vector sum_i c_i b_i over the basis b of a, for each tuple c of
     raw coefficients in combos, in the order given."""
     f = a.field
-    add, mul = f.add, f.mul
+    fma = f.fma
     zero = f.zero_raw
     rows = a.basis.raw
     m = a.ambient_dim
@@ -660,7 +667,7 @@ def combine_basis(a: Subspace, combos) -> list[Vector]:
             if c != zero:
                 for j in range(m):
                     if row[j] != zero:
-                        acc[j] = add(acc[j], mul(c, row[j]))
+                        acc[j] = fma(acc[j], c, row[j])
         out.append(tuple(Scalar(f, x) for x in acc))
     return out
 

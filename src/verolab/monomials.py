@@ -11,16 +11,21 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import BadParams
+from .errors import BadParams, BudgetExceeded
 from .field import FieldSpec, Scalar, int_in_field
+from .linalg import ENUM_BUDGET
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All C(d+n-1, d) exponent tuples (a1, ..., an) with sum d, in
-    descending lexicographic order."""
+    descending lexicographic order; BudgetExceeded, before any is listed,
+    when there are more than ENUM_BUDGET."""
     if n < 1 or d < 0:
         raise BadParams(f"need n >= 1 and d >= 0, got (n, d) = ({n}, {d})")
+    if num_monomials(n, d) > ENUM_BUDGET:
+        raise BudgetExceeded(f"C({n + d - 1}, {d}) = {num_monomials(n, d)} exponents in {n} variables "
+                             f"of degree {d} exceed budget {ENUM_BUDGET}")
     if n == 1:
         return ((d,),)
     out = []

@@ -24,7 +24,6 @@ not mentioned in a term have exponent 0.
 from __future__ import annotations
 
 import math
-import operator
 
 from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
@@ -118,7 +117,7 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
     fld = f_poly.field
     n = f_poly.n
     d = f_poly.d + g_poly.d
-    add, mul = fld.add, fld.mul
+    fma = fld.fma
     zero = fld.zero_raw
     idx = _index_map(n, d)
     out = [zero] * num_monomials(n, d)
@@ -134,7 +133,7 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
                 continue
             beta = exps_g[j]
             k = idx[tuple(x + y for x, y in zip(alpha, beta))]
-            out[k] = add(out[k], mul(a, b))
+            out[k] = fma(out[k], a, b)
     return HomogPoly.from_raw(fld, n, d, out)
 
 
@@ -164,7 +163,8 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
 
     Over Q the table is built on the integer forms rows[i] * dens[i] (see
     linalg._int_rows), and row beta is divided by prod_i dens[i]^beta_i
-    into Fractions at the end.
+    into Fractions at the end.  Over GF(q) every term is one field.fma;
+    on the integer table it is inline int arithmetic, with no call.
     """
     m = len(rows)
     if m == 0:
@@ -174,11 +174,12 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     if cells > ENUM_BUDGET:
         raise BudgetExceeded(
             f"Sym^{d} of {m} forms in {n} variables has {cells} entries, over budget {ENUM_BUDGET}")
-    if field.is_finite:
-        zero, one, add, mul = field.zero_raw, field.one_raw, field.add, field.mul
-    else:
+    fma, ints = field.fma, not field.is_finite
+    if ints:
         rows, dens = _int_rows(rows)
-        zero, one, add, mul = 0, 1, operator.add, operator.mul
+        zero, one = 0, 1
+    else:
+        zero, one = field.zero_raw, field.one_raw
     terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]
     table = [[one]]
     for k in range(1, d + 1):
@@ -189,13 +190,18 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
             out = [zero] * width
             form = terms[i]
             for c, sh in zip(table[parent], shift):
-                if c != zero:
+                if c == zero:
+                    continue
+                if ints:
+                    for j, l in form:
+                        out[sh[j]] += c * l
+                else:
                     for j, l in form:
                         s = sh[j]
-                        out[s] = add(out[s], mul(c, l))
+                        out[s] = fma(out[s], c, l)
             nxt.append(out)
         table = nxt
-    if field.is_finite:
+    if not ints:
         return table
     return [
         [_fraction(x, den) for x in row]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -313,3 +314,30 @@ def test_field_order_capped_at_2_16():
     for p, m in ((2, 17), (3, 11), (65537, 1), (2 ** 61 - 1, 1), (2, 10 ** 9)):
         with pytest.raises(NonPrimeP):
             field_make("finite", p, m)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16"])
+def test_fma_is_add_of_mul_on_every_triple(name):
+    f = parse_field(name)
+    add, mul, fma = f.add, f.mul, f.fma
+    for a, b, c in itertools.product(range(f.q), repeat=3):
+        assert fma(a, b, c) == add(a, mul(b, c)), (a, b, c)
+
+
+@pytest.mark.parametrize("name", ["F64", "F128", "F243", "F257", "F65536", "Q"])
+def test_fma_is_add_of_mul_on_samples(name):
+    """Zeros in every position and sums that cancel to zero included."""
+    f = parse_field(name)
+    rng = random.Random(name)
+
+    def draw():
+        if rng.random() < 0.2:
+            return f.zero_raw
+        if f.is_finite:
+            return rng.randrange(1, f.q)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+
+    for _ in range(4000):
+        b, c = draw(), draw()
+        a = f.neg(f.mul(b, c)) if rng.random() < 0.1 else draw()
+        assert f.fma(a, b, c) == f.add(a, f.mul(b, c)), (a, b, c)

@@ -329,6 +329,18 @@ def test_cli_stops_unbounded_work_at_its_budget(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    # these listed every coordinate first: ITERATE passed in about 10 s, SIGMA ran out of memory
+    ("check", "ITERATE", "--field", "F2", "--n", "4", "--d", "4", "--e", "4"),  # 2^4 x N(35, 4) = 1,181,040
+    ("check", "SIGMA", "--field", "F5", "--n", "30", "--d", "10", "--trials", "1"),  # N(30, 10) = 635,745,396
+])
+def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
+    out = _cli(*argv, timeout=5)
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error:") and "budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
     ("--n", "-1", "--d", "2", "--field", "F3", "--wmax", "3"),  # this printed an empty report
     ("--n", "1", "--d", "2", "--field", "F3", "--wmax", "3"),
     ("--n", "2", "--d", "0", "--field", "F3", "--wmax", "3"),

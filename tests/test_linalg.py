@@ -31,7 +31,7 @@ from verolab import (
     zero_subspace,
 )
 from verolab.field import Scalar, scalar_from_str
-from verolab.linalg import span_raw
+from verolab.linalg import _dots, _echelon_extend, _rref_raw, span_raw
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import HomogPoly
 
@@ -246,3 +246,73 @@ def test_boxed_and_raw_constructors_agree(f, nrows, ncols, n, d, rnd):
     for m in (a, b, a.transpose(), a * a.transpose(), rref(a)[0], s.basis):
         assert all(_raw_stored(f, r) for r in m.raw)
     assert _raw_stored(f, p.raw) and _raw_stored(f, (p * p).raw)
+
+
+def _dense_dots(f, rows, cols):
+    """The reference for _dots: every term of every dot product, zeros included."""
+    out = []
+    for r in rows:
+        orow = []
+        for c in cols:
+            acc = f.zero_raw
+            for x, y in zip(r, c):
+                acc = f.add(acc, f.mul(x, y))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F64", "F243", "F257", "F65536", "Q"])
+def test_dots_matches_a_dense_triple_loop(name):
+    f = parse_field(name)
+    rng = random.Random(name)
+    zero = f.zero_raw
+
+    def nonzero():
+        if f.is_finite:
+            return rng.randrange(1, f.q)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9))
+
+    for _ in range(40):
+        inner, nrows, ncols = rng.randint(1, 9), rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice((0.1, 0.3, 0.6, 1.0))
+        rows = [[nonzero() if rng.random() < density else zero for _ in range(inner)] for _ in range(nrows)]
+        cols = [[nonzero() if rng.random() < density else zero for _ in range(inner)] for _ in range(ncols)]
+        rows[rng.randrange(nrows)] = [zero] * inner
+        cols[rng.randrange(ncols)] = [zero] * inner
+        assert _dots(f, rows, cols) == _dense_dots(f, rows, cols)
+
+
+@pytest.mark.parametrize("name", ["F3", "F5", "F9", "F243", "Q"])
+def test_echelon_extend_keeps_the_span_and_zeroes_dependent_rows(name):
+    """Outside characteristic 2, where a - f*b and a + f*b differ: pushing
+    rows one at a time keeps the rank and span of the whole elimination,
+    and every row it rejects is reduced to zero, with a tag that records
+    a dependency among the rows."""
+    f = parse_field(name)
+    rng = random.Random(name)
+    draw = (lambda: rng.randrange(f.q)) if f.is_finite else (lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    for _ in range(30):
+        width, k = rng.randint(2, 6), rng.randint(1, 4)
+        gens = [[draw() for _ in range(width)] for _ in range(k)]
+        rows = gens + [[draw() for _ in range(width)] for _ in range(rng.randint(0, 2))]
+        for _ in range(3):  # rows dependent on the generators
+            coeffs = [draw() for _ in gens]
+            rows.append(_combine(f, coeffs, gens))
+        basis, pivots = [], []
+        for i, r in enumerate(rows):
+            tag = [f.one_raw if j == i else f.zero_raw for j in range(len(rows))]
+            vec = list(r) + tag
+            if not _echelon_extend(f, basis, pivots, vec, width):
+                assert all(x == f.zero_raw for x in vec[:width])
+                combo = vec[width:]  # sum_j combo[j] rows[j] = 0
+                assert _combine(f, combo, rows) == [f.zero_raw] * width
+        assert len(basis) == len(_rref_raw(f, [list(r) for r in rows])[1])
+        assert span_raw([b[:width] for b in basis], width, f) == span_raw([list(r) for r in rows], width, f)
+
+
+def _combine(f, coeffs, rows):
+    out = [f.zero_raw] * len(rows[0])
+    for c, r in zip(coeffs, rows):
+        out = [f.add(x, f.mul(c, y)) for x, y in zip(out, r)]
+    return out

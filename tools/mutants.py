@@ -58,6 +58,13 @@ CATALOGUE = (
     Mutant("rref-q-int-zero-rows", "linalg.py", "_rref_q",
            (("rows[i] = [_QZERO] * len(work[i])", "rows[i] = [0] * len(work[i])"),),
            "tests/test_rational_core.py", "rows past the rank left as int 0"),
+    # the fused multiply-add kernels
+    Mutant("dots-column-last-nonzero-dropped", "linalg.py", "_dots",
+           (("if y != zero] for bc in cols]", "if y != zero][:-1] for bc in cols]"),),
+           "tests/test_linalg.py", "each column's last nonzero entry is left out of its dot products"),
+    Mutant("echelon-extend-factor-not-negated", "linalg.py", "_echelon_extend",
+           (("c = neg(c)", "pass"),),
+           "tests/test_linalg.py", "the row update adds f*b where it subtracts it (the same in characteristic 2)"),
     # the batched last depth of the subset search
     Mutant("leaves-last-column-skipped", "linalg.py", "_dependent_leaves",
            (("for j in range(width):", "for j in range(width - 1):"),),
