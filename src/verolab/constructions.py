@@ -197,13 +197,12 @@ def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGE
     """Members are the degree-d multiples of each prime power in I_k."""
     if not 1 <= k <= d or n < 2:
         raise BadParams(f"dual_arc_ik needs 1 <= k <= d and n >= 2, got (n, d, k) = ({n}, {d}, {k})")
+    ik = enumerate_ik(n, k, f, budget)
+    # sizes() forms no power of q, so exponent 1 leaves the shortcut out
+    _check_build_budget(f, "dual_arc_ik", 1, lambda: (len(ik), num_monomials(n, d - k), num_monomials(n, d)))
     a_dmk = component_space(f, n, d - k)
     dim_k = num_monomials(n, k)
-    members = []
-    for y in enumerate_ik(n, k, f, budget):
-        y_space = span_raw([list(y.raw)], dim_k, f)
-        members.append(product_space(a_dmk, d - k, y_space, k, n))
-    return SubspaceFamily(members)
+    return SubspaceFamily([product_space(a_dmk, d - k, span_raw([list(y.raw)], dim_k, f), k, n) for y in ik])
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ builds log/antilog tables on a primitive element at construction (Lidl &
 Niederreiter, Finite Fields, 9.3); they take O(q) space, so q <= 2^16.
 Above q = 64 the raw operations are lookups in them: mul, inv, div and
 neg always (mul is exp[log[a] + log[b]], or a * b % p for primes), add
-and sub for odd-p extensions (Zech logarithms), while add is XOR for
+for odd-p extensions (Zech logarithms), while add is XOR for
 p = 2 and mod p for primes.  Up to q = 64 their values fill full q x q
 tables, so every binary op is a single 2-D lookup.
 
@@ -155,7 +155,7 @@ def _smallest_irreducible(k: FieldSpec, m: int) -> list:
 class FieldSpec:
     """A field: GF(p^m) for prime p and m >= 1, or the rationals.
 
-    Raw operation attributes (add, sub, mul, neg, inv, div, and the
+    Raw operation attributes (add, mul, neg, inv, div, and the
     fused fma(a, b, c) = a + b*c) act on the internal representation:
     int indices for finite fields, Fraction for Q.  They are installed
     at construction and excluded from equality.  fma is a 2-D table
@@ -230,7 +230,7 @@ class FieldSpec:
                 raise DivisionByZero("division by 0")
             return a / b
 
-        self._set_ops(add=operator.add, sub=operator.sub, mul=operator.mul, neg=operator.neg,
+        self._set_ops(add=operator.add, mul=operator.mul, neg=operator.neg,
                       fma=lambda a, b, c: a + b * c, inv=inv, div=div,
                       zero_raw=Fraction(0), one_raw=Fraction(1))
 
@@ -336,12 +336,12 @@ class FieldSpec:
         self._set_ops(mul=lambda a, b: exp[log[a] + log[b]], inv=inv, div=div,
                       neg=lambda a: exp[log[a] + half])
         if p == 2:
-            self._set_ops(add=operator.xor, sub=operator.xor, neg=lambda a: a,
+            self._set_ops(add=operator.xor, neg=lambda a: a,
                           fma=lambda a, b, c: a ^ exp[log[b] + log[c]])
             return
         if m == 1:  # a * b % p is twice as fast as the lookup
-            self._set_ops(add=lambda a, b: (a + b) % p, sub=lambda a, b: (a - b) % p,
-                          mul=lambda a, b: a * b % p, fma=lambda a, b, c: (a + b * c) % p)
+            self._set_ops(add=lambda a, b: (a + b) % p, mul=lambda a, b: a * b % p,
+                          fma=lambda a, b, c: (a + b * c) % p)
             return
         # Zech logarithms: 1 + g^k = g^zech[k], or 0 when zech[k] = 2n.
         # a + b = g^la (1 + g^(lb - la)) and -b = g^(lb + half); zech
@@ -358,12 +358,6 @@ class FieldSpec:
             la = log[a]
             return exp[la + zech[log[b] - la + n]]
 
-        def sub(a: int, b: int) -> int:
-            if not a or not b:
-                return a or exp[log[b] + half]
-            la = log[a]
-            return exp[la + zech[log[b] + half - la + n]]
-
         def fma(a: int, b: int, c: int) -> int:  # add(a, mul(b, c)) in one call
             lbc = log[b] + log[c]  # 2n or more when b*c = 0
             if not a:
@@ -373,7 +367,7 @@ class FieldSpec:
             la = log[a]
             return exp[la + zech[lbc - la + n]]
 
-        self._set_ops(add=add, sub=sub, fma=fma)
+        self._set_ops(add=add, fma=fma)
 
     def _install_table_ops(self) -> None:
         """Replace the log-table ops by full tables of their values."""
@@ -389,9 +383,8 @@ class FieldSpec:
                 raise DivisionByZero("inverse of 0")
             return r
 
-        self._set_ops(add=lambda a, b: add_t[a][b], sub=lambda a, b: add_t[a][neg_t[b]],
-                      mul=lambda a, b: mul_t[a][b], neg=lambda a: neg_t[a], inv=inv,
-                      div=lambda a, b: mul_t[a][inv(b)], fma=lambda a, b, c: add_t[a][mul_t[b][c]])
+        self._set_ops(add=lambda a, b: add_t[a][b], mul=lambda a, b: mul_t[a][b], neg=lambda a: neg_t[a],
+                      inv=inv, div=lambda a, b: mul_t[a][inv(b)], fma=lambda a, b, c: add_t[a][mul_t[b][c]])
 
     # -- Scalar constructors ---------------------------------------------
 
@@ -432,7 +425,7 @@ class Scalar:
 
     def __sub__(self, other: Scalar) -> Scalar:
         self._check(other)
-        return Scalar(self.f, self.f.sub(self.v, other.v))
+        return Scalar(self.f, self.f.add(self.v, self.f.neg(other.v)))
 
     def __mul__(self, other: Scalar) -> Scalar:
         self._check(other)

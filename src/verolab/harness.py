@@ -74,7 +74,6 @@ from .polyalgebra import (
 )
 from .veronese import (
     _equivariance_holds,
-    all_invertible_matrices,
     random_invertible_matrix,
     rho_d,
     veronese_point,
@@ -198,12 +197,13 @@ def _falling_vanishes(f: FieldSpec, d: int, r: int) -> bool:
 
 
 def _powerpoint_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
-    """The distinct points <t^d> of the degree-d component, in the order
-    of the points t of PG(n-1, q) that first give them."""
+    """The points <(t . x)^d> of the degree-d component, one per point t
+    of PG(n-1, q), in that order.  They are distinct: K[x] is a UFD, so
+    (t . x)^d and (s . x)^d are proportional only when t . x and s . x
+    are, and SubspaceFamily's DuplicateMember stays the guard."""
     big_n = num_monomials(n, d)
-    points = (span_raw([list(linear_form_power(HomogPoly.linear_form(t), d).raw)], big_n, f)
-              for t in projective_points(f, n))
-    return SubspaceFamily(list(dict.fromkeys(points)))
+    return SubspaceFamily(span_raw([list(linear_form_power(HomogPoly.linear_form(t), d).raw)], big_n, f)
+                          for t in projective_points(f, n))
 
 
 def _profile_verdict(fam: SubspaceFamily, rep, ok: bool):
@@ -317,49 +317,48 @@ def _elementary_matrices(f: FieldSpec, n: int) -> list[Matrix]:
     ]
 
 
-def _rho_functoriality_witness(mats, rhos, gens):
-    """None when rho(a * b) == rho(a) * rho(b) for all a, b in mats, else a
-    witness; rhos maps each map to its rho, with rho(identity) checked.
-    Tests g * b for g in gens only, then walks the edges b -> g * b from
-    the identity: the induction in the veronese module docstring needs the
-    walk to reach every map, so a shorter walk is a failure."""
-    edges = {}
-    for g in gens:
-        rg = rhos[g]
-        for b in mats:
-            gb = g * b
-            if rhos[gb] != rg * rhos[b]:
-                return {"functoriality": True}
-            edges.setdefault(b, []).append(gb)
-    start = Matrix.identity(mats[0].field, mats[0].rows)
-    reached, stack = {start}, [start]
+def _rho_walk(rhos: dict, gens: list[Matrix], d: int):
+    """Walk from the identity along the edges b -> g * b, g in gens, and
+    test rho(g * b) == rho(g) * rho(b) on each.  rhos holds rho_d of the
+    identity and of each generator and gains rho_d of every other map
+    reached, each built once.  None when every edge holds and the walk
+    reaches all |GL(n, q)| maps (see the veronese module docstring), else
+    a witness."""
+    stack = list(rhos)
+    q, n = stack[0].field.q, stack[0].rows
     while stack:
-        for nxt in edges.get(stack.pop(), ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    if len(reached) != len(mats):
-        return {"functoriality": "incomplete", "reached": len(reached), "maps": len(mats)}
+        b = stack.pop()
+        rb = rhos[b]
+        for g in gens:
+            gb = g * b
+            if gb not in rhos:
+                rhos[gb] = rho_d(gb, d)
+                stack.append(gb)
+            if rhos[gb] != rhos[g] * rb:
+                return {"functoriality": True}
+    order = math.prod(q ** n - q ** i for i in range(n))
+    if len(rhos) != order:
+        return {"functoriality": "incomplete", "reached": len(rhos), "maps": order}
     return None
 
 
 def _check_rho(params, seed, budget):
     f, n, d, trials = _field(params), params["n"], params["d"], params["trials"]
     big_n = num_monomials(n, d)
-    if rho_d(Matrix.identity(f, n), d) != Matrix.identity(f, big_n):
+    one = Matrix.identity(f, n)
+    rho_one = rho_d(one, d)
+    if rho_one != Matrix.identity(f, big_n):
         return "exhaustive", True, False, {"identity": False}, {}
     if trials is None and f.is_finite and f.q ** (n * n) <= 10 ** 5:
-        mats = list(all_invertible_matrices(f, n))
-        rhos = {m: rho_d(m, d) for m in mats}
-        if any(rank(r) != big_n for r in rhos.values()):
-            return "exhaustive", True, False, {"singular_rho": True}, {}
+        gens = _elementary_matrices(f, n)
+        rhos = {one: rho_one} | {g: rho_d(g, d) for g in gens}
         vectors = enumerate_vectors(full_subspace(f, n))
-        if not all(_equivariance_holds(m, rhos[m], vectors, d) for m in mats):
+        if not all(_equivariance_holds(g, rhos[g], vectors, d) for g in gens):
             return "exhaustive", True, False, {"equivariance": True}, {}
-        wit = _rho_functoriality_witness(mats, rhos, _elementary_matrices(f, n))
+        wit = _rho_walk(rhos, gens, d)
         if wit is not None:
             return "exhaustive", True, False, wit, {}
-        return "exhaustive", True, True, None, {"maps": len(mats)}
+        return "exhaustive", True, True, None, {"maps": len(rhos)}
 
     def trial(rng, i):
         a = random_invertible_matrix(rng, f, n)

@@ -14,24 +14,33 @@ Both identities below are plain matrix algebra, exercised by the harness:
     rho_d(T * S) == rho_d(T) * rho_d(S)
     veronese_vector(T.apply(t), d) == rho_d(T).apply(veronese_vector(t, d))
 
-Over GF(q) the harness proves the first for all of GL(n, q) without
-multiplying every pair: it tests rho_d(G * S) == rho_d(G) * rho_d(S) for
-each elementary matrix G (transvections and diag(mu, 1, ..., 1)) and
-every S, and walks the edges S -> G * S from the identity.  When the walk
-reaches every map, each T is a word G_k ... G_1, and induction on k gives
-the identity for every pair (T, S); a walk that falls short fails.
+Over GF(q) the harness proves both, and that every rho_d(T) is
+invertible, for all of GL(n, q) from the elementary matrices G
+(transvections and diag(mu, 1, ..., 1); E. Artin, Geometric Algebra,
+1957, ch. IV).  One walk from the identity follows the edges S -> G * S,
+builds rho_d of each map once and tests rho_d(G * S) == rho_d(G) *
+rho_d(S) on every edge; equivariance is tested for each G over every t.
+Products of invertible generators are invertible, so the walk is
+complete exactly when it reaches |GL(n, q)| = prod_{i<n} (q^n - q^i)
+maps, and a shorter walk fails.  Then each T is a word G_k ... G_1, and
+induction on k, with T' = G_(k-1) ... G_1 and rho_d(I) == I checked,
+gives, for every T, S and t,
+
+    rho_d(T * S) == rho_d(G_k) * rho_d(T' * S) == rho_d(G_k) * rho_d(T') * rho_d(S) == rho_d(T) * rho_d(S)
+    v_d(T t) == rho_d(G_k) v_d(T' t) == rho_d(G_k) rho_d(T') v_d(t) == rho_d(T) v_d(t)
+
+so rho_d(T) * rho_d(T^-1) == rho_d(I) == I.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import warnings
 from fractions import Fraction
 
-from .errors import BudgetExceeded, SingularT
+from .errors import SingularT
 from .field import FieldSpec
-from .linalg import ENUM_BUDGET, Matrix, Subspace, Vector, projective_vectors, rank
+from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
 from .linalg import span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, eval_monomial, num_monomials
 from .polyalgebra import sym_power
@@ -88,18 +97,6 @@ def rho_d(t_mat: Matrix, d: int) -> Matrix:
     if t_mat.cols != t_mat.rows:
         raise SingularT("square matrix required")
     return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw, d, t_mat.field))
-
-
-def all_invertible_matrices(f: FieldSpec, n: int):
-    """Every invertible n x n matrix over a finite field, in a fixed order."""
-    q = f.q
-    if q ** (n * n) > ENUM_BUDGET:
-        raise BudgetExceeded(f"{q}^{n * n} {n} x {n} matrices over {f.name} exceed budget {ENUM_BUDGET}")
-    for combo in itertools.product(range(q), repeat=n * n):
-        rows = [list(combo[i * n: (i + 1) * n]) for i in range(n)]
-        m = Matrix.from_raw_rows(f, rows, n)
-        if rank(m) == n:
-            yield m
 
 
 def random_invertible_matrix(rng: random.Random, f: FieldSpec, n: int) -> Matrix:

@@ -240,14 +240,14 @@ def test_ops_match_digit_polynomials_on_all_pairs(q):
     assert all(mul_t[a][inv_t[a]] == 1 for a in els[1:])
     for a in els:
         assert [f.add(a, b) for b in els] == [ref.add(a, b) for b in els], a
-        assert [f.sub(a, b) for b in els] == [ref.sub(a, b) for b in els], a
+        assert [(Scalar(f, a) - Scalar(f, b)).v for b in els] == [ref.sub(a, b) for b in els], a
         assert [f.mul(a, b) for b in els] == mul_t[a], a
         assert [f.div(a, b) for b in els[1:]] == [mul_t[a][inv_t[b]] for b in els[1:]], a
     assert [f.neg(a) for a in els] == [ref.neg(a) for a in els]
     assert [f.inv(a) for a in els[1:]] == inv_t[1:]
 
 
-@pytest.mark.parametrize("name", ["F2187", "F4096", "F59049", "F65521", "F65536"])
+@pytest.mark.parametrize("name", ["F257", "F2187", "F4096", "F59049", "F65521", "F65536"])
 def test_ops_match_digit_polynomials_on_samples(name):
     f = parse_field(name)
     ref = DigitPolyField(f)
@@ -257,13 +257,22 @@ def test_ops_match_digit_polynomials_on_samples(name):
     for a, b in pairs:
         for x, y in ((a, b), (b, a)):
             assert f.add(x, y) == ref.add(x, y), (x, y)
-            assert f.sub(x, y) == ref.sub(x, y), (x, y)
+            assert (Scalar(f, x) - Scalar(f, y)).v == ref.sub(x, y), (x, y)
             assert f.mul(x, y) == ref.mul(x, y), (x, y)
         inv_b = ref.inv(b)
         assert ref.mul(b, inv_b) == 1
         assert f.inv(b) == inv_b
         assert f.div(a, b) == ref.mul(a, inv_b)
         assert f.neg(a) == ref.neg(a)
+
+
+def test_scalar_sub_over_q_matches_fractions():
+    q = rationals()
+    rng = random.Random("verolab:Q")
+    for _ in range(300):
+        a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(2))
+        assert (Scalar(q, a) - Scalar(q, b)).v == a - b, (a, b)
+        assert (Scalar(q, a) - Scalar(q, a)).v == 0
 
 
 @pytest.mark.parametrize("name", ["F2", "F9", "F64", "F128", "F243", "F257", "F65536"])

@@ -332,6 +332,9 @@ def test_cli_stops_unbounded_work_at_its_budget(argv):
     # these listed every coordinate first: ITERATE passed in about 10 s, SIGMA ran out of memory
     ("check", "ITERATE", "--field", "F2", "--n", "4", "--d", "4", "--e", "4"),  # 2^4 x N(35, 4) = 1,181,040
     ("check", "SIGMA", "--field", "F5", "--n", "30", "--d", "10", "--trials", "1"),  # N(30, 10) = 635,745,396
+    # these built every member first: the check exited 2 after 7.4 s, the construction printed them in 14.6 s
+    ("check", "T6_IK", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),  # 25,533 members of 10 x 28
+    ("construct", "dual-arc-ik", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),
 ])
 def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
     out = _cli(*argv, timeout=5)

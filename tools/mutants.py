@@ -78,13 +78,16 @@ CATALOGUE = (
     Mutant("leaves-single-row-condition-dropped", "linalg.py", "_leaf_columns",
            (("if any(len(r) != 1 for r in rows):", "if any(len(r) < 1 for r in rows):"),),
            "tests/test_search_kernel.py", "items with several rows are batched on their first row"),
-    # the RHO generator walk
+    # the RHO proof from the generators
     Mutant("rho-diagonal-generator-dropped", "harness.py", "_elementary_matrices",
            (("if mu != f.one_raw", "if mu not in (f.one_raw, nonzero[-1])"),),
            "tests/test_rho_proof.py", "the last diagonal generator is left out"),
-    Mutant("rho-short-walk-accepted", "harness.py", "_rho_functoriality_witness",
-           (("if len(reached) != len(mats):", "if not reached:"),),
+    Mutant("rho-short-walk-accepted", "harness.py", "_rho_walk",
+           (("if len(rhos) != order:", "if len(rhos) > order:"),),
            "tests/test_rho_proof.py", "a walk that stops short of |GL(n, q)| passes"),
+    Mutant("rho-equivariance-sweep-skipped", "harness.py", "_check_rho",
+           (("if not all(_equivariance_holds(g, rhos[g], vectors, d) for g in gens):", "if False:"),),
+           "tests/test_rho_proof.py", "equivariance is not tested, so a functorial rho that is not equivariant passes"),
     # regularity on the members' annihilators
     Mutant("containment-row-skipped", "linalg.py", "contained_in",
            (("prod[k:k + a.dim]", "prod[k:k + a.dim - 1]"),),
