@@ -25,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import BadParams, BudgetExceeded, OddQForHyperoval
+from .errors import BadParams, OddQForHyperoval
 from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
 from .independence import SubspaceFamily, is_r_independent
 from .linalg import (
@@ -33,6 +33,7 @@ from .linalg import (
     SUBSET_BUDGET,
     Subspace,
     _echelon_extend,
+    check_budget,
     contained_in,
     meet_walk,
     projective_points,
@@ -47,27 +48,6 @@ from .veronese import veronese_point
 
 
 # ----------------------------------------------------------------------
-# build budget
-# ----------------------------------------------------------------------
-
-def _check_build_budget(f: FieldSpec, what: str, exponent: int, sizes) -> None:
-    """Raise BudgetExceeded before a family over f is built when its
-    members times the rows times the width of a member's basis, sizes()
-    = (members, rows, width), exceed ENUM_BUDGET.  Each family here has
-    at least 2^(exponent - 1) members of at least exponent^2 entries, so
-    an exponent at the budget's bit length raises without forming
-    q^exponent.  Over Q (q = 0) sizes() counts one member, and the build
-    itself refuses the field."""
-    if exponent >= ENUM_BUDGET.bit_length():
-        raise BudgetExceeded(f"{what} over {f.name}: at least 2^{exponent - 1} members of at least "
-                             f"{exponent}^2 entries exceed budget {ENUM_BUDGET}")
-    members, rows, width = sizes()
-    if members * rows * width > ENUM_BUDGET:
-        raise BudgetExceeded(f"{what} over {f.name}: {members} members of {rows} x {width} entries, "
-                             f"{members * rows * width} in all, exceed budget {ENUM_BUDGET}")
-
-
-# ----------------------------------------------------------------------
 # extension-field model for Desarguesian spreads
 # ----------------------------------------------------------------------
 
@@ -78,7 +58,9 @@ def desarguesian_spread(f: FieldSpec, k: int) -> SubspaceFamily:
     if k < 1:
         raise BadParams(f"desarguesian_spread needs k >= 1, got k = {k}")
     q = f.q
-    _check_build_budget(f, "desarguesian_spread", k, lambda: (q ** k + 1, k, 2 * k))
+    # q^k is bounded before the count of basis entries forms it
+    check_budget(f"scalars of the degree-{k} extension of {f.name}", 1, ENUM_BUDGET, q, k)
+    check_budget(f"basis entries of desarguesian_spread over {f.name}", (q ** k + 1) * k * 2 * k, ENUM_BUDGET)
     g = _smallest_irreducible(f, k)
     ambient = 2 * k
     zero = f.zero_raw
@@ -160,8 +142,10 @@ def dual_arc_ad(n: int, d: int, f: FieldSpec) -> SubspaceFamily:
     all degree-d multiples of y."""
     if d < 2 or n < 2:
         raise BadParams(f"dual_arc_ad needs d >= 2 and n >= 2, got (n, d) = ({n}, {d})")
-    _check_build_budget(f, "dual_arc_ad", n, lambda: (
-        (f.q ** n - 1) // (f.q - 1), num_monomials(n, d - 1), num_monomials(n, d)))
+    # q^n is bounded before the count forms it; over Q (q = 0) the count has one member
+    check_budget(f"vectors of a {n}-space over {f.name}", 1, ENUM_BUDGET, f.q, n)
+    check_budget(f"basis entries of dual_arc_ad over {f.name}",
+                 (f.q ** n - 1) // (f.q - 1) * num_monomials(n, d - 1) * num_monomials(n, d), ENUM_BUDGET)
     a_dm1 = component_space(f, n, d - 1)
     return SubspaceFamily([product_space(a_dm1, d - 1, span([y], n, f), 1, n) for y in projective_points(f, n)])
 
@@ -177,16 +161,14 @@ def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> l
     order, so a product of normalized forms is normalized.  The product
     count is checked against the budget before any product is formed."""
     dim = num_monomials(n, k)
-    if f.q ** dim > budget:  # N(n, j) does not fall as j grows, so this bounds every j <= k
-        raise BudgetExceeded(f"{f.q}^{dim} degree-{k} candidates exceed budget")
+    # N(n, j) does not fall as j grows, so this bounds every j <= k
+    check_budget(f"degree-{k} candidates over {f.name}", 1, budget, f.q, dim)
     forms = {j: [HomogPoly(f, n, j, p) for p in projective_points(f, num_monomials(n, j))]
              for j in range(1, k + 1)}
     irr: dict[int, list[HomogPoly]] = {}
     for j in range(1, k + 1):
         factors = range(1, j // 2 + 1)
-        count = sum(len(irr[i]) * len(forms[j - i]) for i in factors)
-        if count > budget:
-            raise BudgetExceeded(f"{count} degree-{j} products exceed budget {budget}")
+        check_budget(f"degree-{j} products", sum(len(irr[i]) * len(forms[j - i]) for i in factors), budget)
         reducible = {poly_mul(a, b).raw for i in factors for a in irr[i] for b in forms[j - i]}
         irr[j] = [g for g in forms[j] if g.raw not in reducible]
     powers = {poly_pow(h, k // j).raw for j in irr if k % j == 0 for h in irr[j]}
@@ -198,8 +180,8 @@ def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGE
     if not 1 <= k <= d or n < 2:
         raise BadParams(f"dual_arc_ik needs 1 <= k <= d and n >= 2, got (n, d, k) = ({n}, {d}, {k})")
     ik = enumerate_ik(n, k, f, budget)
-    # sizes() forms no power of q, so exponent 1 leaves the shortcut out
-    _check_build_budget(f, "dual_arc_ik", 1, lambda: (len(ik), num_monomials(n, d - k), num_monomials(n, d)))
+    check_budget(f"basis entries of dual_arc_ik over {f.name}",
+                 len(ik) * num_monomials(n, d - k) * num_monomials(n, d), ENUM_BUDGET)
     a_dmk = component_space(f, n, d - k)
     dim_k = num_monomials(n, k)
     return SubspaceFamily([product_space(a_dmk, d - k, span_raw([list(y.raw)], dim_k, f), k, n) for y in ik])
@@ -249,9 +231,8 @@ def gda_profile(
     subsets that extend a zero meet are counted, not visited."""
     members = fam.members
     n_mem = len(members)
-    total = sum(math.comb(n_mem, j) for j in range(1, j_max + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    check_budget(f"subsets of at most {j_max} of {n_mem} members",
+                 sum(math.comb(n_mem, j) for j in range(1, j_max + 1)), budget)
     levels = [Counter() for _ in range(j_max)]
     for prefix, i, stack in meet_walk(fam.annihilators(), j_max):
         size = len(prefix) + 1
@@ -309,8 +290,7 @@ def intersection_lattice(
     found: dict[Subspace, tuple[int, ...]] = {}
     ranks: list[int] = []  # the stack length at each prefix of the index set
     for explored, (prefix, i, stack) in enumerate(meet_walk(fam.annihilators(), len(fam)), 1):
-        if explored > budget:
-            raise BudgetExceeded(f"intersection lattice exceeds budget {budget}")
+        check_budget("index sets walked for the intersection lattice", explored, budget)
         size = len(prefix) + 1
         del ranks[size - 1:]
         ranks.append(len(stack))
@@ -385,7 +365,9 @@ def wedge_family(f: FieldSpec, m: int) -> SubspaceFamily:
     if m < 3:
         raise BadParams(f"wedge_family needs m >= 3, got {m}")
     w = WedgeSpace(m)
-    _check_build_budget(f, "wedge_family", m, lambda: ((f.q ** m - 1) // (f.q - 1), m, w.dim))
+    check_budget(f"vectors of a {m}-space over {f.name}", 1, ENUM_BUDGET, f.q, m)
+    check_budget(f"basis entries of wedge_family over {f.name}", (f.q ** m - 1) // (f.q - 1) * m * w.dim,
+                 ENUM_BUDGET)
     basis = [tuple(f.one() if k == i else f.zero() for k in range(m)) for i in range(m)]
     return SubspaceFamily([span([w.wedge(e, v) for e in basis], w.dim, f) for v in projective_points(f, m)])
 

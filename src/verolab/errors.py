@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised by the library is a subclass of VerolabError, so callers
-can catch one base type.  Names mirror the failure they signal; no error
-carries structured payload beyond its message.
+can catch one base type.  Names mirror the failure they signal.  Only
+BudgetExceeded carries a payload: the quantity it refused, the needed and
+the allowed counts, from which it writes its own message.  It is raised
+by linalg.check_budget, the one budget gate, and nowhere else.
 """
 
 
@@ -35,7 +37,11 @@ class AmbientMismatch(VerolabError, ValueError):
 
 
 class BudgetExceeded(VerolabError, RuntimeError):
-    """An enumeration or subset search would exceed its budget."""
+    """A count past its budget: needed of quantity against allowed (see linalg.check_budget)."""
+
+    def __init__(self, quantity: str, needed: int | str, allowed: int) -> None:
+        super().__init__(f"{needed} {quantity} exceed budget {allowed}")
+        self.quantity, self.needed, self.allowed = quantity, needed, allowed
 
 
 class BadCharacteristic(VerolabError, ValueError):

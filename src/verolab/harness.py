@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
+from .errors import BadCharacteristic, BadParams, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
 from .independence import SubspaceFamily, is_r_independent, max_independence
 from .linalg import (
@@ -47,10 +47,12 @@ from .linalg import (
     Matrix,
     Subspace,
     _rref_raw,
+    check_budget,
     contained_in,
     enumerate_vectors,
     full_subspace,
     meet_walk,
+    over_budget,
     projective_points,
     projective_vectors,
     rank,
@@ -166,6 +168,7 @@ def _random_vector(rng: random.Random, f: FieldSpec, m: int):
 
 
 def _random_subspace(rng: random.Random, f: FieldSpec, m: int, dim: int) -> Subspace:
+    check_budget(f"entries of {dim} random vectors of length {m}", dim * m, ENUM_BUDGET)
     while True:
         s = span([_random_vector(rng, f, m) for _ in range(dim)], m, f)
         if s.dim == dim:
@@ -173,11 +176,11 @@ def _random_subspace(rng: random.Random, f: FieldSpec, m: int, dim: int) -> Subs
 
 
 def _random_subspace_disjoint(rng, f, m, dim, avoid: Subspace) -> Subspace:
-    for _ in range(1000):
+    for draws in itertools.count(1):
+        check_budget("draws of a subspace disjoint from another", draws, 1000)
         s = _random_subspace(rng, f, m, dim)
         if subspace_intersect(s, avoid).is_zero():
             return s
-    raise BudgetExceeded("could not sample a disjoint subspace")
 
 
 def _unit_rows(f: FieldSpec, n: int, idxs) -> list[tuple]:
@@ -349,7 +352,7 @@ def _check_rho(params, seed, budget):
     rho_one = rho_d(one, d)
     if rho_one != Matrix.identity(f, big_n):
         return "exhaustive", True, False, {"identity": False}, {}
-    if trials is None and f.is_finite and f.q ** (n * n) <= 10 ** 5:
+    if trials is None and f.is_finite and over_budget(1, 10 ** 5, f.q, n * n) is None:
         gens = _elementary_matrices(f, n)
         rhos = {one: rho_one} | {g: rho_d(g, d) for g in gens}
         vectors = enumerate_vectors(full_subspace(f, n))
@@ -375,10 +378,8 @@ def _check_rho(params, seed, budget):
 
 def _check_iterate(params, seed, budget):
     f, n, d, e = _field(params), params["n"], params["d"], params["e"]
-    coords = num_monomials(num_monomials(n, d), e)
-    if f.q ** n * coords > ENUM_BUDGET:
-        raise BudgetExceeded(f"ITERATE over {f.name}: {f.q}^{n} vectors of {coords} degree-{e} coordinates "
-                             f"exceed budget {ENUM_BUDGET}")
+    check_budget(f"degree-{e} coordinates of the vectors of {f.name}^{n}", num_monomials(num_monomials(n, d), e),
+                 ENUM_BUDGET, f.q, n)
     idx_ed = _index_map(n, d * e)
     by_var = list(zip(*enumerate_exponents(n, d)))  # each variable's exponent in each coordinate
     # each degree-e exponent over the N coordinates folds to a degree-de one
@@ -423,11 +424,8 @@ def _check_t1_3(params, seed, budget):
         raise BadParams(f"T1_3 over Q samples d + 1 = {d + 1} of the {lines} lines of K^{n} it can draw")
     big_n = num_monomials(n, d)
     # Gauss-Jordan: d + 1 pivots, each updating up to d + 1 rows of big_n integers
-    cells = (d + 1) ** 2 * big_n
-    if cells > ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"T1_3 over Q: reducing {d + 1} powers of {big_n} coefficients takes {cells} cell updates "
-            f"per trial, over budget {ENUM_BUDGET}")
+    check_budget(f"cell updates per trial to reduce {d + 1} powers of {big_n} coefficients", (d + 1) ** 2 * big_n,
+                 ENUM_BUDGET)
 
     def trial(rng, i):
         forms = set()
@@ -569,9 +567,8 @@ def _check_t6_1(params, seed, budget):
 def _check_eq_gda(params, seed, budget):
     f, n, d = _field(params), params["n"], params["d"]
     fam = dual_arc_ad(n, d, f)
-    total = sum(math.comb(len(fam), j) for j in range(2, d + 1))
-    if total > budget:
-        raise BudgetExceeded(f"EQ_GDA: {total} subsets of {len(fam)} members exceed budget {budget}")
+    check_budget(f"subsets of 2 to {d} of {len(fam)} members",
+                 sum(math.comb(len(fam), j) for j in range(2, d + 1)), budget)
     forms = [HomogPoly.linear_form(t) for t in projective_points(f, n)]
     a_spaces = {j: component_space(f, n, d - j) for j in range(2, d + 1)}
     # the (size, lex)-first failing subset.  Product spaces are nonzero, so a zero

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import AmbientMismatch, BadParams, BudgetExceeded, DuplicateMember
+from .errors import AmbientMismatch, BadParams, DuplicateMember
 from .field import FieldSpec
-from .linalg import SUBSET_BUDGET, Subspace, annihilator, dependent_prefixes
+from .linalg import SUBSET_BUDGET, Subspace, annihilator, check_budget, dependent_prefixes
 
 
 class SubspaceFamily:
@@ -85,9 +85,7 @@ def is_r_independent(
     n = len(fam)
     if not 2 <= r <= n:
         raise BadParams(f"r={r} outside [2, {n}]")
-    count = math.comb(n, r)
-    if count > budget:
-        raise BudgetExceeded(f"C({n}, {r}) = {count} subsets exceed budget {budget}")
+    check_budget(f"{r}-subsets of {n} members", math.comb(n, r), budget)
     raw = [s.basis.raw for s in fam.members]
 
     def rows_of(i, depth):

@@ -44,6 +44,28 @@ from .field import FieldSpec, Scalar, parse_field, scalar_from_str
 ENUM_BUDGET = 10 ** 6  # cap on the vectors (or members) an enumeration may list
 SUBSET_BUDGET = 10 ** 7  # default cap on the subsets a search may visit
 
+
+def over_budget(count: int, allowed: int, base: int = 1, exponent: int = 1) -> int | str | None:
+    """count * base^exponent (count >= 1) when it exceeds allowed, else None.
+    A power past allowed is never formed: for base >= 2 and exponent >=
+    allowed.bit_length(), base^exponent >= 2^exponent > allowed, so the
+    exponent alone decides, and the count comes back as the text
+    "count x base^exponent" (without "1 x ")."""
+    if base > 1 and exponent >= allowed.bit_length():
+        return f"{base}^{exponent}" if count == 1 else f"{count} x {base}^{exponent}"
+    needed = count * base ** exponent
+    return needed if needed > allowed else None
+
+
+def check_budget(quantity: str, count: int, allowed: int, base: int = 1, exponent: int = 1) -> None:
+    """The one budget gate: raise BudgetExceeded when count * base^exponent
+    quantity exceed allowed (see over_budget).  Each site calls it before
+    it builds what it counts."""
+    needed = over_budget(count, allowed, base, exponent)
+    if needed is not None:
+        raise BudgetExceeded(quantity, needed, allowed)
+
+
 Vector = tuple[Scalar, ...]
 
 
@@ -435,6 +457,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> Matrix:
+        check_budget(f"entries of the {n} x {n} identity", n * n, ENUM_BUDGET)
         z, o = field.zero_raw, field.one_raw
         return cls.from_raw_rows(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
@@ -678,8 +701,7 @@ def enumerate_vectors(a: Subspace) -> list[Vector]:
     f = a.field
     if not f.is_finite:
         raise InfiniteField("cannot enumerate vectors over Q")
-    if f.q ** a.dim > ENUM_BUDGET:
-        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {ENUM_BUDGET}")
+    check_budget(f"vectors of a {a.dim}-space over {f.name}", 1, ENUM_BUDGET, f.q, a.dim)
     return combine_basis(a, itertools.product(range(f.q), repeat=a.dim))
 
 
@@ -689,8 +711,7 @@ def projective_vectors(a: Subspace) -> list[Vector]:
     f = a.field
     if not f.is_finite:
         raise InfiniteField("cannot enumerate vectors over Q")
-    if a.dim and f.q ** a.dim > ENUM_BUDGET:
-        raise BudgetExceeded(f"{f.q}^{a.dim} vectors exceed budget {ENUM_BUDGET}")
+    check_budget(f"vectors of a {a.dim}-space over {f.name}", 1, ENUM_BUDGET, f.q, a.dim)
     return combine_basis(a, (
         (f.zero_raw,) * pivot + (f.one_raw,) + tail
         for pivot in range(a.dim - 1, -1, -1)

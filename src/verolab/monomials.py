@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import BadParams, BudgetExceeded
+from .errors import BadParams
 from .field import FieldSpec, Scalar, int_in_field
-from .linalg import ENUM_BUDGET
+from .linalg import ENUM_BUDGET, check_budget
 
 
 @functools.lru_cache(maxsize=None)
@@ -23,9 +23,7 @@ def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     when there are more than ENUM_BUDGET."""
     if n < 1 or d < 0:
         raise BadParams(f"need n >= 1 and d >= 0, got (n, d) = ({n}, {d})")
-    if num_monomials(n, d) > ENUM_BUDGET:
-        raise BudgetExceeded(f"C({n + d - 1}, {d}) = {num_monomials(n, d)} exponents in {n} variables "
-                             f"of degree {d} exceed budget {ENUM_BUDGET}")
+    check_budget(f"exponents in {n} variables of degree {d}", num_monomials(n, d), ENUM_BUDGET)
     if n == 1:
         return ((d,),)
     out = []

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadCharacteristic, BudgetExceeded, DegreeMismatch, FieldMismatch
+from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import ENUM_BUDGET, Matrix, Subspace, full_subspace, span_raw, subspace_intersect, zero_subspace
-from .linalg import _fraction, _int_rows
+from .linalg import ENUM_BUDGET, Matrix, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
+from .linalg import _fraction, _int_rows, zero_subspace
 from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
@@ -170,10 +170,8 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     if m == 0:
         return []
     n = len(rows[0])
-    cells = num_monomials(m, d) * num_monomials(n, d)
-    if cells > ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"Sym^{d} of {m} forms in {n} variables has {cells} entries, over budget {ENUM_BUDGET}")
+    check_budget(f"entries of Sym^{d} of {m} forms in {n} variables", num_monomials(m, d) * num_monomials(n, d),
+                 ENUM_BUDGET)
     fma, ints = field.fma, not field.is_finite
     if ints:
         rows, dens = _int_rows(rows)
@@ -247,11 +245,8 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
     fld = p.field
     if fld != q.field:
         raise FieldMismatch("product of subspaces over different fields")
-    cells = p.dim * q.dim * num_monomials(n, deg_p + deg_q)
-    if cells > ENUM_BUDGET:
-        raise BudgetExceeded(
-            f"products of a {p.dim}-space of degree {deg_p} and a {q.dim}-space of degree {deg_q} "
-            f"in {n} variables have {cells} entries, over budget {ENUM_BUDGET}")
+    check_budget(f"entries of the products of a {p.dim}-space of degree {deg_p} and a {q.dim}-space of degree "
+                 f"{deg_q} in {n} variables", p.dim * q.dim * num_monomials(n, deg_p + deg_q), ENUM_BUDGET)
     pp = subspace_polys(p, n, deg_p)
     qq = subspace_polys(q, n, deg_q)
     products = [list(poly_mul(a, b).raw) for a in pp for b in qq]

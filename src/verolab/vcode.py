@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BadParams, BudgetExceeded
+from .errors import BadParams
 from .field import FieldSpec
 from .linalg import (
     SUBSET_BUDGET,
@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     _dots,
     annihilator,
+    check_budget,
     dependent_prefixes,
     projective_points,
     span,
@@ -91,9 +92,8 @@ def minimal_supports(
     if w_max < 1:
         raise BadParams(f"w_max={w_max} must be >= 1")
     m_cols = cm.n_cols
-    total = sum(math.comb(m_cols, w) for w in range(1, w_max + 1))
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    check_budget(f"subsets of at most {w_max} of {m_cols} columns",
+                 sum(math.comb(m_cols, w) for w in range(1, w_max + 1)), budget)
     f = cm.field
     zero = f.zero_raw
     n_rows = cm.n_rows

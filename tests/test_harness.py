@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import resource
 import subprocess
 import sys
 from unittest import mock
@@ -124,8 +126,8 @@ def test_t1_3_over_q_draws_at_most_the_lines_it_can_reach():
 def test_t1_3_over_q_bounds_its_reduction():
     from verolab import BudgetExceeded
 
-    with pytest.raises(BudgetExceeded, match=r"61 powers of 1891 coefficients takes 7036411 cell updates"
-                                             r" per trial, over budget 1000000"):
+    with pytest.raises(BudgetExceeded, match=r"^7036411 cell updates per trial to reduce 61 powers of 1891"
+                                             r" coefficients exceed budget 1000000$"):
         run_check("T1_3", {"field": "Q", "n": 3, "d": 60, "trials": 1})
     res = run_check("T1_3", {"field": "Q", "n": 4, "d": 12, "trials": 1})  # 169 * 455 cells
     assert res.hypothesis_ok and res.conclusion_ok
@@ -220,12 +222,20 @@ def test_smoke_suite_passes_within_budget():
     assert elapsed <= 60
 
 
+ADDRESS_SPACE_CAP = 2 * 10 ** 9  # bytes; a command that builds what its budget should refuse fails fast
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
 def _cli(*argv, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "verolab.cli", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=_cap_address_space,
     )
 
 
@@ -335,12 +345,23 @@ def test_cli_stops_unbounded_work_at_its_budget(argv):
     # these built every member first: the check exited 2 after 7.4 s, the construction printed them in 14.6 s
     ("check", "T6_IK", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),  # 25,533 members of 10 x 28
     ("construct", "dual-arc-ik", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),
+    # these formed the power they were meant to bound, and ran past 20 s
+    ("check", "T6_IK", "--field", "F2", "--n", "200", "--d", "6", "--k", "6"),  # 2^C(205, 6) candidates
+    ("check", "ITERATE", "--field", "F2", "--n", "20000000000", "--d", "2", "--e", "2"),  # 2^n vectors
+    # these built an n x n identity first: three ended in a MemoryError after 13-17 s, P5_2 ran past 20 s
+    ("check", "T1_1", "--field", "F2", "--n", "20000", "--d", "2"),
+    ("check", "RHO", "--field", "F2", "--n", "20000", "--d", "1"),
+    ("check", "L6_4", "--field", "F2", "--n", "20000", "--k", "2", "--trials", "1"),
+    ("check", "P5_2", "--field", "F2", "--n", "3000", "--d", "2", "--trials", "1"),
+    # these drew a random dim x n matrix first, and ran past 20 s
+    ("check", "C5_3", "--field", "F2", "--n", "20000", "--d", "2", "--trials", "1"),
+    ("check", "L2_4", "--field", "F2", "--n", "3000", "--d", "2", "--trials", "1"),
 ])
 def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
     out = _cli(*argv, timeout=5)
-    assert out.returncode == 2
-    assert out.stdout == "" and out.stderr.startswith("error:") and "budget" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.returncode == 2 and out.stdout == ""
+    # one line: the needed count, the quantity, the allowed count
+    assert re.fullmatch(r"error: \d\S* .+ exceed budget \d+\n", out.stderr)
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +35,7 @@ from verolab import (
     zero_subspace,
 )
 from verolab.field import Scalar, scalar_from_str
-from verolab.linalg import _dots, _echelon_extend, _rref_raw, span_raw
+from verolab.linalg import _dots, _echelon_extend, _rref_raw, check_budget, over_budget, span_raw
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import HomogPoly
 
@@ -167,6 +171,44 @@ def test_enumerate_vectors():
     assert len(enumerate_vectors(full_subspace(F2, 2))) == 4
     with pytest.raises(BudgetExceeded):
         enumerate_vectors(full_subspace(F3, 20))  # 3^20 vectors
+
+
+def test_budget_gate_rejects_past_allowed_and_keeps_the_counts():
+    assert check_budget("subsets", 10, 10) is None
+    with pytest.raises(BudgetExceeded, match=r"^11 subsets exceed budget 10$") as exc:
+        check_budget("subsets", 11, 10)
+    assert (exc.value.quantity, exc.value.needed, exc.value.allowed) == ("subsets", 11, 10)
+    assert check_budget("vectors", 3, 3 * 2 ** 10, 2, 10) is None
+    with pytest.raises(BudgetExceeded, match=r"^3072 vectors exceed budget 3071$"):
+        check_budget("vectors", 3, 3 * 2 ** 10 - 1, 2, 10)
+
+
+def test_budget_gate_reports_an_unformed_power():
+    # 2^10 > 1023, and 10 is the bit length of 1023, so the exponent alone decides
+    with pytest.raises(BudgetExceeded) as exc:
+        check_budget("vectors", 1, 1023, 2, 10)
+    assert (exc.value.needed, str(exc.value)) == ("2^10", "2^10 vectors exceed budget 1023")
+    with pytest.raises(BudgetExceeded, match=r"^5 x 3\^40 entries exceed budget 1000000$"):
+        check_budget("entries", 5, 10 ** 6, 3, 40)
+
+
+def test_budget_comparison_matches_the_formed_product():
+    for count, allowed, base, exponent in itertools.product(range(1, 4), range(0, 130), range(0, 6), range(0, 9)):
+        needed, got = count * base ** exponent, over_budget(count, allowed, base, exponent)
+        assert (got is not None) == (needed > allowed)
+        assert got in (None, needed) or exponent >= allowed.bit_length()  # text only when not formed
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+
+def test_budget_gate_decides_a_huge_power_at_once():
+    # 2^(10^12) has 125 GB of digits; run capped, so a gate that forms it fails fast and alone
+    code = "from verolab.linalg import check_budget; check_budget('vectors', 1, 10 ** 6, 2, 10 ** 12)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+                         preexec_fn=_cap_address_space)
+    assert out.stderr.rstrip().endswith("BudgetExceeded: 2^1000000000000 vectors exceed budget 1000000")
 
 
 def test_projective_points_counts_and_normalization():

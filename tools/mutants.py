@@ -45,6 +45,13 @@ class Mutant:
 
 
 CATALOGUE = (
+    # the one budget gate
+    Mutant("budget-exponent-shortcut-dropped", "linalg.py", "over_budget",
+           (("if base > 1 and exponent >= allowed.bit_length():", "if False:"),),
+           "tests/test_linalg.py", "every power is formed, so a huge exponent hangs before it is refused"),
+    Mutant("budget-refused-at-allowed", "linalg.py", "over_budget",
+           (("return needed if needed > allowed else None", "return needed if needed >= allowed else None"),),
+           "tests/test_linalg.py", "a count equal to its budget is refused"),
     # _rref_int and the integer core over Q
     Mutant("rref-int-no-update-content", "linalg.py", "_rref_int",
            (("rows[i] = [x // g for x in tgt] if g > 1 else tgt", "rows[i] = tgt"),),
