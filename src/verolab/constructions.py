@@ -175,15 +175,32 @@ def enumerate_ik(n: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> l
     return [g for g in forms[k] if g.raw in powers]
 
 
+def _ik_count(n: int, k: int, q: int) -> int:
+    """|I_k| over GF(q), without listing it.  The normalized degree-j forms
+    number P_j = (q^N(n, j) - 1)/(q - 1), and unique factorization gives
+    sum_j P_j t^j = prod_j (1 - t^j)^(-I_j), I_j the irreducibles of
+    degree j.  Taking t d/dt log of both sides, b_j = sum over i | j of
+    i I_i satisfies j P_j = sum_{i <= j} b_i P_(j-i).  |I_k| is the sum of
+    I_j over j | k."""
+    p = [1] + [(q ** num_monomials(n, j) - 1) // (q - 1) for j in range(1, k + 1)]
+    b, irr = [0] * (k + 1), [0] * (k + 1)
+    for j in range(1, k + 1):
+        b[j] = j * p[j] - sum(b[i] * p[j - i] for i in range(1, j))
+        irr[j] = (b[j] - sum(i * irr[i] for i in range(1, j) if j % i == 0)) // j
+    return sum(irr[j] for j in range(1, k + 1) if k % j == 0)
+
+
 def dual_arc_ik(n: int, d: int, k: int, f: FieldSpec, budget: int = SUBSET_BUDGET) -> SubspaceFamily:
     """Members are the degree-d multiples of each prime power in I_k."""
     if not 1 <= k <= d or n < 2:
         raise BadParams(f"dual_arc_ik needs 1 <= k <= d and n >= 2, got (n, d, k) = ({n}, {d}, {k})")
-    ik = enumerate_ik(n, k, f, budget)
-    check_budget(f"basis entries of dual_arc_ik over {f.name}",
-                 len(ik) * num_monomials(n, d - k) * num_monomials(n, d), ENUM_BUDGET)
-    a_dmk = component_space(f, n, d - k)
     dim_k = num_monomials(n, k)
+    # enumerate_ik's candidate precheck first, so every P_j the count forms is small
+    check_budget(f"degree-{k} candidates over {f.name}", 1, budget, f.q, dim_k)
+    check_budget(f"basis entries of dual_arc_ik over {f.name}",
+                 _ik_count(n, k, f.q) * num_monomials(n, d - k) * num_monomials(n, d), ENUM_BUDGET)
+    ik = enumerate_ik(n, k, f, budget)
+    a_dmk = component_space(f, n, d - k)
     return SubspaceFamily([product_space(a_dmk, d - k, span_raw([list(y.raw)], dim_k, f), k, n) for y in ik])
 
 

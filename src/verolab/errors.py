@@ -40,7 +40,11 @@ class BudgetExceeded(VerolabError, RuntimeError):
     """A count past its budget: needed of quantity against allowed (see linalg.check_budget)."""
 
     def __init__(self, quantity: str, needed: int | str, allowed: int) -> None:
-        super().__init__(f"{needed} {quantity} exceed budget {allowed}")
+        try:
+            shown = f"{needed}"
+        except ValueError:  # an int past the int-to-str conversion limit
+            shown = f"2^{needed.bit_length() - 1} or more"
+        super().__init__(f"{shown} {quantity} exceed budget {allowed}")
         self.quantity, self.needed, self.allowed = quantity, needed, allowed
 
 

@@ -18,9 +18,10 @@ implicit and stays out of the JSON).  run_check validates params
 against the entry before anything is built: an undeclared name, a wrong
 type or a value out of range raises BadParams, and Q for a finite-only
 check InfiniteField.  The `check` CLI takes its flags from the entries.
-A body is called as body(params, seed, budget) with every parameter
-filled in and the field parsed, and returns (mode, hypothesis_ok,
-conclusion_ok, witness, data).
+A body is called as body(f, seed, budget, **declared): f is the parsed
+field and declared holds every parameter the entry declares, filled in,
+so its signature is (f, seed, budget, <the declared names in order>).
+It returns (mode, hypothesis_ok, conclusion_ok, witness, data).
 
 The suite manifests at the bottom of this module pin the default
 parameter grids; bump MANIFEST_VERSION when they change.
@@ -140,11 +141,6 @@ def result_to_json(res: CheckResult, with_timing: bool = False) -> str:
 # shared helpers
 # ----------------------------------------------------------------------
 
-def _field(params: dict) -> FieldSpec:
-    f = params["field"]
-    return f if isinstance(f, FieldSpec) else parse_field(f)
-
-
 def _sampled(seed: int, trials: int, trial: Callable):
     """Run trial(rng, i) for i < trials on one rng seeded with seed; the
     first witness it returns (None means the trial held) fails the check."""
@@ -230,28 +226,27 @@ def _point_family_law(fam: SubspaceFamily, r: int, budget: int):
     return "exhaustive", True, ok, wit, {"points": len(fam)}
 
 
-def _spread_image_law(params, budget, image, r_hyp, r_conc, show_r=False):
+def _spread_image_law(f, budget, k, d, image, r_hyp, r_conc, show_r=False):
     """Hypothesis: the spread of K^2k is r_hyp-independent with at least
     r_conc members.  Conclusion: the images image(t, d) of its members are
     r_conc-independent.  show_r adds r_conc to the data of a verdict.
     A spread with fewer than r_hyp members fails the hypothesis without
     a search (r_hyp <= r_conc)."""
-    fam = desarguesian_spread(_field(params), params["k"])
+    fam = desarguesian_spread(f, k)
     if len(fam) < r_hyp:
         return "exhaustive", False, None, None, {"hypothesis_witness": None}
     hyp_ok, hyp_wit = is_r_independent(fam, r_hyp, budget=budget)
     if not hyp_ok or len(fam) < r_conc:
-        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
-    images = SubspaceFamily([image(t, params["d"]) for t in fam])
+        return "exhaustive", False, None, None, {"hypothesis_witness": hyp_wit}
+    images = SubspaceFamily([image(t, d) for t in fam])
     ok, wit = is_r_independent(images, r_conc, budget=budget)
     data = {"members": len(fam), "r": r_conc} if show_r else {"members": len(fam)}
     return "exhaustive", True, ok, wit, data
 
 
-def _disjoint_image_law(params, seed, image, count):
+def _disjoint_image_law(f, seed, n, d, trials, image, count):
     """Sampled: for a random U0 and count random subspaces each disjoint
     from U0, image(U0, d) meets the join of their images in 0."""
-    f, n, d = _field(params), params["n"], params["d"]
     big_n = num_monomials(n, d)
 
     def trial(rng, i):
@@ -262,21 +257,19 @@ def _disjoint_image_law(params, seed, image, count):
         right = subspace_join([image(u, d) for u in others], big_n, f)
         return None if subspace_intersect(image(u0, d), right).is_zero() else {"trial": i}
 
-    return _sampled(seed, params["trials"], trial)
+    return _sampled(seed, trials, trial)
 
 
 # ----------------------------------------------------------------------
 # check bodies; each returns (mode, hyp_ok, concl_ok, witness, data)
 # ----------------------------------------------------------------------
 
-def _check_t1_1(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_t1_1(f, seed, budget, n, d):
     fam = SubspaceFamily([veronese_point(t, d) for t in projective_points(f, n)])
     return _point_family_law(fam, d + 1, budget)
 
 
-def _check_t1_1_sharp(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_t1_1_sharp(f, seed, budget, n, d):
     if f.q < d:
         return _not_met("q < d")
     plane = span(_unit_rows(f, n, (0, 1)), n, f)
@@ -290,20 +283,19 @@ def _check_t1_1_sharp(params, seed, budget):
     return "exhaustive", True, True, None, {"points_on_plane": len(images)}
 
 
-def _check_t1_2(params, seed, budget):
+def _check_t1_2(f, seed, budget, k, d, e):
     # distinct subspaces have distinct images: for t outside U, a form l
     # vanishing on U with l(t) != 0 and any m with m(t) != 0 make
     # l * m^(d-1) vanish on <v_d(U)> but not at v_d(t)
-    e, d = params["e"], params["d"]
-    return _spread_image_law(params, budget, veronese_subspace, e + 1, d * e + 1, show_r=True)
+    return _spread_image_law(f, budget, k, d, veronese_subspace, e + 1, d * e + 1, show_r=True)
 
 
-def _check_t2_3(params, seed, budget):
-    return _spread_image_law(params, budget, veronese_subspace, 2, params["d"] + 1)
+def _check_t2_3(f, seed, budget, k, d):
+    return _spread_image_law(f, budget, k, d, veronese_subspace, 2, d + 1)
 
 
-def _check_l2_4(params, seed, budget):
-    return _disjoint_image_law(params, seed, veronese_subspace, params["d"])
+def _check_l2_4(f, seed, budget, n, d, trials):
+    return _disjoint_image_law(f, seed, n, d, trials, veronese_subspace, d)
 
 
 def _elementary_matrices(f: FieldSpec, n: int) -> list[Matrix]:
@@ -345,8 +337,7 @@ def _rho_walk(rhos: dict, gens: list[Matrix], d: int):
     return None
 
 
-def _check_rho(params, seed, budget):
-    f, n, d, trials = _field(params), params["n"], params["d"], params["trials"]
+def _check_rho(f, seed, budget, n, d, trials):
     big_n = num_monomials(n, d)
     one = Matrix.identity(f, n)
     rho_one = rho_d(one, d)
@@ -376,8 +367,7 @@ def _check_rho(params, seed, budget):
     return _sampled(seed, trials or 100, trial)
 
 
-def _check_iterate(params, seed, budget):
-    f, n, d, e = _field(params), params["n"], params["d"], params["e"]
+def _check_iterate(f, seed, budget, n, d, e):
     check_budget(f"degree-{e} coordinates of the vectors of {f.name}^{n}", num_monomials(num_monomials(n, d), e),
                  ENUM_BUDGET, f.q, n)
     idx_ed = _index_map(n, d * e)
@@ -394,8 +384,7 @@ def _check_iterate(params, seed, budget):
     return "exhaustive", True, True, None, {}
 
 
-def _check_sigma(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_sigma(f, seed, budget, n, d, trials):
     try:
         sig = sigma_iso(n, d, f)
     except BadCharacteristic:
@@ -406,13 +395,12 @@ def _check_sigma(params, seed, budget):
         return None if sig.apply(p.coeffs) == veronese_vector(t, d) else {"t": [str(s) for s in t]}
 
     if not f.is_finite:
-        return _sampled(seed, params["trials"], lambda rng, i: witness(_random_vector(rng, f, n)))
+        return _sampled(seed, trials, lambda rng, i: witness(_random_vector(rng, f, n)))
     wit = next(filter(None, map(witness, projective_points(f, n))), None)
     return "exhaustive", True, wit is None, wit, {}
 
 
-def _check_t1_3(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_t1_3(f, seed, budget, n, d, trials):
     if not (f.char == 0 or f.char > d):
         return _not_met("characteristic <= d")
     if f.is_finite:
@@ -436,19 +424,17 @@ def _check_t1_3(params, seed, budget):
         powers = [linear_form_power(HomogPoly.from_raw(f, n, 1, s.basis.raw[0]), d) for s in forms]
         return None if span_raw([list(p.raw) for p in powers], big_n, f).dim == d + 1 else {"trial": i}
 
-    return _sampled(seed, params["trials"], trial)
+    return _sampled(seed, trials, trial)
 
 
-def _check_t3_3(params, seed, budget):
-    f, n, d, r = _field(params), params["n"], params["d"], params["r"]
+def _check_t3_3(f, seed, budget, n, d, r):
     binoms = [math.comb(d, i) for i in range(r + 1)]
     if not (f.q > (r + 1) ** 2 / 2 and all(int_in_field(f, b) for b in binoms)):
         return _not_met("hypothesis")
     return _point_family_law(_powerpoint_family(f, n, d), r + 1, budget)
 
 
-def _check_t3_4(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_t3_4(f, seed, budget, n, d):
     hyp = f.char == 2 and f.m >= 3 and d > 2 and (d - 1) & (d - 2) == 0
     if hyp:
         i = (d - 1).bit_length() - 1
@@ -458,21 +444,19 @@ def _check_t3_4(params, seed, budget):
     return _point_family_law(_powerpoint_family(f, n, d), 4, budget)
 
 
-def _check_t1_4(params, seed, budget):
-    d, r, e = params["d"], params["r"], params["e"]
-    if _falling_vanishes(_field(params), d, r):
+def _check_t1_4(f, seed, budget, k, d, r, e):
+    if _falling_vanishes(f, d, r):
         return _not_met("d!/(d-r)! = 0")
-    return _spread_image_law(params, budget, power_subspace, e + 1, r * e + 1, show_r=True)
+    return _spread_image_law(f, budget, k, d, power_subspace, e + 1, r * e + 1, show_r=True)
 
 
-def _check_l4(params, seed, budget):
-    if _falling_vanishes(_field(params), params["d"], params["r"]):
+def _check_l4(f, seed, budget, n, d, r, trials):
+    if _falling_vanishes(f, d, r):
         return _not_met("d!/(d-r)! = 0")
-    return _disjoint_image_law(params, seed, power_subspace, params["r"])
+    return _disjoint_image_law(f, seed, n, d, trials, power_subspace, r)
 
 
-def _check_p5_2(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_p5_2(f, seed, budget, n, d, trials):
     big_n = num_monomials(n, d)
     a_dm1 = component_space(f, n, d - 1)
 
@@ -509,22 +493,20 @@ def _check_p5_2(params, seed, budget):
             return {"trial": i, "eq": 9}
         return None
 
-    return _sampled(seed, params["trials"], trial)
+    return _sampled(seed, trials, trial)
 
 
-def _check_c5_3(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_c5_3(f, seed, budget, n, d, trials):
 
     def trial(rng, i):
         b = _random_subspace(rng, f, n, rng.randint(0, n))
         c = _random_subspace(rng, f, n, rng.randint(0, n))
         return None if power_intersection_check(b, c, d) else {"trial": i}
 
-    return _sampled(seed, params["trials"], trial)
+    return _sampled(seed, trials, trial)
 
 
-def _check_p5_4(params, seed, budget):
-    f, d, r, s = _field(params), params["d"], params["r"], params["s"]
+def _check_p5_4(f, seed, budget, d, r, s):
     n = r * s
     big_n = num_monomials(n, d)
     blocks = [span(_unit_rows(f, n, range(i * s, i * s + s)), n, f) for i in range(r)]
@@ -534,7 +516,7 @@ def _check_p5_4(params, seed, budget):
     fam = SubspaceFamily(blocks + [t_last])
     hyp_ok, hyp_wit = is_r_independent(fam, r, budget=budget)
     if not hyp_ok:
-        return "exhaustive", False, None, None, {"hypothesis_witness": _jsonable(hyp_wit)}
+        return "exhaustive", False, None, None, {"hypothesis_witness": hyp_wit}
     powers = [power_subspace(t, d) for t in blocks]
     total = subspace_join(powers, big_n, f)
     if total.dim != sum(p.dim for p in powers):
@@ -549,23 +531,20 @@ def _check_p5_4(params, seed, budget):
     }
 
 
-def _check_t5_1(params, seed, budget):
-    d, r = params["d"], params["r"]
-    if d <= 1 or _is_char_power(_field(params), d):
+def _check_t5_1(f, seed, budget, k, d, r):
+    if d <= 1 or _is_char_power(f, d):
         return _not_met("d is a power of char K")
-    return _spread_image_law(params, budget, power_subspace, r, r + 1)
+    return _spread_image_law(f, budget, k, d, power_subspace, r, r + 1)
 
 
-def _check_t6_1(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_t6_1(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
     expected = tuple(num_monomials(n, d - j) for j in range(d + 1))
     rep = gda_profile(fam, d + 1, expected=expected, budget=budget)
     return _profile_verdict(fam, rep, rep.is_gda and len(fam) == (f.q ** n - 1) // (f.q - 1))
 
 
-def _check_eq_gda(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_eq_gda(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
     check_budget(f"subsets of 2 to {d} of {len(fam)} members",
                  sum(math.comb(len(fam), j) for j in range(2, d + 1)), budget)
@@ -588,8 +567,7 @@ def _check_eq_gda(params, seed, budget):
     return "exhaustive", True, True, None, {}
 
 
-def _check_p6_2(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_p6_2(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
     reg_ok, wit = is_regular(fam, budget=budget)
     expected_nonregular = d >= f.q ** (n - 1)
@@ -600,8 +578,7 @@ def _check_p6_2(params, seed, budget):
     }
 
 
-def _check_t6_ik(params, seed, budget):
-    f, n, d, k = _field(params), params["n"], params["d"], params["k"]
+def _check_t6_ik(f, seed, budget, n, d, k):
     fam = dual_arc_ik(n, d, k, f, budget=budget)
     c = d // k
     expected = (num_monomials(n, d),) + tuple(num_monomials(n, d - m * k) for m in range(1, c + 1))
@@ -609,8 +586,7 @@ def _check_t6_ik(params, seed, budget):
     return _profile_verdict(fam, rep, rep.is_gda)
 
 
-def _check_l6_4(params, seed, budget):
-    f, n, k = _field(params), params["n"], params["k"]
+def _check_l6_4(f, seed, budget, n, k, trials):
     a1 = component_space(f, n, 1)
     expected = k * n - math.comb(k, 2)
 
@@ -621,22 +597,19 @@ def _check_l6_4(params, seed, budget):
     # case 0 is the span of the first k unit vectors, reported before any
     # failed trial; trial i is case i + 1
     first = case(span(_unit_rows(f, n, range(k)), n, f), 0)
-    mode, _, _, wit, _ = _sampled(
-        seed, params["trials"], lambda rng, i: case(_random_subspace(rng, f, n, k), i + 1))
+    mode, _, _, wit, _ = _sampled(seed, trials, lambda rng, i: case(_random_subspace(rng, f, n, k), i + 1))
     wit = first or wit
     return mode, True, wit is None, wit, {} if wit else {"expected_dim": expected}
 
 
-def _check_l6_5(params, seed, budget):
-    f, k = _field(params), params["k"]
+def _check_l6_5(f, seed, budget, k):
     fam = partial_spread_products(f, k)
     rep = gda_profile(fam, 3, budget=budget)
     want = [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)]
     return _profile_verdict(fam, rep, rep.constant_profile() == want)
 
 
-def _check_p6_6(params, seed, budget):
-    f, k = _field(params), params["k"]
+def _check_p6_6(f, seed, budget, k):
     fam = partial_spread_products(f, k)
     duals = dual_family(fam)
     dims_ok = all(m.dim == math.comb(k + 1, 2) for m in duals)
@@ -644,8 +617,7 @@ def _check_p6_6(params, seed, budget):
     return "exhaustive", True, dims_ok and ok, wit, {"members": len(duals)}
 
 
-def _check_ex10(params, seed, budget):
-    f = _field(params)
+def _check_ex10(f, seed, budget):
     q = f.q
     data: dict = {}
     # first structure: duals of the degree-3 arc in 3 variables.  Members
@@ -703,8 +675,7 @@ def _check_ex10(params, seed, budget):
     return "exhaustive", True, ok, wit, data
 
 
-def _check_derived_gda(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
+def _check_derived_gda(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
     der = derived_family(fam, 0)
     expected = tuple(num_monomials(n, d - 1 - j) for j in range(1, d))
@@ -712,19 +683,15 @@ def _check_derived_gda(params, seed, budget):
     return _profile_verdict(der, rep, rep.is_gda)
 
 
-def _check_explore_spread_r(params, seed, budget):
-    f, k, d = _field(params), params["k"], params["d"]
+def _check_explore_spread_r(f, seed, budget, k, d):
     fam = desarguesian_spread(f, k)
     images = SubspaceFamily([veronese_subspace(u, d) for u in fam])
     r = max_independence(images, budget=budget)
     return "exhaustive", True, True, None, {"members": len(images), "max_independence": r}
 
 
-def _check_vcode(params, seed, budget):
-    f, n, d = _field(params), params["n"], params["d"]
-    wmax = params["wmax"]
-    use_powerpoints = params["powerpoints"]
-    build = vc.powerpoint_check_matrix if use_powerpoints else vc.veronese_check_matrix
+def _check_vcode(f, seed, budget, n, d, wmax, powerpoints):
+    build = vc.powerpoint_check_matrix if powerpoints else vc.veronese_check_matrix
     cm = build(n, d, f)
     supports = vc.minimal_supports(cm, wmax, budget=budget)
     sizes = sorted(supports)
@@ -737,7 +704,7 @@ def _check_vcode(params, seed, budget):
         for sup in sups:
             if not vc.verify_dependency(cm, sup, vc.dependency_vector(cm, sup)):
                 return "exhaustive", True, False, {"bad_witness": sup}, data
-    independence_regime = not use_powerpoints or f.char == 0 or f.char > d
+    independence_regime = not powerpoints or f.char == 0 or f.char > d
     if independence_regime:
         small = [w for w in sizes if w <= d + 1]
         if small:
@@ -750,7 +717,6 @@ def _check_vcode(params, seed, budget):
                 return "exhaustive", True, False, {"nonplanar_support": True}, data
             data["min_weight"] = d + 2
     return "exhaustive", True, True, None, data
-
 
 
 # ----------------------------------------------------------------------
@@ -887,7 +853,7 @@ def run_check(check_id: str, params: dict | None = None, seed: int | None = None
     seed = DEFAULT_SEED if seed is None else seed
     budget = SUBSET_BUDGET if budget is None else budget
     t0 = time.perf_counter()
-    mode, hyp, concl, wit, data = check.body(full, seed, budget)
+    mode, hyp, concl, wit, data = check.body(full.pop("field"), seed, budget, **full)
     dt = (time.perf_counter() - t0) * 1000.0
     return CheckResult(
         check_id=check_id,

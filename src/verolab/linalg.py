@@ -677,22 +677,12 @@ def subspace_le(a: Subspace, b: Subspace) -> bool:
 
 def combine_basis(a: Subspace, combos) -> list[Vector]:
     """The vector sum_i c_i b_i over the basis b of a, for each tuple c of
-    raw coefficients in combos, in the order given."""
+    raw coefficients in combos, in the order given: the product of the
+    combos with the basis, as one _dots."""
     f = a.field
-    fma = f.fma
-    zero = f.zero_raw
     rows = a.basis.raw
-    m = a.ambient_dim
-    out = []
-    for combo in combos:
-        acc = [zero] * m
-        for c, row in zip(combo, rows):
-            if c != zero:
-                for j in range(m):
-                    if row[j] != zero:
-                        acc[j] = fma(acc[j], c, row[j])
-        out.append(tuple(Scalar(f, x) for x in acc))
-    return out
+    cols = [[row[j] for row in rows] for j in range(a.ambient_dim)]
+    return [tuple(Scalar(f, x) for x in v) for v in _dots(f, combos, cols)]
 
 
 def enumerate_vectors(a: Subspace) -> list[Vector]:

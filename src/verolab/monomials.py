@@ -9,7 +9,9 @@ comes first and xn^d last.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from operator import sub
 
 from .errors import BadParams
 from .field import FieldSpec, Scalar, int_in_field
@@ -20,17 +22,16 @@ from .linalg import ENUM_BUDGET, check_budget
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All C(d+n-1, d) exponent tuples (a1, ..., an) with sum d, in
     descending lexicographic order; BudgetExceeded, before any is listed,
-    when there are more than ENUM_BUDGET."""
+    when there are more than ENUM_BUDGET.  Each tuple is read off its
+    partial sums (a1, a1 + a2, ..., a1 + ... + a(n-1)), the nondecreasing
+    (n-1)-tuples in [0, d]; lex order on the sums is lex order on the
+    exponents, so the sums are listed in lex order and reversed."""
     if n < 1 or d < 0:
         raise BadParams(f"need n >= 1 and d >= 0, got (n, d) = ({n}, {d})")
     check_budget(f"exponents in {n} variables of degree {d}", num_monomials(n, d), ENUM_BUDGET)
-    if n == 1:
-        return ((d,),)
-    out = []
-    for a1 in range(d, -1, -1):
-        for rest in enumerate_exponents(n - 1, d - a1):
-            out.append((a1,) + rest)
-    return tuple(out)
+    last = (d,)
+    sums = itertools.combinations_with_replacement(range(d + 1), n - 1)
+    return tuple([tuple(map(sub, t + last, (0,) + t)) for t in sums][::-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,7 +62,12 @@ def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def num_monomials(n: int, d: int) -> int:
+    """C(n + d - 1, d).  It is at least 2^min(n - 1, d), and the gate
+    refuses it from that exponent, before it is formed, when the bound
+    alone exceeds ENUM_BUDGET: nothing that long is ever listed."""
+    check_budget(f"or more monomials of degree {d} in {n} variables", 1, ENUM_BUDGET, 2, min(n - 1, d))
     return math.comb(d + n - 1, d)
 
 

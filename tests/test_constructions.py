@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 
@@ -35,7 +36,7 @@ from verolab import (
     subspace_sum,
     veronese_vector,
 )
-from verolab.constructions import partial_spread_products
+from verolab.constructions import _ik_count, partial_spread_products
 from verolab.linalg import enumerate_vectors, span_raw
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import HomogPoly, component_space, product_space
@@ -219,6 +220,18 @@ IK_GRID = [(2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 3, 1), (2, 3, 2), (3,
 def test_ik_sieve_matches_trial_division(q, n, k):
     f = parse_field(f"F{q}")
     assert enumerate_ik(n, k, f) == ref_enumerate_ik(n, k, f)
+
+
+@pytest.mark.parametrize("q,n,k", IK_GRID + [(2, 2, 6), (2, 3, 3), (2, 4, 2), (3, 3, 2), (7, 2, 3)])
+def test_ik_count_matches_the_sieve(q, n, k):
+    assert _ik_count(n, k, q) == len(enumerate_ik(n, k, parse_field(f"F{q}")))
+
+
+def test_dual_arc_ik_refuses_from_the_ik_count():
+    # |I_2| = 32302 over F2 in 5 variables: 32302 x 5 x 35 entries, refused before I_2 is listed
+    with mock.patch("verolab.constructions.enumerate_ik", side_effect=AssertionError("listed")):
+        with pytest.raises(BudgetExceeded, match=r"^5652850 basis entries of dual_arc_ik over F2 exceed budget 1000000$"):
+            dual_arc_ik(5, 3, 2, F2)
 
 
 @pytest.mark.parametrize("q,n,d,k", [(2, 2, 4, 2), (3, 2, 3, 2), (5, 2, 2, 1)])

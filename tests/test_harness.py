@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import re
 import resource
@@ -26,6 +27,12 @@ EXPECTED_IDS = {
 
 def test_registry_is_complete():
     assert set(CHECK_REGISTRY) == EXPECTED_IDS
+
+
+@pytest.mark.parametrize("check_id", sorted(EXPECTED_IDS))
+def test_every_body_takes_its_declared_parameters(check_id):
+    check = CHECK_REGISTRY[check_id]
+    assert list(inspect.signature(check.body).parameters) == ["f", "seed", "budget", *check.params]
 
 
 def test_run_check_basic_pass():
@@ -356,12 +363,34 @@ def test_cli_stops_unbounded_work_at_its_budget(argv):
     # these drew a random dim x n matrix first, and ran past 20 s
     ("check", "C5_3", "--field", "F2", "--n", "20000", "--d", "2", "--trials", "1"),
     ("check", "L2_4", "--field", "F2", "--n", "3000", "--d", "2", "--trials", "1"),
+    # these formed C(n + d - 1, d) first: the first three printed a ValueError traceback (its digits
+    # pass the int-to-str limit) after 0.9 s, the last two ran past 30 s
+    ("check", "ITERATE", "--field", "F2", "--n", "100000", "--d", "100000", "--e", "2"),
+    ("check", "SIGMA", "--field", "F5", "--n", "100000", "--d", "100000", "--trials", "1"),
+    ("check", "T1_3", "--field", "Q", "--n", "100000", "--d", "100000", "--trials", "1"),
+    ("check", "ITERATE", "--field", "F2", "--n", "3000000", "--d", "3000000", "--e", "2"),
+    ("check", "SIGMA", "--field", "F5", "--n", "3000000", "--d", "3000000", "--trials", "1"),
+    # these listed I_k before counting it, and exited 2 after 0.9-1.4 s
+    ("check", "T6_IK", "--field", "F2", "--n", "5", "--d", "3", "--k", "2"),  # |I_2| = 32,302
+    ("check", "T6_IK", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),
 ])
 def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
     out = _cli(*argv, timeout=5)
     assert out.returncode == 2 and out.stdout == ""
     # one line: the needed count, the quantity, the allowed count
     assert re.fullmatch(r"error: \d\S* .+ exceed budget \d+\n", out.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    # enumerate_exponents recursed once per variable: each ended in a RecursionError traceback
+    ("check", "SIGMA", "--field", "Q", "--n", "2000", "--d", "1", "--trials", "1"),
+    ("check", "SIGMA", "--field", "F5", "--n", "1500", "--d", "1"),
+    ("check", "T1_3", "--field", "Q", "--n", "1500", "--d", "1", "--trials", "1"),
+])
+def test_cli_runs_many_variables_without_a_traceback(argv):
+    out = _cli(*argv, timeout=60)
+    assert out.returncode in (0, 2)
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("argv", [

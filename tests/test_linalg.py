@@ -173,6 +173,18 @@ def test_enumerate_vectors():
         enumerate_vectors(full_subspace(F3, 20))  # 3^20 vectors
 
 
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F9"])
+def test_vector_enumeration_combines_the_basis_in_order(name):
+    f = parse_field(name)
+    rng = random.Random(name)
+    for dim in range(4):
+        a = span([tuple(Scalar(f, rng.randrange(f.q)) for _ in range(4)) for _ in range(dim)], 4, f)
+        basis = a.basis.row_list()
+        want = [tuple(sum((Scalar(f, c) * b[j] for c, b in zip(combo, basis)), f.zero()) for j in range(4))
+                for combo in itertools.product(range(f.q), repeat=a.dim)]
+        assert enumerate_vectors(a) == want
+
+
 def test_budget_gate_rejects_past_allowed_and_keeps_the_counts():
     assert check_budget("subsets", 10, 10) is None
     with pytest.raises(BudgetExceeded, match=r"^11 subsets exceed budget 10$") as exc:
@@ -190,6 +202,14 @@ def test_budget_gate_reports_an_unformed_power():
     assert (exc.value.needed, str(exc.value)) == ("2^10", "2^10 vectors exceed budget 1023")
     with pytest.raises(BudgetExceeded, match=r"^5 x 3\^40 entries exceed budget 1000000$"):
         check_budget("entries", 5, 10 ** 6, 3, 40)
+
+
+def test_budget_gate_reports_a_count_past_the_conversion_limit_as_text():
+    # 10^5000 has more digits than int-to-str conversion allows; the message gives 2^k <= it
+    with pytest.raises(BudgetExceeded) as exc:
+        check_budget("entries", 10 ** 5000, 10 ** 6)
+    assert exc.value.needed == 10 ** 5000
+    assert str(exc.value) == f"2^{(10 ** 5000).bit_length() - 1} or more entries exceed budget 1000000"
 
 
 def test_budget_comparison_matches_the_formed_product():

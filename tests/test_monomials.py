@@ -8,6 +8,7 @@ import pytest
 
 from verolab import (
     BadParams,
+    BudgetExceeded,
     enumerate_exponents,
     eval_monomial,
     multinomial,
@@ -38,6 +39,33 @@ def test_enumerate_degree_zero():
 @pytest.mark.parametrize("d", range(0, 7))
 def test_counts(n, d):
     assert len(enumerate_exponents(n, d)) == math.comb(d + n - 1, d)
+
+
+def _recursive_exponents(n, d):
+    """Reference: x1's exponent from d down to 0, then the rest in the same order."""
+    if n == 1:
+        return [(d,)]
+    return [(a1,) + rest for a1 in range(d, -1, -1) for rest in _recursive_exponents(n - 1, d - a1)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_matches_the_recursive_order(n):
+    for d in range(8):
+        assert list(enumerate_exponents(n, d)) == _recursive_exponents(n, d)
+
+
+def test_enumeration_needs_no_recursion_depth():
+    exps = enumerate_exponents(3000, 1)  # one variable per recursion level was a RecursionError
+    assert len(exps) == 3000 and exps[0][0] == 1 and exps[-1][-1] == 1
+
+
+def test_monomial_count_is_refused_from_its_lower_bound():
+    # C(199999, 100000) >= 2^99999: refused before it is formed
+    with pytest.raises(BudgetExceeded) as exc:
+        num_monomials(100000, 100000)
+    assert exc.value.needed == "2^99999"
+    assert str(exc.value) == "2^99999 or more monomials of degree 100000 in 100000 variables exceed budget 1000000"
+    assert num_monomials(20, 10 ** 50) == math.comb(10 ** 50 + 19, 19)  # min(n - 1, d) = 19 is formed
 
 
 def test_descending_lex_order():

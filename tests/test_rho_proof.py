@@ -52,8 +52,7 @@ def _seed(f, n, d, gens):
 # reference: sweeps over the scan of GL(n, q), and the all-pairs loop
 # ----------------------------------------------------------------------
 
-def _reference_rho(params, seed, budget):
-    f, n, d = harness._field(params), params["n"], params["d"]
+def _reference_rho(f, seed, budget, n, d, trials):
     big_n = num_monomials(n, d)
     if rho_d(Matrix.identity(f, n), d) != Matrix.identity(f, big_n):
         return "exhaustive", True, False, {"identity": False}, {}

@@ -52,6 +52,13 @@ CATALOGUE = (
     Mutant("budget-refused-at-allowed", "linalg.py", "over_budget",
            (("return needed if needed > allowed else None", "return needed if needed >= allowed else None"),),
            "tests/test_linalg.py", "a count equal to its budget is refused"),
+    Mutant("binomial-bound-dropped", "monomials.py", "num_monomials",
+           ((", 2, min(n - 1, d))", ", 2, 0)"),),
+           "tests/test_monomials.py", "every monomial count is formed, so a huge binomial hangs before it is refused"),
+    # the exponent order
+    Mutant("exponents-order-reversed", "monomials.py", "enumerate_exponents",
+           (("for t in sums][::-1])", "for t in sums])"),),
+           "tests/test_monomials.py", "the exponents come in ascending lex order"),
     # _rref_int and the integer core over Q
     Mutant("rref-int-no-update-content", "linalg.py", "_rref_int",
            (("rows[i] = [x // g for x in tgt] if g > 1 else tgt", "rows[i] = tgt"),),
@@ -129,6 +136,9 @@ CATALOGUE = (
     Mutant("ik-sieve-half-degree-factor-dropped", "constructions.py", "enumerate_ik",
            (("range(1, j // 2 + 1)", "range(1, j // 2)"),),
            "tests/test_constructions.py", "a product of two degree-j/2 irreducibles is not sieved out"),
+    Mutant("ik-count-divisor-dropped", "constructions.py", "_ik_count",
+           (("for j in range(1, k + 1) if k % j == 0)", "for j in range(1, k) if k % j == 0)"),),
+           "tests/test_constructions.py", "the irreducibles of degree k are left out of |I_k|"),
     # the checks' own searches, read off the library's enumerations and kernels
     Mutant("sharp-witness-one-short", "harness.py", "_check_t1_1_sharp",
            (("pivots[:d + 2]", "pivots[:d + 1]"),),
