@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadParams, OddQForHyperoval
 from .field import FieldSpec, _poly_mod, _poly_mul, _poly_trim, _smallest_irreducible, enumerate_elements
@@ -213,14 +213,11 @@ class DualArcReport:
     """Census of j-wise intersection dimensions of a family.
 
     intersection_dims[j-1] maps a dimension to the number of j-subsets
-    whose intersection has that dimension.  is_gda is true when each
-    level up to some depth is constant and positive and every deeper
-    computed level is zero or vacuous (matching the expected dimensions
-    gda_profile was given, on the levels that have subsets).
+    whose intersection has that dimension.  It judges nothing: a check
+    compares constant_profile() with the profile its law states.
     """
 
     intersection_dims: tuple[tuple[tuple[int, int], ...], ...]
-    is_gda: bool
 
     def level(self, j: int) -> dict[int, int]:
         return dict(self.intersection_dims[j - 1])
@@ -238,12 +235,7 @@ class DualArcReport:
         return out
 
 
-def gda_profile(
-    fam: SubspaceFamily,
-    j_max: int,
-    expected: tuple[int, ...] | None = None,
-    budget: int = SUBSET_BUDGET,
-) -> DualArcReport:
+def gda_profile(fam: SubspaceFamily, j_max: int, budget: int = SUBSET_BUDGET) -> DualArcReport:
     """Full intersection-dimension census for subset sizes 1..j_max.  The
     subsets that extend a zero meet are counted, not visited."""
     members = fam.members
@@ -259,28 +251,7 @@ def gda_profile(
             rem = n_mem - i - 1
             for extra in range(1, min(rem, j_max - size) + 1):
                 levels[size - 1 + extra][0] += math.comb(rem, extra)
-    report = DualArcReport(tuple(tuple(sorted(lvl.items())) for lvl in levels), is_gda=False)
-    const = report.constant_profile()
-    d_star = 0
-    for j in range(1, j_max + 1):
-        if const[j - 1] is not None and const[j - 1] not in (-1, 0) :
-            d_star = j
-        else:
-            break
-    tail_zero = all(const[j - 1] in (0, -1) for j in range(d_star + 1, j_max + 1))
-    is_gda = d_star >= 1 and tail_zero
-    if expected is not None:
-        exp = list(expected)
-        if exp and exp[0] == fam.ambient_dim:
-            exp = exp[1:]  # leading entry may carry the ambient dimension
-        del exp[n_mem:]  # levels past the member count have no subsets (vacuous)
-        while exp and exp[-1] == 0:
-            exp.pop()
-        ok = is_gda and d_star == len(exp)
-        if ok:
-            ok = all(const[j - 1] == exp[j - 1] for j in range(1, d_star + 1))
-        is_gda = ok
-    return replace(report, is_gda=is_gda)
+    return DualArcReport(tuple(tuple(sorted(lvl.items())) for lvl in levels))
 
 
 def derived_family(fam: SubspaceFamily, fixed: int = 0) -> SubspaceFamily:

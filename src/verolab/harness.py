@@ -205,12 +205,15 @@ def _powerpoint_family(f: FieldSpec, n: int, d: int) -> SubspaceFamily:
                           for t in projective_points(f, n))
 
 
-def _profile_verdict(fam: SubspaceFamily, rep, ok: bool):
-    """The report of a dual-arc profile law: the constant profile of rep
-    is the witness of a failure and, with the member count, the data."""
-    prof = rep.constant_profile()
-    data = {"members": len(fam), "profile": prof}
-    return "exhaustive", True, ok, None if ok else {"profile": prof}, data
+def _profile_law(fam: SubspaceFamily, stated: list[int], budget: int, members_ok: bool):
+    """A dual-arc profile law: the constant profile of fam's census equals
+    the stated one on each level that has subsets, the first len(fam);
+    the levels past the member count are vacuous.  members_ok is the
+    law's condition on the member count.  The constant profile is the
+    witness of a failure and, with the member count, the data."""
+    prof = gda_profile(fam, len(stated), budget).constant_profile()
+    ok = members_ok and prof[:len(fam)] == stated[:len(fam)]
+    return "exhaustive", True, ok, None if ok else {"profile": prof}, {"members": len(fam), "profile": prof}
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +395,8 @@ def _check_sigma(f, seed, budget, n, d, trials):
 
     def witness(t):
         p = linear_form_power(HomogPoly.linear_form(t), d)
-        return None if sig.apply(p.coeffs) == veronese_vector(t, d) else {"t": [str(s) for s in t]}
+        image = tuple(s * c for s, c in zip(sig, p.coeffs))
+        return None if image == veronese_vector(t, d) else {"t": [str(s) for s in t]}
 
     if not f.is_finite:
         return _sampled(seed, trials, lambda rng, i: witness(_random_vector(rng, f, n)))
@@ -405,11 +409,13 @@ def _check_t1_3(f, seed, budget, n, d, trials):
         return _not_met("characteristic <= d")
     if f.is_finite:
         return _point_family_law(_powerpoint_family(f, n, d), d + 1, budget)
-    # _random_vector draws entries in [-5, 5]; by Moebius inversion over the
-    # gcd of the entries those vectors span this many lines of K^n
-    lines = sum(mu * ((2 * (5 // k) + 1) ** n - 1) for k, mu in ((1, 1), (2, -1), (3, -1), (5, -1))) // 2
-    if d + 1 > lines:
-        raise BadParams(f"T1_3 over Q samples d + 1 = {d + 1} of the {lines} lines of K^{n} it can draw")
+    # _random_vector draws entries in [-5, 5].  Those vectors span at least 2^n lines of K^n (the
+    # nonzero 0/1 vectors and (1, -1, 0, ...)), so only 2^n <= d can leave fewer than d + 1; then, by
+    # Moebius inversion over the gcd of the entries, they span this many
+    if n < d.bit_length():
+        lines = sum(mu * ((2 * (5 // k) + 1) ** n - 1) for k, mu in ((1, 1), (2, -1), (3, -1), (5, -1))) // 2
+        if d + 1 > lines:
+            raise BadParams(f"T1_3 over Q samples d + 1 = {d + 1} of the {lines} lines of K^{n} it can draw")
     big_n = num_monomials(n, d)
     # Gauss-Jordan: d + 1 pivots, each updating up to d + 1 rows of big_n integers
     check_budget(f"cell updates per trial to reduce {d + 1} powers of {big_n} coefficients", (d + 1) ** 2 * big_n,
@@ -539,9 +545,8 @@ def _check_t5_1(f, seed, budget, k, d, r):
 
 def _check_t6_1(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
-    expected = tuple(num_monomials(n, d - j) for j in range(d + 1))
-    rep = gda_profile(fam, d + 1, expected=expected, budget=budget)
-    return _profile_verdict(fam, rep, rep.is_gda and len(fam) == (f.q ** n - 1) // (f.q - 1))
+    stated = [num_monomials(n, d - j) for j in range(1, d + 1)] + [0]
+    return _profile_law(fam, stated, budget, len(fam) == (f.q ** n - 1) // (f.q - 1))
 
 
 def _check_eq_gda(f, seed, budget, n, d):
@@ -580,10 +585,8 @@ def _check_p6_2(f, seed, budget, n, d):
 
 def _check_t6_ik(f, seed, budget, n, d, k):
     fam = dual_arc_ik(n, d, k, f, budget=budget)
-    c = d // k
-    expected = (num_monomials(n, d),) + tuple(num_monomials(n, d - m * k) for m in range(1, c + 1))
-    rep = gda_profile(fam, c + 1, expected=expected, budget=budget)
-    return _profile_verdict(fam, rep, rep.is_gda)
+    stated = [num_monomials(n, d - m * k) for m in range(1, d // k + 1)] + [0]
+    return _profile_law(fam, stated, budget, True)
 
 
 def _check_l6_4(f, seed, budget, n, k, trials):
@@ -604,9 +607,7 @@ def _check_l6_4(f, seed, budget, n, k, trials):
 
 def _check_l6_5(f, seed, budget, k):
     fam = partial_spread_products(f, k)
-    rep = gda_profile(fam, 3, budget=budget)
-    want = [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)]
-    return _profile_verdict(fam, rep, rep.constant_profile() == want)
+    return _profile_law(fam, [k * (3 * k + 1) // 2, k * k, math.comb(k, 2)], budget, True)
 
 
 def _check_p6_6(f, seed, budget, k):
@@ -639,9 +640,7 @@ def _check_ex10(f, seed, budget):
     }
     # second structure: the degree-2 arc in 4 variables
     d2 = dual_arc_ad(4, 2, f)
-    rep2 = gda_profile(d2, 3, expected=(10, 4, 1), budget=budget)
-    ok2 = rep2.is_gda and len(d2) == 1 + q + q * q + q ** 3
-    data["d2"] = {"members": len(d2), "profile": rep2.constant_profile()}
+    _, _, ok2, _, data["d2"] = _profile_law(d2, [4, 1, 0], budget, len(d2) == 1 + q + q * q + q ** 3)
     # third structure: exterior-square family on K^5
     d3 = wedge_family(f, 5)
     count3 = len(d3) == 1 + q + q * q + q ** 3 + q ** 4
@@ -678,9 +677,7 @@ def _check_ex10(f, seed, budget):
 def _check_derived_gda(f, seed, budget, n, d):
     fam = dual_arc_ad(n, d, f)
     der = derived_family(fam, 0)
-    expected = tuple(num_monomials(n, d - 1 - j) for j in range(1, d))
-    rep = gda_profile(der, d, expected=expected, budget=budget)
-    return _profile_verdict(der, rep, rep.is_gda)
+    return _profile_law(der, [num_monomials(n, d - 1 - j) for j in range(1, d)] + [0], budget, True)
 
 
 def _check_explore_spread_r(f, seed, budget, k, d):

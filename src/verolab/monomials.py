@@ -22,13 +22,15 @@ from .linalg import ENUM_BUDGET, check_budget
 def enumerate_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All C(d+n-1, d) exponent tuples (a1, ..., an) with sum d, in
     descending lexicographic order; BudgetExceeded, before any is listed,
-    when there are more than ENUM_BUDGET.  Each tuple is read off its
-    partial sums (a1, a1 + a2, ..., a1 + ... + a(n-1)), the nondecreasing
-    (n-1)-tuples in [0, d]; lex order on the sums is lex order on the
-    exponents, so the sums are listed in lex order and reversed."""
+    when their n C(d+n-1, d) entries are more than ENUM_BUDGET, the cap of
+    Matrix.identity, whose rows are the degree-1 exponents.  Each tuple
+    is read off its partial sums (a1, a1 + a2, ..., a1 + ... + a(n-1)),
+    the nondecreasing (n-1)-tuples in [0, d]; lex order on the sums is
+    lex order on the exponents, so the sums are listed in lex order and
+    reversed."""
     if n < 1 or d < 0:
         raise BadParams(f"need n >= 1 and d >= 0, got (n, d) = ({n}, {d})")
-    check_budget(f"exponents in {n} variables of degree {d}", num_monomials(n, d), ENUM_BUDGET)
+    check_budget(f"exponent entries in {n} variables of degree {d}", num_monomials(n, d) * n, ENUM_BUDGET)
     last = (d,)
     sums = itertools.combinations_with_replacement(range(d + 1), n - 1)
     return tuple([tuple(map(sub, t + last, (0,) + t)) for t in sums][::-1])

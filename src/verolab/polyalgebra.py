@@ -27,7 +27,7 @@ import math
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import ENUM_BUDGET, Matrix, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
+from .linalg import ENUM_BUDGET, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
 from .linalg import _fraction, _int_rows, zero_subspace
 from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
@@ -253,22 +253,17 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
     return span_raw(products, num_monomials(n, deg_p + deg_q), fld)
 
 
-def sigma_iso(n: int, d: int, field: FieldSpec) -> Matrix:
-    """Diagonal matrix with entries 1/c(alpha) in monomial order.  Applied
-    to the coefficients of (sum t_i x_i)^d it yields the vector of all
-    degree-d monomial values t^alpha."""
-    exps = enumerate_exponents(n, d)
-    m = len(exps)
-    zero = field.zero_raw
-    rows = []
-    for i, alpha in enumerate(exps):
+def sigma_iso(n: int, d: int, field: FieldSpec) -> tuple[Scalar, ...]:
+    """The diagonal of sigma: 1/c(alpha) in monomial order.  Multiplied
+    entrywise into the coefficients of (sum t_i x_i)^d it yields the
+    vector of all degree-d monomial values t^alpha."""
+    diag = []
+    for alpha in enumerate_exponents(n, d):
         _, c = multinomial(d, alpha, field)
         if not c:
             raise BadCharacteristic(f"c({alpha}) = 0 in {field.name}")
-        row = [zero] * m
-        row[i] = field.inv(c.v)
-        rows.append(row)
-    return Matrix.from_raw_rows(field, rows, m)
+        diag.append(Scalar(field, field.inv(c.v)))
+    return tuple(diag)
 
 
 def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:

@@ -35,7 +35,6 @@ so rho_d(T) * rho_d(T^-1) == rho_d(I) == I.
 from __future__ import annotations
 
 import random
-import warnings
 from fractions import Fraction
 
 from .errors import SingularT
@@ -47,16 +46,8 @@ from .polyalgebra import sym_power
 
 
 def veronese_vector(t: Vector, d: int) -> Vector:
-    """All degree-d monomial values of t, in monomial order.
-
-    Degenerate parameters (n or d below 2) are flagged but allowed; the
-    map degenerates to the identity or a constant there.
-    """
-    n = len(t)
-    alphas = enumerate_exponents(n, d)  # raises BadParams before any warning
-    if n < 2 or d < 2:
-        warnings.warn(f"degenerate parameters (n={n}, d={d})", stacklevel=2)
-    return tuple(eval_monomial(t, alpha) for alpha in alphas)
+    """All degree-d monomial values of t, in monomial order."""
+    return tuple(eval_monomial(t, alpha) for alpha in enumerate_exponents(len(t), d))
 
 
 def veronese_point(t: Vector, d: int) -> Subspace:

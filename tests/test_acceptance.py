@@ -236,8 +236,8 @@ def test_criterion_13_three_ten_space_structures():
     ok1 = len(d1s) == 7 and d1s.ambient_dim == 10 and prof1 == [4, 1]
     # the degree-2 arc in four variables: 15 members, full dual-arc profile
     d2 = dual_arc_ad(4, 2, f)
-    rep2 = gda_profile(d2, 3, expected=(10, 4, 1))
-    ok2 = len(d2) == 15 and d2.ambient_dim == 10 and rep2.is_gda
+    prof2 = gda_profile(d2, 3).constant_profile()
+    ok2 = len(d2) == 15 and d2.ambient_dim == 10 and prof2 == [4, 1, 0]
     # exterior-square family: pairwise points shared by exactly 1+q members
     d3 = wedge_family(f, 5)
     pair_pts = []
@@ -251,14 +251,15 @@ def test_criterion_13_three_ten_space_structures():
     membership_ok = pairs_ok and all(
         sum(1 for m in d3 if subspace_le(pt, m)) == 1 + q for pt in set(pair_pts)
     )
-    not_gda = not gda_profile(d3, 3).is_gda
+    triple_level = gda_profile(d3, 3).level(3)
+    not_gda = len(triple_level) > 1  # the triples meet in unequal dimensions
     ok3 = len(d3) == 31 and pairs_ok and membership_ok and not_gda
     ok = ok1 and ok2 and ok3
     assert report(
         13,
         ok,
-        f"d1*: {len(d1s)} members {prof1}; d2: {len(d2)} members gda={rep2.is_gda}; "
-        f"d3: {len(d3)} members, pair points in 3 members, gda=False",
+        f"d1*: {len(d1s)} members {prof1}; d2: {len(d2)} members {prof2}; "
+        f"d3: {len(d3)} members, pair points in 3 members, triple dims {sorted(triple_level)}",
     )
 
 

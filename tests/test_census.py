@@ -4,7 +4,9 @@ the Zassenhaus searches it replaced, which are kept here as references.
 The references intersect members pairwise with subspace_intersect:
 gda_profile's census recursed over index prefixes, the intersection
 lattice grew breadth first one level per subset size, and EQ_GDA
-intersected each j-subset from scratch.  T1_1_SHARP spanned every
+intersected each j-subset from scratch.  gda_profile also judged an
+expected profile, by rules kept here as the reference for the one
+stated-profile law of the harness.  T1_1_SHARP spanned every
 (d+2)-subset of the images of a 2-space; it now takes one greedy basis.
 """
 
@@ -45,7 +47,8 @@ from verolab import (
 from verolab import constructions, harness, linalg
 from verolab.constructions import intersection_lattice, partial_spread_products
 from verolab.field import Scalar
-from verolab.linalg import annihilator, contained_in, meet_walk, projective_vectors, stack_meet, subspace_join
+from verolab.linalg import SUBSET_BUDGET, annihilator, contained_in, meet_walk, projective_vectors, stack_meet
+from verolab.linalg import subspace_join
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import component_space, poly_mul, product_space
 
@@ -77,6 +80,24 @@ def _ref_levels(fam, j_max):
 
     rec(0, None, 0)
     return tuple(tuple(sorted(lvl.items())) for lvl in levels)
+
+
+def _ref_expected_rule(fam, j_max, expected):
+    """gda_profile's verdict on an expected tuple, before each check stated
+    its profile: the levels are constant and positive down to a depth
+    d_star >= 1 and zero or vacuous below it, and expected, less a leading
+    entry equal to the ambient dimension, cut at the member count and
+    less its trailing zeros, is those d_star levels."""
+    const = gda_profile(fam, j_max).constant_profile()
+    d_star = len(list(itertools.takewhile(lambda c: c not in (None, -1, 0), const)))
+    tail_zero = all(c in (0, -1) for c in const[d_star:])
+    exp = list(expected)
+    if exp and exp[0] == fam.ambient_dim:
+        exp = exp[1:]
+    del exp[len(fam):]
+    while exp and exp[-1] == 0:
+        exp.pop()
+    return d_star >= 1 and tail_zero and const[:d_star] == exp
 
 
 def _ref_lattice(fam):
@@ -194,6 +215,26 @@ def _census_matches(fam, j_max):
     assert is_regular(fam) == _ref_is_regular(fam)
 
 
+def _stated_law_matches(fam, j_max) -> list[bool]:
+    """The stated-profile law against the expected rule on the profile a
+    dual-arc law would state for fam (its leading constant positive
+    levels, then zeros), on each entry of it moved by one, and on each
+    proper prefix.  The expected tuple leads with the ambient dimension,
+    as the checks passed it.  Returns the law's verdicts in that order."""
+    const = gda_profile(fam, j_max).constant_profile()
+    lead = list(itertools.takewhile(lambda c: c is not None and c > 0, const))
+    natural = lead + [0] * (j_max - len(lead))
+    perturbed = [natural[:i] + [natural[i] + step] + natural[i + 1:]
+                 for i in range(j_max) for step in (-1, 1) if natural[i] + step >= 0]
+    truncated = [natural[:t] for t in range(1, j_max)]
+    verdicts = []
+    for stated in [natural] + perturbed + truncated:
+        holds = harness._profile_law(fam, stated, SUBSET_BUDGET, True)[2]
+        assert holds == _ref_expected_rule(fam, len(stated), (fam.ambient_dim, *stated)), stated
+        verdicts.append(holds)
+    return verdicts
+
+
 # ----------------------------------------------------------------------
 # census
 # ----------------------------------------------------------------------
@@ -212,6 +253,23 @@ def test_named_family_census_matches_reference(name):
 @given(families())
 def test_random_family_census_matches_reference(fam):
     _census_matches(fam, len(fam))
+
+
+@pytest.mark.parametrize("f,n,d", _ad_grid())
+def test_stated_profile_law_matches_expected_rule_on_dual_arcs(f, n, d):
+    verdicts = _stated_law_matches(dual_arc_ad(n, d, f), d + 1)
+    assert verdicts[0] and not all(verdicts)  # the stated profile holds, and some moved entry fails
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_stated_profile_law_matches_expected_rule_on_named_families(name):
+    _stated_law_matches(NAMED[name](), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families())
+def test_stated_profile_law_matches_expected_rule_on_random_families(fam):
+    _stated_law_matches(fam, len(fam))
 
 
 def test_deep_family_ends_in_budget_not_recursion():

@@ -36,8 +36,9 @@ from verolab import (
     subspace_sum,
     veronese_vector,
 )
+from verolab import harness
 from verolab.constructions import _ik_count, partial_spread_products
-from verolab.linalg import enumerate_vectors, span_raw
+from verolab.linalg import SUBSET_BUDGET, enumerate_vectors, span_raw
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import HomogPoly, component_space, product_space
 
@@ -122,8 +123,8 @@ def test_rnc_spans_when_q_at_least_d(q, d):
 def test_dual_arc_ad_profile_322():
     fam = dual_arc_ad(3, 2, F2)
     assert len(fam) == 7 and all(m.dim == 3 for m in fam)
-    rep = gda_profile(fam, 3, expected=(6, 3, 1, 0))
-    assert rep.is_gda
+    rep = gda_profile(fam, 3)
+    assert rep.constant_profile() == [3, 1, 0]
     assert rep.level(2) == {1: 21} and rep.level(3) == {0: 35}
 
 
@@ -255,20 +256,20 @@ def test_dual_arc_ik_2422():
     assert len(fam) == 4
     rep = gda_profile(fam, 3)
     assert rep.constant_profile() == [3, 1, 0]
-    assert rep.is_gda
 
 
 def test_gda_profile_single_member():
     fam = SubspaceFamily([dual_arc_ad(3, 2, F2)[0]])
     rep = gda_profile(fam, 1)
-    assert rep.is_gda and rep.constant_profile() == [3]
+    assert rep.constant_profile() == [3]
 
 
 def test_gda_profile_compares_only_levels_with_subsets():
     fam = dual_arc_ad(2, 4, F2)  # 3 members: levels 4 and 5 have no subsets
-    rep = gda_profile(fam, 5, expected=(5, 4, 3, 2, 1))
-    assert rep.constant_profile() == [4, 3, 2, -1, -1] and rep.is_gda
-    assert not gda_profile(fam, 5, expected=(5, 4, 9, 2, 1)).is_gda
+    assert gda_profile(fam, 5).constant_profile() == [4, 3, 2, -1, -1]
+    # the stated-profile law compares the three levels with subsets only
+    assert harness._profile_law(fam, [4, 3, 2, 1, 0], SUBSET_BUDGET, True)[2]
+    assert not harness._profile_law(fam, [4, 9, 2, 1, 0], SUBSET_BUDGET, True)[2]
 
 
 def test_wedge_family_m5():
@@ -339,6 +340,4 @@ def test_derived_family_profile():
     fam = dual_arc_ad(3, 3, F2)
     der = derived_family(fam, 0)
     assert len(der) == 6
-    rep = gda_profile(der, 3, expected=(3, 1))
-    assert rep.is_gda
-    assert rep.constant_profile() == [3, 1, 0]
+    assert gda_profile(der, 3).constant_profile() == [3, 1, 0]

@@ -254,6 +254,12 @@ def test_cli_check_json():
     assert "wall_time_ms" in doc
 
 
+def test_cli_degree_one_runs_without_a_warning():
+    # veronese_vector warned on n < 2 or d < 2, parameters the registry allows
+    out = _cli("check", "T1_1", "--field", "F3", "--n", "2", "--d", "1")
+    assert out.returncode == 0 and out.stderr == ""
+
+
 def test_cli_check_text_failure_exit_code():
     # a hypothesis-gated check exits 0
     out = _cli("check", "T1_3", "--field", "F2", "--n", "2", "--d", "2")
@@ -373,6 +379,13 @@ def test_cli_stops_unbounded_work_at_its_budget(argv):
     # these listed I_k before counting it, and exited 2 after 0.9-1.4 s
     ("check", "T6_IK", "--field", "F2", "--n", "5", "--d", "3", "--k", "2"),  # |I_2| = 32,302
     ("check", "T6_IK", "--field", "F3", "--n", "3", "--d", "6", "--k", "3"),
+    # this formed 11^n to count the drawable lines, and exited 2 after 26-29 s
+    ("check", "T1_3", "--field", "Q", "--n", "10000000", "--d", "2", "--trials", "1"),
+    # these listed every exponent tuple (the first) or built an N x N diagonal (the others), and ended in
+    # a MemoryError after 3-19 s; each lists more than 10^6 exponent entries
+    ("check", "SIGMA", "--field", "F5", "--n", "1000", "--d", "2"),  # 500,500 tuples of 1,000
+    ("check", "SIGMA", "--field", "Q", "--n", "3", "--d", "1000", "--trials", "1"),  # 501,501 tuples of 3
+    ("check", "SIGMA", "--field", "F1009", "--n", "3", "--d", "1000"),
 ])
 def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
     out = _cli(*argv, timeout=5)

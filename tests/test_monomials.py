@@ -55,8 +55,16 @@ def test_enumeration_matches_the_recursive_order(n):
 
 
 def test_enumeration_needs_no_recursion_depth():
-    exps = enumerate_exponents(3000, 1)  # one variable per recursion level was a RecursionError
-    assert len(exps) == 3000 and exps[0][0] == 1 and exps[-1][-1] == 1
+    exps = enumerate_exponents(1000, 1)  # one variable per recursion level was a RecursionError
+    assert len(exps) == 1000 and exps[0][0] == 1 and exps[-1][-1] == 1
+
+
+def test_exponent_entries_are_capped_at_their_boundary():
+    # N(n, 1) * n = n^2 entries, the cap of the n x n identity whose rows they are
+    assert len(enumerate_exponents(1000, 1)) == 1000  # 10^6 entries: listed
+    with pytest.raises(BudgetExceeded) as exc:
+        enumerate_exponents(1001, 1)
+    assert str(exc.value) == "1002001 exponent entries in 1001 variables of degree 1 exceed budget 1000000"
 
 
 def test_monomial_count_is_refused_from_its_lower_bound():

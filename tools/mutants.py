@@ -59,6 +59,9 @@ CATALOGUE = (
     Mutant("exponents-order-reversed", "monomials.py", "enumerate_exponents",
            (("for t in sums][::-1])", "for t in sums])"),),
            "tests/test_monomials.py", "the exponents come in ascending lex order"),
+    Mutant("exponent-entries-cap-dropped", "monomials.py", "enumerate_exponents",
+           (("num_monomials(n, d) * n, ENUM_BUDGET)", "num_monomials(n, d), ENUM_BUDGET)"),),
+           "tests/test_monomials.py", "only the tuples are capped, so n times more entries are listed"),
     # _rref_int and the integer core over Q
     Mutant("rref-int-no-update-content", "linalg.py", "_rref_int",
            (("rows[i] = [x // g for x in tgt] if g > 1 else tgt", "rows[i] = tgt"),),
@@ -139,6 +142,14 @@ CATALOGUE = (
     Mutant("ik-count-divisor-dropped", "constructions.py", "_ik_count",
            (("for j in range(1, k + 1) if k % j == 0)", "for j in range(1, k) if k % j == 0)"),),
            "tests/test_constructions.py", "the irreducibles of degree k are left out of |I_k|"),
+    # the one dual-arc profile law
+    Mutant("profile-vacuous-levels-compared", "harness.py", "_profile_law",
+           (("prof[:len(fam)] == stated[:len(fam)]", "prof == stated"),),
+           "tests/test_census.py", "levels past the member count are compared, so their -1 fails the law"),
+    Mutant("profile-last-level-skipped", "harness.py", "_profile_law",
+           (("prof[:len(fam)] == stated[:len(fam)]",
+             "prof[:len(fam)][:len(stated) - 1] == stated[:len(fam)][:len(stated) - 1]"),),
+           "tests/test_census.py", "the last stated level, the zero meets, is not compared"),
     # the checks' own searches, read off the library's enumerations and kernels
     Mutant("sharp-witness-one-short", "harness.py", "_check_t1_1_sharp",
            (("pivots[:d + 2]", "pivots[:d + 1]"),),
