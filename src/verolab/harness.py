@@ -98,6 +98,9 @@ from . import vcode as vc
 
 MANIFEST_VERSION = 1
 DEFAULT_SEED = 20260810
+# bound at import, so a wrapper later put around power_subspace (a tracer)
+# does not hide its memo from run_check
+_clear_power_memo = power_subspace.cache_clear
 
 
 @dataclass
@@ -850,7 +853,11 @@ def run_check(check_id: str, params: dict | None = None, seed: int | None = None
     seed = DEFAULT_SEED if seed is None else seed
     budget = SUBSET_BUDGET if budget is None else budget
     t0 = time.perf_counter()
-    mode, hyp, concl, wit, data = check.body(full.pop("field"), seed, budget, **full)
+    _clear_power_memo()
+    try:
+        mode, hyp, concl, wit, data = check.body(full.pop("field"), seed, budget, **full)
+    finally:
+        _clear_power_memo()
     dt = (time.perf_counter() - t0) * 1000.0
     return CheckResult(
         check_id=check_id,

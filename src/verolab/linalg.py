@@ -599,22 +599,24 @@ def subspace_join(members, ambient_dim: int, field: FieldSpec) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """A cap B by the Zassenhaus stacked-matrix method: echelonize
-    [A | A; B | 0]; rows with zero left half carry the intersection."""
+    """A cap B by Zassenhaus's method on residues.  Let A be the argument
+    of larger dimension.  Each basis row b of the other is reduced against
+    A's RREF rows to its residue r, which is zero exactly when b lies in
+    A; the map b -> r is linear with kernel A.  A combination of the rows
+    [r | b] has zero left half exactly when its right half lies in A, so
+    after echelonizing them (dim B rows, not dim A + dim B) the rows whose
+    pivot lies in the right half carry the intersection."""
     _check_compatible(a, b)
     f = a.field
     m = a.ambient_dim
     if a.is_zero() or b.is_zero():
         return zero_subspace(f, m)
-    zero = f.zero_raw
-    stacked = [list(r + r) for r in a.basis.raw]
-    stacked += [list(r) + [zero] * m for r in b.basis.raw]
-    rows, pivots = _rref_raw(f, stacked)
-    gens = []
-    for row in rows[: len(pivots)]:
-        if all(x == zero for x in row[:m]):
-            gens.append(row[m:])
-    return span_raw(gens, m, f)
+    if a.dim < b.dim:
+        a, b = b, a
+    pivots = _pivots(a)
+    rows = [_reduce_raw(a, list(r), pivots) + list(r) for r in b.basis.raw]
+    rows, piv = _rref_raw(f, rows)
+    return span_raw([row[m:] for row, p in zip(rows, piv) if p >= m], m, f)
 
 
 def _pivots(a: Subspace) -> list[int]:
@@ -653,19 +655,30 @@ def contains(a: Subspace, v: Vector) -> bool:
     return _contains_raw(a, [s.v for s in v], _pivots(a))
 
 
-def _contains_raw(a: Subspace, w: list, pivots: list[int]) -> bool:
-    """contains() of a raw coordinate list, which is reduced in place;
+def _reduce_raw(a: Subspace, w: list, pivots: list[int]) -> list:
+    """w reduced in place against the RREF basis of a, skipping zero
+    entries, and returned: its residue, zero exactly when w lies in a.
     pivots is _pivots(a)."""
     f = a.field
     zero = f.zero_raw
     fma, neg = f.fma, f.neg
+    n = len(w)
     for row, p in zip(a.basis.raw, pivots):
-        fac = w[p]
-        if fac != zero:
-            fac = neg(fac)
-            for j in range(p, len(w)):
-                w[j] = fma(w[j], fac, row[j])
-    return all(x == zero for x in w)
+        c = w[p]
+        if c != zero:
+            c = neg(c)
+            for j in range(p, n):
+                x = row[j]
+                if x != zero:
+                    w[j] = fma(w[j], c, x)
+    return w
+
+
+def _contains_raw(a: Subspace, w: list, pivots: list[int]) -> bool:
+    """contains() of a raw coordinate list, which is reduced in place;
+    pivots is _pivots(a)."""
+    zero = a.field.zero_raw
+    return all(x == zero for x in _reduce_raw(a, w, pivots))
 
 
 def subspace_le(a: Subspace, b: Subspace) -> bool:

@@ -23,6 +23,7 @@ not mentioned in a term have exponent 0.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
@@ -230,9 +231,14 @@ def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
     return [HomogPoly.from_raw(s.field, n, d, r) for r in s.basis.raw]
 
 
+@functools.lru_cache(maxsize=1024)
 def power_subspace(t: Subspace, d: int) -> Subspace:
     """<T^d>: span of all d-fold products of elements of T <= A_1, i.e. the
-    row space of sym_power over the canonical basis of T."""
+    row space of sym_power over the canonical basis of T.
+
+    Memoised on (T, d): sampled checks draw the same subspaces again and
+    again.  harness.run_check clears the memo before and after each check
+    body, so no entry outlives one check."""
     if d < 1:
         raise DegreeMismatch("power degree must be >= 1")
     fld = t.field
@@ -267,7 +273,9 @@ def sigma_iso(n: int, d: int, field: FieldSpec) -> tuple[Scalar, ...]:
 
 
 def power_intersection_check(b: Subspace, c: Subspace, d: int) -> bool:
-    """<B^d> cap <C^d> == <(B cap C)^d>, all three computed independently."""
+    """<B^d> cap <C^d> == <(B cap C)^d>.  The three power subspaces come
+    from separate power_subspace calls; within one check, an input seen
+    before is served from power_subspace's memo."""
     lhs = subspace_intersect(power_subspace(b, d), power_subspace(c, d))
     bc = subspace_intersect(b, c)
     if bc.is_zero():

@@ -38,16 +38,34 @@ import random
 from fractions import Fraction
 
 from .errors import SingularT
-from .field import FieldSpec
+from .field import FieldSpec, Scalar
 from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
 from .linalg import span, span_raw, zero_subspace
-from .monomials import enumerate_exponents, eval_monomial, num_monomials
+from .monomials import enumerate_exponents, num_monomials
 from .polyalgebra import sym_power
 
 
 def veronese_vector(t: Vector, d: int) -> Vector:
-    """All degree-d monomial values of t, in monomial order."""
-    return tuple(eval_monomial(t, alpha) for alpha in enumerate_exponents(len(t), d))
+    """All degree-d monomial values of t, in monomial order, evaluated
+    pointwise one variable at a time, from the last.  The degree-e values
+    in t_j, ..., t_n are t_j^a * w, for a from e down to 0 and w over the
+    degree-(e - a) values in t_(j+1), ..., t_n: descending lex order.
+    Each value of each table is one product (none for a = 0), and the
+    first variable needs degree d only.  enumerate_exponents(n, d) runs
+    first, so a table past its cap is refused before any value is
+    formed."""
+    f = t[0].f
+    enumerate_exponents(len(t), d)
+    mul = f.mul
+    tables = [[f.one_raw]] + [[]] * d  # in no variables, only degree 0 has a value
+    for j in range(len(t) - 1, -1, -1):
+        x = t[j].v
+        pw = [f.one_raw, x]
+        for _ in range(d - 1):
+            pw.append(mul(pw[-1], x))
+        tables = [[mul(pw[a], w) for a in range(e, 0, -1) for w in tables[e - a]] + tables[e]
+                  for e in (range(d, d + 1) if j == 0 else range(d + 1))]
+    return tuple(Scalar(f, v) for v in tables[-1])
 
 
 def veronese_point(t: Vector, d: int) -> Subspace:

@@ -19,6 +19,7 @@ KEEP = {
     "rref": "the public reduced row echelon form of a Matrix, the library's elimination entry point",
     "parse_family_text": "fixture I/O: reads the family files that `verolab construct` writes",
     "parse_poly": "fixture I/O: reads the polynomial syntax that format_poly writes",
+    "eval_monomial": "the one-monomial evaluation that tests compare veronese_vector against",
 }
 
 

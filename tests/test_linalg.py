@@ -36,6 +36,7 @@ from verolab import (
 )
 from verolab.field import Scalar, scalar_from_str
 from verolab.linalg import _dots, _echelon_extend, _rref_raw, check_budget, over_budget, span_raw
+from verolab.linalg import combine_basis, subspace_join
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import HomogPoly
 
@@ -117,16 +118,40 @@ def test_intersect_against_enumeration_oracle():
             assert a.dim + b.dim == subspace_sum(a, b).dim + got.dim
 
 
-def test_intersection_agrees_with_dual_route():
-    # independent second route: A cap B = ann(ann A + ann B)
-    rng = random.Random(31)
-    for _ in range(40):
-        rows_a = [tuple(Scalar(F3, rng.randrange(3)) for _ in range(5)) for _ in range(2)]
-        rows_b = [tuple(Scalar(F3, rng.randrange(3)) for _ in range(5)) for _ in range(3)]
-        a, b = span(rows_a, 5, F3), span(rows_b, 5, F3)
-        direct = subspace_intersect(a, b)
-        via_dual = annihilator(subspace_sum(annihilator(a), annihilator(b)))
-        assert direct == via_dual
+def _random_rows(rng, f, count, m):
+    if f.is_finite:
+        return [tuple(Scalar(f, rng.randrange(f.q)) for _ in range(m)) for _ in range(count)]
+    return [tuple(Scalar(f, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(m))
+            for _ in range(count)]
+
+
+def _intersection_pairs(rng, f, m):
+    """Zero, full, equal, nested and random pairs of subspaces of K^m."""
+    def draw(dim):
+        return span(_random_rows(rng, f, dim, m), m, f)
+
+    big = draw(rng.randint(1, m))
+    # random combinations of big's basis span a subspace of it
+    combos = [[x.v for x in row] for row in _random_rows(rng, f, rng.randint(0, big.dim), big.dim)]
+    inner = span(combine_basis(big, combos), m, f)
+    pairs = [(zero_subspace(f, m), draw(rng.randint(0, m))), (full_subspace(f, m), draw(rng.randint(0, m))),
+             (big, big), (inner, big)]
+    pairs += [(draw(rng.randint(0, m)), draw(rng.randint(0, m))) for _ in range(4)]
+    # dimensions that add past m, so the meet is nonzero
+    pairs += [(draw(k), draw(m + 1 - k)) for k in (1, (m + 1) // 2, m)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F8", "F64", "F257", "Q"])
+def test_intersection_matches_annihilator_reference(name):
+    # the reference uses annihilator and subspace_join only: A cap B = ann(ann A + ann B)
+    f = parse_field(name)
+    rng = random.Random(f"intersect:{name}")
+    for m in range(1, 10):
+        for a, b in _intersection_pairs(rng, f, m):
+            want = annihilator(subspace_join((annihilator(a), annihilator(b)), m, f))
+            assert subspace_intersect(a, b) == want, (m, a.dim, b.dim)
+            assert subspace_intersect(b, a) == want, (m, b.dim, a.dim)
 
 
 def test_annihilator_examples():

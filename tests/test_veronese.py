@@ -24,7 +24,7 @@ from verolab import (
 from verolab.field import Scalar, int_in_field
 from verolab import veronese as veronese_mod
 from verolab.linalg import combine_basis, enumerate_vectors, projective_vectors, rank
-from verolab.monomials import num_monomials
+from verolab.monomials import enumerate_exponents, eval_monomial, num_monomials
 from verolab.veronese import _equivariance_holds, random_invertible_matrix
 
 F2 = parse_field("F2")
@@ -40,6 +40,27 @@ def test_veronese_vector_examples():
     assert [str(s) for s in veronese_vector(tq, 2)] == ["1/1", "2/1", "4/1"]
     t5 = (Scalar(F5, 2), F5.one())
     assert [s.v for s in veronese_vector(t5, 3)] == [3, 4, 2, 1]
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F5", "F8", "F64", "F257", "Q"])
+def test_veronese_vector_matches_monomial_by_monomial_evaluation(name):
+    # reference: each monomial value on its own, t1^a1 * ... * tn^an
+    f = parse_field(name)
+    rng = random.Random(f"veronese:{name}")
+    for n in range(1, 6):
+        for d in range(0, 7):
+            for _ in range(4):
+                if f.is_finite:
+                    t = tuple(Scalar(f, rng.randrange(f.q) if rng.random() < 0.8 else 0) for _ in range(n))
+                else:
+                    t = tuple(int_in_field(f, rng.randint(-5, 5)) / int_in_field(f, rng.randint(1, 4)) for _ in range(n))
+                want = tuple(eval_monomial(t, alpha) for alpha in enumerate_exponents(n, d))
+                assert veronese_vector(t, d) == want, (n, d, t)
+
+
+def test_veronese_vector_past_the_exponent_cap_is_refused():
+    with pytest.raises(BudgetExceeded):  # 1001 x 1001 degree-1 exponent entries
+        veronese_vector(tuple(F2.one() for _ in range(1001)), 1)
 
 
 def test_homogeneity():

@@ -82,6 +82,17 @@ CATALOGUE = (
     Mutant("echelon-extend-factor-not-negated", "linalg.py", "_echelon_extend",
            (("c = neg(c)", "pass"),),
            "tests/test_linalg.py", "the row update adds f*b where it subtracts it (the same in characteristic 2)"),
+    # the intersection on residues and the per-check power-subspace memo
+    Mutant("intersect-residue-skipped", "linalg.py", "subspace_intersect",
+           (("[_reduce_raw(a, list(r), pivots) + list(r)", "[list(r) + list(r)"),),
+           "tests/test_linalg.py", "B's rows are not reduced against A, so every meet comes out zero"),
+    Mutant("intersect-left-half-ignored", "linalg.py", "subspace_intersect",
+           (("for row, p in zip(rows, piv) if p >= m]", "for row, p in zip(rows, piv)]"),),
+           "tests/test_linalg.py", "right halves are kept from every row, so the meet is the smaller space"),
+    Mutant("power-memo-not-cleared", "harness.py", "run_check",
+           (("    _clear_power_memo()\n    try:", "    try:"),
+            ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
+           "tests/test_power_memo.py", "power subspaces memoised in one check are served to the next"),
     # the batched last depth of the subset search
     Mutant("leaves-last-column-skipped", "linalg.py", "_dependent_leaves",
            (("for j in range(width):", "for j in range(width - 1):"),),
