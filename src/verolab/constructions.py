@@ -130,6 +130,8 @@ def elliptic_ovoid(f: FieldSpec) -> list[Subspace]:
 def rational_normal_curve(f: FieldSpec, d: int) -> list[Subspace]:
     """Images of the q+1 points of the projective line under the degree-d
     monomial map: q+1 points of K^(d+1)."""
+    if d < 1:
+        raise BadParams(f"rational_normal_curve needs d >= 1, got {d}")
     return [veronese_point(p, d) for p in projective_points(f, 2)]
 
 

@@ -187,10 +187,11 @@ def _unit_rows(f: FieldSpec, n: int, idxs) -> list[tuple]:
     return [tuple(f.one() if k == i else f.zero() for k in range(n)) for i in idxs]
 
 
-def _is_char_power(f: FieldSpec, d: int) -> bool:
-    """Is d = p^i for the characteristic p of f and some i >= 1?"""
+def _power_is_additive(f: FieldSpec, d: int) -> bool:
+    """Is (x + y)^d = x^d + y^d in f?  Exactly when d = 1 or d = p^i for
+    the characteristic p of f and some i >= 1."""
     p = f.char
-    return p > 0 and any(p ** i == d for i in range(1, d.bit_length()))
+    return d == 1 or p > 0 and any(p ** i == d for i in range(1, d.bit_length()))
 
 
 def _falling_vanishes(f: FieldSpec, d: int, r: int) -> bool:
@@ -531,7 +532,7 @@ def _check_p5_4(f, seed, budget, d, r, s):
     if total.dim != sum(p.dim for p in powers):
         return "exhaustive", True, False, {"direct_sum": False}, {}
     inter = subspace_intersect(power_subspace(t_last, d), total)
-    is_p_power = _is_char_power(f, d)
+    is_p_power = _power_is_additive(f, d)
     expected = s if is_p_power else 0
     ok = inter.dim == expected
     return "exhaustive", True, ok, None if ok else {"dim": inter.dim, "expected": expected}, {
@@ -541,7 +542,7 @@ def _check_p5_4(f, seed, budget, d, r, s):
 
 
 def _check_t5_1(f, seed, budget, k, d, r):
-    if d <= 1 or _is_char_power(f, d):
+    if _power_is_additive(f, d):
         return _not_met("d is a power of char K")
     return _spread_image_law(f, budget, k, d, power_subspace, r, r + 1)
 
@@ -852,6 +853,8 @@ def run_check(check_id: str, params: dict | None = None, seed: int | None = None
     shown, full = _resolve(check_id, check, params or {})
     seed = DEFAULT_SEED if seed is None else seed
     budget = SUBSET_BUDGET if budget is None else budget
+    if budget < 1:
+        raise BadParams(f"budget must be >= 1, got {budget}")
     t0 = time.perf_counter()
     _clear_power_memo()
     try:

@@ -214,21 +214,15 @@ def _rref_int(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: list, width: int) -> bool:
-    """One step of incremental elimination.
-
-    basis holds unit-pivot semi-echelon rows: row k is 1 at pivots[k], 0
-    at every earlier pivot and before its own, and all pivots lie in
-    [0, width).  vec is reduced in place against the rows in order; if
-    vec[:width] stays nonzero it is scaled to a unit pivot and appended
-    (True).  Otherwise vec is left as the zero residue and nothing is
-    appended (False).  Entries past width are carried along but never
-    pivoted on, so a tag there records the combination that was taken.
-    """
+def _reduce(f: FieldSpec, rows, pivots, vec: list) -> list:
+    """vec reduced in place against unit-pivot semi-echelon rows and
+    returned: row k is 1 at pivots[k], 0 at every earlier pivot and before
+    its own.  Zero entries are skipped.  When rows span a subspace on
+    vec's columns, the residue is zero exactly when vec lies in it."""
     zero = f.zero_raw
     fma, neg = f.fma, f.neg
     n = len(vec)
-    for row, p in zip(basis, pivots):
+    for row, p in zip(rows, pivots):
         c = vec[p]
         if c != zero:
             c = neg(c)
@@ -236,6 +230,21 @@ def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: lis
                 x = row[j]
                 if x != zero:
                     vec[j] = fma(vec[j], c, x)
+    return vec
+
+
+def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: list, width: int) -> bool:
+    """One step of incremental elimination.
+
+    basis holds unit-pivot semi-echelon rows with all pivots in [0,
+    width).  vec is reduced in place against them by _reduce; if
+    vec[:width] stays nonzero it is scaled to a unit pivot and appended
+    (True).  Otherwise vec is left as the zero residue and nothing is
+    appended (False).  Entries past width are carried along but never
+    pivoted on, so a tag there records the combination that was taken.
+    """
+    _reduce(f, basis, pivots, vec)
+    zero = f.zero_raw
     for p in range(width):
         if vec[p] != zero:
             break
@@ -243,7 +252,7 @@ def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: lis
         return False
     pv = vec[p]
     if pv != f.one_raw:
-        for j in range(p, n):
+        for j in range(p, len(vec)):
             vec[j] = f.div(vec[j], pv)
     basis.append(vec)
     pivots.append(p)
@@ -523,14 +532,18 @@ def rank(m: Matrix) -> int:
 # ----------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of K^m held as its canonical RREF basis (no zero rows)."""
+    """A subspace of K^m held as its canonical RREF basis (no zero rows)
+    and the pivot column of each basis row.  The pivots are kept from the
+    elimination that built the basis; equality and hashing read the basis
+    alone."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix) -> None:
+    def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self.pivots = pivots
 
     @property
     def dim(self) -> int:
@@ -570,15 +583,15 @@ def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
         return zero_subspace(field, ambient_dim)
     rows, pivots = _rref_raw(field, rows)
     basis = Matrix.from_raw_rows(field, rows[: len(pivots)], ambient_dim)
-    return Subspace(field, ambient_dim, basis)
+    return Subspace(field, ambient_dim, basis, tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix(field, (), ambient_dim))
+    return Subspace(field, ambient_dim, Matrix(field, (), ambient_dim), ())
 
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim))
+    return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -613,16 +626,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         return zero_subspace(f, m)
     if a.dim < b.dim:
         a, b = b, a
-    pivots = _pivots(a)
-    rows = [_reduce_raw(a, list(r), pivots) + list(r) for r in b.basis.raw]
+    rows = [_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r) for r in b.basis.raw]
     rows, piv = _rref_raw(f, rows)
     return span_raw([row[m:] for row, p in zip(rows, piv) if p >= m], m, f)
-
-
-def _pivots(a: Subspace) -> list[int]:
-    """The pivot column of each basis row of a."""
-    zero = a.field.zero_raw
-    return [next(c for c, x in enumerate(row) if x != zero) for row in a.basis.raw]
 
 
 def annihilator(a: Subspace) -> Subspace:
@@ -633,59 +639,33 @@ def annihilator(a: Subspace) -> Subspace:
         return full_subspace(f, m)
     rows = a.basis.raw
     zero, one = f.zero_raw, f.one_raw
-    pivots = _pivots(a)
-    pivot_set = set(pivots)
+    pivot_set = set(a.pivots)
     gens = []
     for c in range(m):
         if c in pivot_set:
             continue
         vec = [zero] * m
         vec[c] = one
-        for i, p in enumerate(pivots):
-            vec[p] = f.neg(rows[i][c])
+        for row, p in zip(rows, a.pivots):
+            vec[p] = f.neg(row[c])
         gens.append(vec)
     return span_raw(gens, m, f)
 
 
 def contains(a: Subspace, v: Vector) -> bool:
-    """True iff v lies in a (residual after eliminating against the
-    RREF basis is zero)."""
-    if len(v) != a.ambient_dim:
-        raise LengthMismatch(f"vector length {len(v)} != ambient {a.ambient_dim}")
-    return _contains_raw(a, [s.v for s in v], _pivots(a))
-
-
-def _reduce_raw(a: Subspace, w: list, pivots: list[int]) -> list:
-    """w reduced in place against the RREF basis of a, skipping zero
-    entries, and returned: its residue, zero exactly when w lies in a.
-    pivots is _pivots(a)."""
-    f = a.field
-    zero = f.zero_raw
-    fma, neg = f.fma, f.neg
-    n = len(w)
-    for row, p in zip(a.basis.raw, pivots):
-        c = w[p]
-        if c != zero:
-            c = neg(c)
-            for j in range(p, n):
-                x = row[j]
-                if x != zero:
-                    w[j] = fma(w[j], c, x)
-    return w
-
-
-def _contains_raw(a: Subspace, w: list, pivots: list[int]) -> bool:
-    """contains() of a raw coordinate list, which is reduced in place;
-    pivots is _pivots(a)."""
-    zero = a.field.zero_raw
-    return all(x == zero for x in _reduce_raw(a, w, pivots))
+    """True iff v lies in a: joining v to a leaves a's dimension.  Like
+    subspace_le, a rank-based reference, independent of the reductions
+    (_reduce, contained_in) that tests compare against it."""
+    m, f = a.ambient_dim, a.field
+    return subspace_join((a, span([v], m, f)), m, f).dim == a.dim
 
 
 def subspace_le(a: Subspace, b: Subspace) -> bool:
-    """True iff a is contained in b."""
+    """True iff a is contained in b: joining a to b leaves b's dimension.
+    Decided by rank alone, so it stays a reference independent of the
+    reductions (_reduce, contained_in) that tests compare against it."""
     _check_compatible(a, b)
-    pivots = _pivots(b)
-    return all(_contains_raw(b, list(r), pivots) for r in a.basis.raw)
+    return subspace_join((a, b), b.ambient_dim, b.field).dim == b.dim
 
 
 def combine_basis(a: Subspace, combos) -> list[Vector]:

@@ -120,6 +120,14 @@ def test_rnc_spans_when_q_at_least_d(q, d):
     assert total.dim == d + 1
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_rnc_refuses_degree_below_one(d):
+    from verolab import BadParams
+
+    with pytest.raises(BadParams, match=rf"^rational_normal_curve needs d >= 1, got {d}$"):
+        rational_normal_curve(F3, d)
+
+
 def test_dual_arc_ad_profile_322():
     fam = dual_arc_ad(3, 2, F2)
     assert len(fam) == 7 and all(m.dim == 3 for m in fam)

@@ -14,8 +14,8 @@ import os
 import verolab
 
 KEEP = {
-    "contains": "the independent membership test that tests compare fast paths against",
-    "subspace_le": "the independent containment test that tests compare fast paths against",
+    "contains": "the rank-based membership reference (v in a iff dim(a + <v>) = dim a) that tests compare fast paths against",
+    "subspace_le": "the rank-based containment reference (a <= b iff dim(a + b) = dim b) that tests compare fast paths against",
     "rref": "the public reduced row echelon form of a Matrix, the library's elimination entry point",
     "parse_family_text": "fixture I/O: reads the family files that `verolab construct` writes",
     "parse_poly": "fixture I/O: reads the polynomial syntax that format_poly writes",

@@ -82,6 +82,28 @@ def test_cli_reports_budget_errors_cleanly():
     assert out.stdout == "" and out.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_run_check_refuses_a_budget_below_one_before_building(budget):
+    from verolab import BadParams
+
+    for check_id, params in (("T1_1", {"field": "F3"}), ("C5_3", {"field": "F2", "trials": 2})):
+        body = mock.Mock(side_effect=AssertionError("the body ran"))
+        check = harness.CHECK_REGISTRY[check_id]
+        with mock.patch.dict(harness.CHECK_REGISTRY, {check_id: check._replace(body=body)}):
+            with pytest.raises(BadParams, match=rf"^budget must be >= 1, got {budget}$"):
+                run_check(check_id, params, budget=budget)
+        body.assert_not_called()
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "Q"])
+@pytest.mark.parametrize("s", [1, 2])
+def test_p5_4_at_degree_one_meets_in_the_diagonal(field, s):
+    # x -> x^1 is additive in every field, so the diagonal lies in the sum of the blocks
+    res = run_check("P5_4", {"field": field, "d": 1, "r": 2, "s": s})
+    assert res.hypothesis_ok and res.conclusion_ok
+    assert res.data["intersection_dim"] == s and res.data["p_power_branch"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ("VCODE", "--field", "F3", "--n", "3", "--d", "2", "--wmax", "0"),  # nothing to search
     ("T5_1", "--field", "F3", "--k", "2", "--d", "2", "--r", "1"),  # r below 2
@@ -113,11 +135,14 @@ def test_cli_reports_budget_errors_cleanly():
     ("T1_3", "--field", "Q", "--n", "2", "--d", "40"),  # 41 of 40 drawable lines (this hung)
     ("T1_3", "--field", "Q", "--n", "3", "--d", "60", "--trials", "1"),  # 7,036,411 cell updates
     ("T2_3", "--field", "F2", "--k", "20"),  # 2^20 + 1 spread members over budget (this hung)
+    ("T1_1", "--field", "F3", "--budget", "-1"),  # printed "exceed budget -1"
+    ("C5_3", "--field", "F2", "--trials", "2", "--budget", "-1"),  # passed with exit 0
+    ("T1_1", "--field", "F3", "--budget", "0"),
 ])
 def test_cli_reports_bad_params_cleanly(argv):
     out = _cli("check", *argv)
     assert out.returncode == 2
-    assert out.stdout == "" and out.stderr.startswith("error:")
+    assert out.stdout == "" and out.stderr.startswith("error:") and out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr
 
 
@@ -325,6 +350,7 @@ def test_cli_construct_round_trips():
     ("construct", "dual-arc-ik", "--field", "F2", "--n", "0", "--d", "2", "--k", "1"),
     ("construct", "spread", "--field", "F2", "--k", "20"),  # 2^20 + 1 members over budget
     ("construct", "spread", "--field", "F3", "--k", "1000000000"),  # without forming 3^k
+    ("construct", "rnc", "--field", "F3", "--d", "0"),  # printed q + 1 copies of one point
 ])
 def test_cli_construct_reports_bad_params_cleanly(argv):
     out = _cli(*argv)

@@ -31,14 +31,16 @@ from verolab import (
     rref,
     span,
     subspace_intersect,
+    subspace_le,
     subspace_sum,
+    veronese_subspace,
     zero_subspace,
 )
 from verolab.field import Scalar, scalar_from_str
 from verolab.linalg import _dots, _echelon_extend, _rref_raw, check_budget, over_budget, span_raw
-from verolab.linalg import combine_basis, subspace_join
+from verolab.linalg import combine_basis, meet_walk, stack_meet, subspace_join
 from verolab.monomials import num_monomials
-from verolab.polyalgebra import HomogPoly
+from verolab.polyalgebra import HomogPoly, power_subspace
 
 
 def vec(f, *coords):
@@ -186,6 +188,52 @@ def test_contains_examples():
     assert contains(a, vec(F2, 0, 0, 0))
     with pytest.raises(LengthMismatch):
         contains(a, vec(F2, 1, 0))
+
+
+def _first_nonzero_columns(s):
+    return tuple(next(c for c, x in enumerate(row) if x != s.field.zero_raw) for row in s.basis.raw)
+
+
+def _subspaces_with_pivots(rng, f, m):
+    """Subspaces of K^m (and K^N(m, 2)) from every constructor that builds one."""
+    def draw(dim):
+        return span(_random_rows(rng, f, dim, m), m, f)
+
+    a, b = draw(rng.randint(0, m)), draw(rng.randint(0, m))
+    anns = [annihilator(draw(rng.randint(1, m))) for _ in range(3)]
+    stacks = [list(stack) for _, _, stack in meet_walk(anns, 3)]
+    t = draw(rng.randint(0, min(m, 2)))
+    return [
+        a, b, zero_subspace(f, m), full_subspace(f, m),
+        span_raw([[x.v for x in r] for r in _random_rows(rng, f, rng.randint(0, m + 1), m)], m, f),
+        subspace_intersect(a, b), subspace_join((a, b), m, f), annihilator(a),
+        *(stack_meet(st, m, f) for st in stacks),
+        power_subspace(t, 2), veronese_subspace(t, 2),
+    ]
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F64", "F257", "Q"])
+def test_stored_pivots_are_the_first_nonzero_columns(name):
+    f = parse_field(name)
+    rng = random.Random(f"pivots:{name}")
+    for m in range(1, 6):
+        for _ in range(4):
+            for s in _subspaces_with_pivots(rng, f, m):
+                assert s.pivots == _first_nonzero_columns(s), (m, s)
+
+
+@pytest.mark.parametrize("name,m", [("F2", 4), ("F3", 3), ("F4", 3)])
+def test_contains_and_subspace_le_match_brute_force_membership(name, m):
+    f = parse_field(name)
+    rng = random.Random(f"membership:{name}")
+    everything = enumerate_vectors(full_subspace(f, m))
+    spaces = [span(_random_rows(rng, f, rng.randint(0, m), m), m, f) for _ in range(12)]
+    spaces += [zero_subspace(f, m), full_subspace(f, m)]
+    members = {s: set(enumerate_vectors(s)) for s in spaces}
+    for s in spaces:
+        assert [contains(s, v) for v in everything] == [v in members[s] for v in everything]
+        for t in spaces:
+            assert subspace_le(s, t) == (members[s] <= members[t])
 
 
 def test_enumerate_vectors():

@@ -60,7 +60,7 @@ def ref_rref(rows):
 
 def ref_subspace(rows, ambient):
     reduced, pivots = ref_rref(rows)
-    return Subspace(Q, ambient, Matrix.from_raw_rows(Q, reduced[: len(pivots)], ambient))
+    return Subspace(Q, ambient, Matrix.from_raw_rows(Q, reduced[: len(pivots)], ambient), tuple(pivots))
 
 
 def ref_intersect(a_rows, b_rows, m):

@@ -79,12 +79,16 @@ CATALOGUE = (
     Mutant("dots-column-last-nonzero-dropped", "linalg.py", "_dots",
            (("if y != zero] for bc in cols]", "if y != zero][:-1] for bc in cols]"),),
            "tests/test_linalg.py", "each column's last nonzero entry is left out of its dot products"),
-    Mutant("echelon-extend-factor-not-negated", "linalg.py", "_echelon_extend",
+    Mutant("echelon-extend-factor-not-negated", "linalg.py", "_reduce",
            (("c = neg(c)", "pass"),),
            "tests/test_linalg.py", "the row update adds f*b where it subtracts it (the same in characteristic 2)"),
+    # the pivots a subspace keeps from its elimination
+    Mutant("span-pivots-shifted", "linalg.py", "span_raw",
+           (("tuple(pivots)", "tuple(p + 1 for p in pivots)"),),
+           "tests/test_linalg.py", "each stored pivot is one column past the basis row's first nonzero entry"),
     # the intersection on residues and the per-check power-subspace memo
     Mutant("intersect-residue-skipped", "linalg.py", "subspace_intersect",
-           (("[_reduce_raw(a, list(r), pivots) + list(r)", "[list(r) + list(r)"),),
+           (("[_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r)", "[list(r) + list(r)"),),
            "tests/test_linalg.py", "B's rows are not reduced against A, so every meet comes out zero"),
     Mutant("intersect-left-half-ignored", "linalg.py", "subspace_intersect",
            (("for row, p in zip(rows, piv) if p >= m]", "for row, p in zip(rows, piv)]"),),
