@@ -3,8 +3,10 @@
 Every error raised by the library is a subclass of VerolabError, so callers
 can catch one base type.  Names mirror the failure they signal.  Only
 BudgetExceeded carries a payload: the quantity it refused, the needed and
-the allowed counts, from which it writes its own message.  It is raised
-by linalg.check_budget, the one budget gate, and nowhere else.
+the allowed counts, from which it writes its own message, and the check
+it stopped (harness.run_check names it on the way out; None elsewhere).
+It is raised by linalg.check_budget, the one budget gate, and nowhere
+else.
 """
 
 
@@ -46,6 +48,7 @@ class BudgetExceeded(VerolabError, RuntimeError):
             shown = f"2^{needed.bit_length() - 1} or more"
         super().__init__(f"{shown} {quantity} exceed budget {allowed}")
         self.quantity, self.needed, self.allowed = quantity, needed, allowed
+        self.check: str | None = None
 
 
 class BadCharacteristic(VerolabError, ValueError):

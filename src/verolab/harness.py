@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import BadCharacteristic, BadParams, InfiniteField, UnknownCheck
+from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
 from .field import FieldSpec, Scalar, int_in_field, parse_field
 from .independence import SubspaceFamily, is_r_independent, max_independence
 from .linalg import (
@@ -859,6 +859,9 @@ def run_check(check_id: str, params: dict | None = None, seed: int | None = None
     _clear_power_memo()
     try:
         mode, hyp, concl, wit, data = check.body(full.pop("field"), seed, budget, **full)
+    except BudgetExceeded as exc:
+        exc.check = check_id
+        raise
     finally:
         _clear_power_memo()
     dt = (time.perf_counter() - t0) * 1000.0

@@ -75,9 +75,11 @@ def is_r_independent(
     prefixes visited earlier and found direct, or shares P + (i,) and
     would need a smaller tail than i+1, i+2, ..., which does not exist.
     So the witness is the lexicographically first violating r-set.
-    When every member is a point (one basis row), the kernel tests all
-    last members of a prefix of size r - 1 in one batch against that
-    prefix; the witness is the same.
+    When every member is a point (one basis row), the kernel walks the
+    points' residue columns and decides the last two members of each
+    (r - 2)-prefix together by grouping the residues by the line they
+    span; the witness is the same, and the search stops at its first
+    yield, so the echelon basis of a prefix is built at most once.
 
     When C(|F|, r) exceeds the budget, BudgetExceeded is raised before
     any subset is visited.

@@ -34,6 +34,7 @@ A family fixture is subspace fixtures joined by lines containing "--".
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul as _imul
@@ -259,73 +260,153 @@ def _echelon_extend(f: FieldSpec, basis: list[list], pivots: list[int], vec: lis
     return True
 
 
-def _leaf_columns(n: int, rows_of, leaf: int, width: int) -> list[list] | None:
-    """cols[j][i] = entry j of item i's row at depth leaf, for j < width,
-    when every item has exactly one row; None otherwise."""
-    rows = [rows_of(i, leaf) for i in range(n)]
-    if any(len(r) != 1 for r in rows):
-        return None
-    return [[r[0][j] for r in rows] for j in range(width)]
-
-
-def _dependent_leaves(f: FieldSpec, cols: list[list], basis: list[list], width: int, cand: list[int]) -> list[int]:
-    """The candidates i, in order, whose leaf row (cols[j][i] for
-    j < width) lies in the span of basis on [0, width).
-
-    With R the reduced echelon form of basis and p_k its pivots, v is in
-    the span exactly when h_j(v) = v[j] - sum_k v[p_k] R_k[j] is zero at
-    every non-pivot column j < width.  The h_j are evaluated on all
-    surviving candidates at once, one column at a time, and the
-    candidates where h_j is nonzero are dropped."""
-    zero = f.zero_raw
-    fma, neg = f.fma, f.neg
-    red, piv = _rref_raw(f, [row[:width] for row in basis])
-    pivot_set = set(piv)
-    for j in range(width):
-        if not cand:
-            break
-        if j in pivot_set:
-            continue
-        col = cols[j]
-        h = [col[i] for i in cand]
-        for row, p in zip(red, piv):
-            c = row[j]
-            if c != zero:
-                c = neg(c)
-                colp = cols[p]
-                h = [fma(x, colp[i], c) for x, i in zip(h, cand)]
-        cand = [i for x, i in zip(h, cand) if x == zero]
-    return cand
-
-
 def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int, complete: bool = False):
     """Depth-first search over the index tuples of range(n) of size at
     most max_size, in lexicographic order, yielding each tuple whose
     last item's rows are dependent on the rows of the items before it.
 
     rows_of(i, depth) returns fresh rows (mutable lists) for item i
-    placed at position depth.  The search keeps the semi-echelon basis
-    of the current prefix's rows and, to visit prefix + (i,), reduces
-    only item i's rows against it.  When one of them reduces to zero it
-    yields (prefix + (i,), residue) and does not descend, since every
-    extension contains the same dependency; otherwise it descends until
-    max_size.  On backtrack the basis is cut back to its length before
-    the item was added.  With complete=True an index is tried only when
-    the tuple can still be completed to max_size inside range(n), i.e.
+    placed at position depth; only entries past width (tags, never
+    pivoted on) may depend on depth.  Each tuple prefix + (i,) is
+    yielded with the residue of the first of item i's rows that reduces
+    to zero on [0, width) against the semi-echelon basis of the prefix's
+    rows (_echelon_extend), and is not descended, since every extension
+    contains the same dependency; an independent prefix is descended
+    until max_size.  With complete=True an index is tried only when the
+    tuple can still be completed to max_size inside range(n), i.e.
     i <= n - (max_size - depth).
 
     When every item has exactly one row (point families, the tagged
-    columns of a check matrix), the last depth max_size - 1 is tested as
-    one batch per prefix: the leaf rows' first width entries are read
-    once per search, and _dependent_leaves finds every candidate leaf
-    in the span of the prefix at once, without touching the basis.
-    Each dependent leaf, in increasing order, is then rebuilt by rows_of
-    and reduced by _echelon_extend, so it yields the same tuples and
-    residues, in the same order, as the per-candidate test that items
-    with several rows keep.
+    columns of a check matrix) the search runs on residue columns
+    (_point_walk); otherwise it reduces each candidate's rows against
+    the prefix basis (_row_walk).  Both yield the same tuples and
+    residues in the same order.
     """
-    leaf = max_size - 1
-    cols = _leaf_columns(n, rows_of, leaf, width)
+    rows = [rows_of(i, 0) for i in range(n)]
+    if all(len(r) == 1 for r in rows):
+        cols = [[r[0][j] for r in rows] for j in range(width)]
+        return _point_walk(f, n, rows_of, width, max_size, complete, cols)
+    return _row_walk(f, n, rows_of, width, max_size, complete)
+
+
+def _point_walk(f: FieldSpec, n: int, rows_of, width: int, max_size: int, complete: bool, cols: list[list]):
+    """dependent_prefixes for one-row items, on residue columns.
+
+    A level holds, for each column j < width that is no pivot of the
+    current prefix P (in increasing order of j), the residue entries of
+    the items after P's last one.  Descending into item a scales a's
+    residue to u with a unit pivot at its first nonzero column p: in the
+    child, column j is column j sliced past a when u_j = 0, and x - u_j y
+    otherwise, y the item's entry in column p; column p leaves.  An item
+    is dependent on the prefix exactly when its residue is zero, so with
+    no column left every item is.
+
+    The last two depths are decided at depth max_size - 2, where P is
+    independent and the residues are coordinates in K^width / <P>.  For
+    a < k, P + (a, k) is dependent exactly when rho_k = 0 or rho_k lies
+    in <rho_a>, so the items with a nonzero residue are grouped by it
+    scaled to first nonzero entry 1, and each a with rho_a != 0 yields
+    P + (a, k) for every later k in its group or with rho_k = 0.
+
+    The residues yielded carry the tags, so they come from the tagged
+    semi-echelon basis of the prefix's rows_of rows.  It is built only
+    when a tuple is yielded, extended from the rows of the prefix items
+    it lacks, and cut back to the prefix on backtrack; each residue is
+    then rows_of(k, depth)[0] reduced by _echelon_extend, as in
+    _row_walk.
+    """
+    zero = f.zero_raw
+    fma, neg, mul, inv = f.fma, f.neg, f.mul, f.inv
+    last = max_size - 2
+    prefix: list[int] = []
+    basis: list[list] = []
+    pivots: list[int] = []
+
+    def residue(k):
+        for t in range(len(basis), len(prefix)):
+            _echelon_extend(f, basis, pivots, rows_of(prefix[t], t)[0], width)
+        vec = rows_of(k, len(prefix))[0]
+        _echelon_extend(f, basis, pivots, vec, width)
+        return vec
+
+    def pairs(ks):
+        for k in ks:
+            yield (*prefix, k), residue(k)
+
+    def level(start, cols):
+        depth = len(prefix)
+        if depth == last:
+            keys = _projective_keys(f, cols, n - start)
+            groups: dict = {None: []}
+            for k, key in enumerate(keys, start):
+                groups.setdefault(key, []).append(k)
+            zeros = groups[None]
+        for a in range(start, n - max_size + depth + 1 if complete else n):
+            t = a - start
+            if depth == last:
+                key = keys[t]
+                if key is None:
+                    yield (*prefix, a), residue(a)
+                    continue
+                group = groups[key]
+                ks = group[bisect_right(group, a):] + zeros[bisect_right(zeros, a):]
+                if not ks:
+                    continue
+                below = pairs(sorted(ks))
+            else:
+                u = [c[t] for c in cols]
+                for p, x in enumerate(u):
+                    if x != zero:
+                        break
+                else:
+                    yield (*prefix, a), residue(a)
+                    continue
+                if depth + 1 == max_size:  # max_size 1: the root is the last depth
+                    continue
+                s = inv(x)
+                colp = cols[p][t + 1:]
+                child = [c[t + 1:] for c in cols[:p]]
+                for c, y in zip(cols[p + 1:], u[p + 1:]):
+                    if y == zero:
+                        child.append(c[t + 1:])
+                    else:
+                        w = neg(mul(y, s))
+                        child.append([fma(v, z, w) for v, z in zip(c[t + 1:], colp)])
+                below = level(a + 1, child)
+            prefix.append(a)
+            yield from below
+            prefix.pop()
+            del basis[depth:], pivots[depth:]
+
+    return level(0, cols)
+
+
+def _projective_keys(f: FieldSpec, cols: list[list], count: int) -> list[tuple | None]:
+    """For each of count items, given by its entries in cols: its residue
+    scaled so that its first nonzero entry is 1, or None when it is zero.
+    Two nonzero residues span the same line exactly when their keys are
+    equal."""
+    zero, one = f.zero_raw, f.one_raw
+    mul, inv = f.mul, f.inv
+    keys: list[tuple | None] = []
+    for r in zip(*cols) if cols else [()] * count:
+        for x in r:
+            if x != zero:
+                if x != one:
+                    s = inv(x)
+                    r = tuple([mul(y, s) for y in r])
+                keys.append(r)
+                break
+        else:
+            keys.append(None)
+    return keys
+
+
+def _row_walk(f: FieldSpec, n: int, rows_of, width: int, max_size: int, complete: bool = False):
+    """dependent_prefixes by reducing candidates' rows.  The search keeps
+    the semi-echelon basis of the current prefix's rows and, to visit
+    prefix + (i,), reduces only item i's rows against it; on backtrack
+    the basis is cut back to its length before the item was added."""
     basis: list[list] = []
     pivots: list[int] = []
     prefix: list[int] = []
@@ -333,12 +414,6 @@ def dependent_prefixes(f: FieldSpec, n: int, rows_of, width: int, max_size: int,
     i = 0
     while True:
         depth = len(prefix)
-        if cols is not None and depth == leaf:
-            for j in _dependent_leaves(f, cols, basis, width, list(range(i, n))):
-                vec = rows_of(j, depth)[0]
-                _echelon_extend(f, basis, pivots, vec, width)
-                yield tuple(prefix) + (j,), vec
-            i = n
         if i > (n - max_size + depth if complete else n - 1):
             if not prefix:
                 return

@@ -76,6 +76,15 @@ def test_budget_exceeded_propagates():
         run_check("T1_1", {"field": "F5", "n": 3, "d": 3}, budget=5)
 
 
+def test_budget_refusal_names_the_check():
+    from verolab import BudgetExceeded
+
+    with pytest.raises(BudgetExceeded) as info:
+        run_check("T1_1", {"field": "F16", "n": 3, "d": 3})
+    assert info.value.check == "T1_1"
+    assert info.value.needed == 226387980
+
+
 def test_cli_reports_budget_errors_cleanly():
     out = _cli("check", "T1_1", "--field", "F5", "--n", "3", "--d", "3", "--budget", "5")
     assert out.returncode == 2
@@ -555,3 +564,21 @@ BRANCH_PINS = [
 def test_branches_outside_full_desk_are_pinned(check_id, params, digest):
     got = result_to_json(run_check(check_id, dict(params)))
     assert hashlib.sha256(got.encode()).hexdigest() == digest, got
+
+
+# VCODE F3 n2 d2 wmax 4: four columns in K^3, and (0, 1, 2, 3) is their
+# one circuit, so a planted list of it passes the witness check whatever
+# size it is filed under, and only the sizes send the check into its
+# failure branches
+@pytest.mark.parametrize("planted,witness", [
+    ({3: [(0, 1, 2, 3)]}, {"dependent_at": 3}),  # d + 1
+    ({}, {"min_weight": None}),
+    ({5: [(0, 1, 2, 3)], 6: [(0, 1, 2, 3)]}, {"min_weight": 5}),  # d + 3, d + 4
+])
+def test_vcode_fails_on_planted_support_sizes(planted, witness):
+    params = {"field": "F3", "n": 2, "d": 2, "wmax": 4}
+    assert run_check("VCODE", dict(params)).conclusion_ok
+    with mock.patch.object(harness.vc, "minimal_supports", return_value=planted):
+        res = run_check("VCODE", dict(params))
+    assert res.hypothesis_ok and not res.conclusion_ok
+    assert res.witness == witness

@@ -3,12 +3,16 @@ simple searches it replaced, which are kept here as references.
 
 The references rebuild every subset from scratch: is_r_independent walks
 itertools.combinations and spans each subset, minimal_supports walks
-subset sizes upward and skips supersets of supports already found.
+subset sizes upward and skips supersets of supports already found.  The
+one-row walk on residue columns (linalg._point_walk) is also compared,
+tuple by tuple and residue by residue, with the per-candidate row walk
+(linalg._row_walk), called directly.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -34,15 +38,22 @@ from verolab.linalg import _rref_raw
 from verolab.vcode import CheckMatrix
 
 FIELDS = [parse_field("F2"), parse_field("F3"), parse_field("F4"), parse_field("F9"), rationals()]
-# one-row items take the batched last depth; these cover the 2-D table
-# fields, the log-table fields past the table limit (xor, Zech and
+# one-row items take the walk on residue columns; these cover the 2-D
+# table fields, the log-table fields past the table limit (xor, Zech and
 # prime-modulus additions) and Q
 POINT_FIELDS = [parse_field(f"F{q}") for q in (2, 4, 5, 7, 128, 243, 257)] + [rationals()]
+WALK_FIELDS = [parse_field(f"F{q}") for q in (2, 3, 4, 5, 7, 8, 9, 128, 243, 257, 65536)] + [rationals()]
 
 
 def _batch_spy():
-    """Counts the prefixes whose last depth is tested as one batch."""
-    return mock.patch.object(linalg, "_dependent_leaves", wraps=linalg._dependent_leaves)
+    """Counts the searches that take the one-row walk on residue columns."""
+    return mock.patch.object(linalg, "_point_walk", wraps=linalg._point_walk)
+
+
+def _grouped_spy():
+    """Counts the levels at depth max_size - 2, where the last two depths
+    are decided by grouping the residues."""
+    return mock.patch.object(linalg, "_projective_keys", wraps=linalg._projective_keys)
 
 
 # ----------------------------------------------------------------------
@@ -286,10 +297,12 @@ def test_zero_and_repeated_columns_are_small_supports():
 @given(low_rank_check_matrices(), st.integers(1, 9))
 def test_supports_match_reference_on_low_rank_matrices(cm, w_max):
     w_max = min(w_max, cm.n_cols)
-    with _batch_spy() as spy:
+    with _batch_spy() as spy, _grouped_spy() as grouped:
         assert minimal_supports(cm, w_max) == ref_minimal_supports(cm, w_max)
-    # the last depth is reached exactly when some w_max - 1 columns are independent
-    assert (spy.call_count > 0) == (rank(cm.h) >= w_max - 1)
+    assert spy.call_count == 1
+    # the grouped depth w_max - 2 is reached exactly when some w_max - 2
+    # columns are independent; with w_max = 1 there is none
+    assert (grouped.call_count > 0) == (w_max >= 2 and rank(cm.h) >= w_max - 2)
 
 
 def test_every_dependent_leaf_under_one_prefix_is_yielded_in_order():
@@ -323,3 +336,62 @@ def test_w_max_below_one_is_bad_params():
     for w_max in (0, -1):
         with pytest.raises(BadParams):
             minimal_supports(cm, w_max)
+
+
+# ----------------------------------------------------------------------
+# the one-row walk against the row walk
+# ----------------------------------------------------------------------
+
+def _planted_rows(rng, f, n, width):
+    """n rows of K^width drawn from the span of a few base rows, with
+    planted zero rows, repeated rows and scaled copies of earlier rows,
+    so that dependent pairs and zero residues are common at every depth."""
+    def element():
+        if f.is_finite:
+            return rng.randrange(f.q)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    zero = f.zero_raw
+    base = [[element() for _ in range(width)] for _ in range(rng.randint(1, max(1, width)))]
+    rows = []
+    for _ in range(n):
+        pick = rng.choice(["zero", "repeat", "scaled", "combo", "combo"] if rows else ["zero", "combo"])
+        if pick == "zero":
+            rows.append([zero] * width)
+        elif pick == "repeat":
+            rows.append(list(rng.choice(rows)))
+        elif pick == "scaled":
+            c = element()
+            rows.append([f.mul(c, x) for x in rng.choice(rows)])
+        else:
+            row = [zero] * width
+            for b in base:
+                c = element()
+                row = [f.fma(x, c, y) for x, y in zip(row, b)]
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("f", WALK_FIELDS, ids=lambda f: f.name)
+def test_point_walk_matches_the_row_walk_tuple_by_tuple(f):
+    rng = random.Random(f"walk-{f.name}")
+    yields = 0
+    for _ in range(120):
+        n, width = rng.randint(0, 9), rng.randint(0, 5)
+        max_size, complete, tagged = rng.randint(1, 5), rng.random() < 0.5, rng.random() < 0.5
+        rows = _planted_rows(rng, f, n, width)
+
+        def rows_of(i, depth):
+            # the tags past width depend on the depth, as minimal_supports' do
+            row = list(rows[i])
+            if tagged:
+                row += [f.zero_raw] * max_size
+                row[width + depth] = f.one_raw
+            return [row]
+
+        with _batch_spy() as spy:
+            got = list(linalg.dependent_prefixes(f, n, rows_of, width, max_size, complete))
+        assert spy.call_count == 1
+        assert got == list(linalg._row_walk(f, n, rows_of, width, max_size, complete))
+        yields += len(got)
+    assert yields > 0

@@ -97,19 +97,23 @@ CATALOGUE = (
            (("    _clear_power_memo()\n    try:", "    try:"),
             ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
            "tests/test_power_memo.py", "power subspaces memoised in one check are served to the next"),
-    # the batched last depth of the subset search
-    Mutant("leaves-last-column-skipped", "linalg.py", "_dependent_leaves",
-           (("for j in range(width):", "for j in range(width - 1):"),),
-           "tests/test_search_kernel.py", "the last free column is not tested"),
-    Mutant("leaves-survivors-reversed", "linalg.py", "_dependent_leaves",
-           (("return cand", "return cand[::-1]"),),
-           "tests/test_search_kernel.py", "the dependent leaves come back in reverse order"),
-    Mutant("leaves-one-term-dropped", "linalg.py", "_dependent_leaves",
-           (("for row, p in zip(red, piv):", "for row, p in zip(red[1:], piv[1:]):"),),
-           "tests/test_search_kernel.py", "the R_0 term is dropped from every h_j"),
-    Mutant("leaves-single-row-condition-dropped", "linalg.py", "_leaf_columns",
-           (("if any(len(r) != 1 for r in rows):", "if any(len(r) < 1 for r in rows):"),),
-           "tests/test_search_kernel.py", "items with several rows are batched on their first row"),
+    # the one-row walk of the subset search on residue columns
+    Mutant("walk-zero-residues-left-out", "linalg.py", "_point_walk",
+           (("ks = group[bisect_right(group, a):] + zeros[bisect_right(zeros, a):]",
+             "ks = group[bisect_right(group, a):]"),),
+           "tests/test_search_kernel.py", "a last item with a zero residue is not paired with the items before it"),
+    Mutant("walk-group-key-not-scaled", "linalg.py", "_projective_keys",
+           (("r = tuple([mul(y, s) for y in r])", "pass"),),
+           "tests/test_search_kernel.py", "residues are grouped raw, so two on one line but not equal are not paired"),
+    Mutant("walk-tagged-basis-not-cut-back", "linalg.py", "_point_walk",
+           (("            del basis[depth:], pivots[depth:]", "            pass"),),
+           "tests/test_search_kernel.py", "the tagged basis keeps the rows of a finished subtree's prefix"),
+    Mutant("walk-pivot-not-normalised", "linalg.py", "_point_walk",
+           (("w = neg(mul(y, s))", "w = neg(y)"),),
+           "tests/test_search_kernel.py", "u is not scaled to a unit pivot before the child columns are formed"),
+    Mutant("walk-pivot-column-kept", "linalg.py", "_point_walk",
+           (("for c in cols[:p]]", "for c in cols[:p + 1]]"),),
+           "tests/test_search_kernel.py", "column p stays in the child level, unreduced"),
     # the RHO proof from the generators
     Mutant("rho-diagonal-generator-dropped", "harness.py", "_elementary_matrices",
            (("if mu != f.one_raw", "if mu not in (f.one_raw, nonzero[-1])"),),
@@ -165,6 +169,16 @@ CATALOGUE = (
            (("prof[:len(fam)] == stated[:len(fam)]",
              "prof[:len(fam)][:len(stated) - 1] == stated[:len(fam)][:len(stated) - 1]"),),
            "tests/test_census.py", "the last stated level, the zero meets, is not compared"),
+    # VCODE's failure branches, reached by planted support lists
+    Mutant("vcode-dependent-at-d-plus-one-missed", "harness.py", "_check_vcode",
+           (("if w <= d + 1]", "if w < d + 1]"),),
+           "tests/test_harness.py", "a support of size d + 1 is not reported as a dependency"),
+    Mutant("vcode-min-weight-needs-both", "harness.py", "_check_vcode",
+           (("if not sizes or sizes[0] != d + 2:", "if not sizes and sizes[0] != d + 2:"),),
+           "tests/test_harness.py", "a wrong or missing minimum weight passes on to the geometry test"),
+    Mutant("vcode-min-weight-second-size", "harness.py", "_check_vcode",
+           (("sizes[0] if sizes else None", "sizes[1] if sizes else None"),),
+           "tests/test_harness.py", "the min_weight witness reads the second support size"),
     # the checks' own searches, read off the library's enumerations and kernels
     Mutant("sharp-witness-one-short", "harness.py", "_check_t1_1_sharp",
            (("pivots[:d + 2]", "pivots[:d + 1]"),),
