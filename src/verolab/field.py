@@ -9,9 +9,10 @@ order used everywhere downstream (fixture files store these indices).
 
 Elements of Q are represented by fractions.Fraction, which keeps every
 value in lowest terms with a positive denominator.  Every stored Q value
-is a Fraction, but the elimination, matrix products and Sym^d over Q
-clear denominators and compute on ints, building one Fraction per output
-value (see the linalg module).
+is a Fraction, but the elimination, matrix products, intersections,
+Sym^d, power subspaces and product spaces over Q clear denominators and
+compute on ints, building one Fraction per stored output value (see the
+linalg module).
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
 neg, inv, ...) on the underlying representation, and one fused op,

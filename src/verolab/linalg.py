@@ -7,13 +7,16 @@ needed.
 
 A Matrix stores raw field values (integer indices or Fractions, see the
 field module), one tuple per row.  Over GF(q) all elimination runs on
-them.  Over Q the elimination, Matrix products and polyalgebra.sym_power
-clear denominators once (_int_rows: each row becomes integers over the
-lcm of its denominators) and then run on ints.  The elimination is
-fraction-free Gauss-Jordan that divides out each row's content (Bareiss,
-Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
-Theory, 2.2).  One Fraction is built per output value, so every stored Q
-value is still a Fraction and equality and hashing are unchanged.
+them.  Over Q the elimination (rref, rank, span_raw), Matrix products,
+subspace_intersect, and polyalgebra's sym_power, power_subspace and
+product_space clear denominators once (_int_rows: each row becomes
+integers over the lcm of its denominators, primitive for an RREF row)
+and then run on ints.  The elimination is fraction-free Gauss-Jordan that divides out
+each row's content (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2-2.3).  One Fraction is built
+per stored output value (none for rank), so every stored Q value is
+still a Fraction and equality and hashing are unchanged.  annihilator,
+combine_basis and _echelon_extend still compute on Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -34,7 +37,7 @@ A family fixture is subspace fixtures joined by lines containing "--".
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul as _imul
@@ -170,12 +173,17 @@ def _rref_q(rows: list[list]) -> tuple[list[list], list[int]]:
     divided by its pivot into Fractions."""
     work, _ = _int_rows(rows)
     pivots = _rref_int(work)
-    for i, c in enumerate(pivots):
-        pv = work[i][c]
-        rows[i] = [_fraction(x, pv) for x in work[i]]
+    rows[:len(pivots)] = _q_rows(work, pivots)
     for i in range(len(pivots), len(rows)):
         rows[i] = [_QZERO] * len(work[i])
     return rows, pivots
+
+
+def _q_rows(work: list[list[int]], pivots) -> list[list[Fraction]]:
+    """The first len(pivots) rows of work, integer rows with their pivot
+    entry at pivots[i], each divided by that entry: the RREF rows over Q
+    that _rref_int leaves as primitive integer rows."""
+    return [[_fraction(x, row[p]) for x in row] for row, p in zip(work, pivots)]
 
 
 def _rref_int(rows: list[list[int]]) -> list[int]:
@@ -598,6 +606,8 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
+    if not m.field.is_finite:
+        return len(_rref_int(_int_rows(m.raw)[0]))
     _, pivots = _rref_raw(m.field, m.raw_rows())
     return len(pivots)
 
@@ -654,11 +664,21 @@ def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
 
 def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
     """span() of raw coordinate lists, which are reduced in place."""
+    if not field.is_finite:
+        return _span_int(_int_rows(rows)[0], ambient_dim, field)
     if not rows:
         return zero_subspace(field, ambient_dim)
     rows, pivots = _rref_raw(field, rows)
     basis = Matrix.from_raw_rows(field, rows[: len(pivots)], ambient_dim)
     return Subspace(field, ambient_dim, basis, tuple(pivots))
+
+
+def _span_int(rows: list[list[int]], ambient_dim: int, field: FieldSpec) -> Subspace:
+    """The span over Q (field) of integer rows, which _rref_int reduces in
+    place; one Fraction is built per stored basis value."""
+    pivots = _rref_int(rows)
+    return Subspace(field, ambient_dim, Matrix.from_raw_rows(field, _q_rows(rows, pivots), ambient_dim),
+                    tuple(pivots))
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
@@ -693,7 +713,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     A; the map b -> r is linear with kernel A.  A combination of the rows
     [r | b] has zero left half exactly when its right half lies in A, so
     after echelonizing them (dim B rows, not dim A + dim B) the rows whose
-    pivot lies in the right half carry the intersection."""
+    pivot p lies in the right half (p >= m) carry the intersection.  They
+    come last, and their right halves are already its RREF basis, with
+    pivots p - m.  Over Q the rows are integers (_residues_int) reduced
+    by _rref_int, and each meet row is divided by its pivot entry."""
     _check_compatible(a, b)
     f = a.field
     m = a.ambient_dim
@@ -701,9 +724,40 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         return zero_subspace(f, m)
     if a.dim < b.dim:
         a, b = b, a
-    rows = [_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r) for r in b.basis.raw]
-    rows, piv = _rref_raw(f, rows)
-    return span_raw([row[m:] for row, p in zip(rows, piv) if p >= m], m, f)
+    if f.is_finite:
+        rows = [_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r) for r in b.basis.raw]
+        rows, piv = _rref_raw(f, rows)
+    else:
+        rows = _residues_int(a, b)
+        piv = _rref_int(rows)
+    k = bisect_left(piv, m)
+    pivots = tuple(p - m for p in piv[k:])
+    meet = [row[m:] for row in rows[k:len(piv)]]
+    if not f.is_finite:
+        meet = _q_rows(meet, pivots)
+    return Subspace(f, m, Matrix.from_raw_rows(f, meet, m), pivots)
+
+
+def _residues_int(a: Subspace, b: Subspace) -> list[list[int]]:
+    """The rows [r | s y] of subspace_intersect over Q, on integers: for
+    each primitive integer basis row y of b (_int_rows), r is s y reduced
+    against the primitive integer rows of A's RREF basis.  Each step
+    clears the entry at one of A's pivots, whose row has zeros at the
+    others, by r -> e r - c z (e and c the pivot and the cleared entry
+    over their gcd), so the tag half is scaled by e along with r."""
+    arows, dens = _int_rows(a.basis.raw)  # dens[i] is row i's pivot entry
+    out = []
+    for y in _int_rows(b.basis.raw)[0]:
+        r, s = y, 1
+        for z, p, pv in zip(arows, a.pivots, dens):
+            c = r[p]
+            if c:
+                g = gcd(pv, c)
+                e, c = pv // g, c // g
+                r = [e * x - c * w for x, w in zip(r, z)]
+                s *= e
+        out.append(r + [s * x for x in y])
+    return out
 
 
 def annihilator(a: Subspace) -> Subspace:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import sub
+from operator import add, sub
 
 from .errors import BadParams
 from .field import FieldSpec, Scalar, int_in_field
@@ -56,12 +56,29 @@ def _parent_steps(n: int, d: int) -> tuple[tuple[int, int], ...]:
 @functools.lru_cache(maxsize=None)
 def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Row g, entry j: the index in degree d (d >= 1) of gamma + e_j, where
-    gamma is the g-th degree-(d - 1) exponent."""
-    idx = _index_map(n, d)
-    return tuple(
-        tuple(idx[gamma[:j] + (gamma[j] + 1,) + gamma[j + 1:]] for j in range(n))
-        for gamma in enumerate_exponents(n, d - 1)
-    )
+    gamma is the g-th degree-(d - 1) exponent.
+
+    In descending lex order the exponents with first entry a come after
+    the N(n, d - a - 1) with a larger one, in the order of their tails in
+    one variable fewer.  So gamma + e_1 keeps gamma's index, and gamma +
+    e_j (j > 1) is that offset plus an entry of the table in one variable
+    fewer.  Unrolled over the variables, with no recursion, entry j is
+    entry j - 1 plus N(n - j, d - 1 - s_j), s_j = gamma_1 + ... + gamma_j
+    (1-based).  The partial sums are listed as enumerate_exponents reads
+    them, and the table is built column by column; BudgetExceeded, before
+    any is listed, when its n N(n, d - 1) entries are more than
+    ENUM_BUDGET."""
+    top = d - 1
+    check_budget(f"shift-table entries in {n} variables of degree {d}", num_monomials(n, top) * n, ENUM_BUDGET)
+    sums = list(itertools.combinations_with_replacement(range(d), n - 1))[::-1]
+    index = list(range(num_monomials(n, d)))  # one int object per index, shared by every row
+    col = index[:len(sums)]
+    cols = [col]
+    for j, s in enumerate(zip(*sums), 1):
+        step = [math.comb(n - j - 1 + top - t, top - t) for t in range(d)]  # N(n - j, top - t)
+        col = list(map(index.__getitem__, map(add, col, map(step.__getitem__, s))))
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 @functools.lru_cache(maxsize=None)

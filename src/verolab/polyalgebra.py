@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
 from .linalg import ENUM_BUDGET, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
-from .linalg import _fraction, _int_rows, zero_subspace
+from .linalg import _fraction, _int_rows, _span_int, zero_subspace
 from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
@@ -116,26 +117,26 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
     """Exact convolution over exponent addition: A_a x A_b -> A_{a+b}."""
     f_poly._check(g_poly)
     fld = f_poly.field
-    n = f_poly.n
-    d = f_poly.d + g_poly.d
-    fma = fld.fma
-    zero = fld.zero_raw
+    out = _convolve(f_poly.n, f_poly.raw, f_poly.d, g_poly.raw, g_poly.d, fld.fma, fld.zero_raw)
+    return HomogPoly.from_raw(fld, f_poly.n, f_poly.d + g_poly.d, out)
+
+
+def _convolve(n: int, a, da: int, b, db: int, fma, zero) -> list:
+    """The coefficients of the product of the forms a and b of degrees da
+    and db in n variables: one fma(acc, x, y) per pair of nonzero terms.
+    poly_mul runs it on field values, and product_space over Q on
+    integers, whose zero is 0, with Q's fma (a + b*c)."""
+    d = da + db
     idx = _index_map(n, d)
     out = [zero] * num_monomials(n, d)
-    exps_f = enumerate_exponents(n, f_poly.d)
-    exps_g = enumerate_exponents(n, g_poly.d)
-    raw_g = g_poly.raw
-    for i, a in enumerate(f_poly.raw):
-        if a == zero:
+    terms_b = [(beta, y) for beta, y in zip(enumerate_exponents(n, db), b) if y != zero]
+    for alpha, x in zip(enumerate_exponents(n, da), a):
+        if x == zero:
             continue
-        alpha = exps_f[i]
-        for j, b in enumerate(raw_g):
-            if b == zero:
-                continue
-            beta = exps_g[j]
-            k = idx[tuple(x + y for x, y in zip(alpha, beta))]
-            out[k] = fma(out[k], a, b)
-    return HomogPoly.from_raw(fld, n, d, out)
+        for beta, y in terms_b:
+            k = idx[tuple(map(add, alpha, beta))]
+            out[k] = fma(out[k], x, y)
+    return out
 
 
 def poly_pow(f_poly: HomogPoly, e: int) -> HomogPoly:
@@ -158,15 +159,29 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
 
     Row beta, in the degree-d monomial order over len(rows) variables,
     holds the coefficients of prod_i (rows[i] . x)^beta_i in the degree-d
-    monomial order over n variables.  It is built degree by degree: row
-    beta is row beta - e_i times form i, for i the first nonzero index of
-    beta.  No rows give no rows; d = 0 gives the constant 1 per row.
+    monomial order over n variables.  It is built degree by degree
+    (_sym_table): row beta is row beta - e_i times form i, for i the
+    first nonzero index of beta.  No rows give no rows; d = 0 gives the
+    constant 1 per row.
 
     Over Q the table is built on the integer forms rows[i] * dens[i] (see
     linalg._int_rows), and row beta is divided by prod_i dens[i]^beta_i
-    into Fractions at the end.  Over GF(q) every term is one field.fma;
-    on the integer table it is inline int arithmetic, with no call.
+    into Fractions at the end.
     """
+    if field.is_finite:
+        return _sym_table(rows, d, field)
+    if not rows:
+        return []
+    rows, dens = _int_rows(rows)
+    table = _sym_table(rows, d, field)
+    scales = (math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(len(rows), d))
+    return [[_fraction(x, den) for x in row] for row, den in zip(table, scales)]
+
+
+def _sym_table(rows, d: int, field: FieldSpec) -> list[list]:
+    """The table of sym_power: over GF(q) on field values, one field.fma
+    per term, and over Q on integer rows, with inline int arithmetic and
+    no call, left as ints."""
     m = len(rows)
     if m == 0:
         return []
@@ -174,11 +189,7 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     check_budget(f"entries of Sym^{d} of {m} forms in {n} variables", num_monomials(m, d) * num_monomials(n, d),
                  ENUM_BUDGET)
     fma, ints = field.fma, not field.is_finite
-    if ints:
-        rows, dens = _int_rows(rows)
-        zero, one = 0, 1
-    else:
-        zero, one = field.zero_raw, field.one_raw
+    zero, one = (0, 1) if ints else (field.zero_raw, field.one_raw)
     terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]
     table = [[one]]
     for k in range(1, d + 1):
@@ -200,12 +211,7 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
                         out[s] = fma(out[s], c, l)
             nxt.append(out)
         table = nxt
-    if not ints:
-        return table
-    return [
-        [_fraction(x, den) for x in row]
-        for row, den in zip(table, (math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(m, d)))
-    ]
+    return table
 
 
 def linear_form_power(form: HomogPoly, d: int) -> HomogPoly:
@@ -234,7 +240,10 @@ def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
 @functools.lru_cache(maxsize=1024)
 def power_subspace(t: Subspace, d: int) -> Subspace:
     """<T^d>: span of all d-fold products of elements of T <= A_1, i.e. the
-    row space of sym_power over the canonical basis of T.
+    row space of sym_power over the canonical basis of T.  Over Q the
+    integer table (_sym_table) of its primitive integer multiples
+    (_int_rows), whose rows are nonzero multiples of sym_power's, is
+    reduced as it is.
 
     Memoised on (T, d): sampled checks draw the same subspaces again and
     again.  harness.run_check clears the memo before and after each check
@@ -242,21 +251,29 @@ def power_subspace(t: Subspace, d: int) -> Subspace:
     if d < 1:
         raise DegreeMismatch("power degree must be >= 1")
     fld = t.field
-    return span_raw(sym_power(t.basis.raw, d, fld), num_monomials(t.ambient_dim, d), fld)
+    big_n = num_monomials(t.ambient_dim, d)
+    if fld.is_finite:
+        return span_raw(sym_power(t.basis.raw, d, fld), big_n, fld)
+    return _span_int(_sym_table(_int_rows(t.basis.raw)[0], d, fld), big_n, fld)
 
 
 def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> Subspace:
     """<PQ>: span of pairwise products of basis elements of P <= A_i and
-    Q <= A_j, inside A_{i+j}."""
+    Q <= A_j, inside A_{i+j}.  Over Q the products are taken of the
+    primitive integer multiples of the basis rows (_int_rows), which span
+    the same space, and reduced on ints (_span_int)."""
     fld = p.field
     if fld != q.field:
         raise FieldMismatch("product of subspaces over different fields")
     check_budget(f"entries of the products of a {p.dim}-space of degree {deg_p} and a {q.dim}-space of degree "
                  f"{deg_q} in {n} variables", p.dim * q.dim * num_monomials(n, deg_p + deg_q), ENUM_BUDGET)
-    pp = subspace_polys(p, n, deg_p)
-    qq = subspace_polys(q, n, deg_q)
-    products = [list(poly_mul(a, b).raw) for a in pp for b in qq]
-    return span_raw(products, num_monomials(n, deg_p + deg_q), fld)
+    pp = [a.raw for a in subspace_polys(p, n, deg_p)]
+    qq = [b.raw for b in subspace_polys(q, n, deg_q)]
+    zero, span_rows = fld.zero_raw, span_raw
+    if not fld.is_finite:
+        (pp, _), (qq, _), zero, span_rows = _int_rows(pp), _int_rows(qq), 0, _span_int
+    return span_rows([_convolve(n, a, deg_p, b, deg_q, fld.fma, zero) for a in pp for b in qq],
+                     num_monomials(n, deg_p + deg_q), fld)
 
 
 def sigma_iso(n: int, d: int, field: FieldSpec) -> tuple[Scalar, ...]:

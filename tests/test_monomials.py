@@ -17,7 +17,7 @@ from verolab import (
     rationals,
 )
 from verolab.field import int_in_field
-from verolab.monomials import _index_map
+from verolab.monomials import _index_map, _shift_table
 
 
 def test_enumerate_n2_d2():
@@ -127,3 +127,31 @@ def test_eval_monomial_zero_to_the_zero():
 def test_enumerate_exponents_rejects_bad_params(n, d):
     with pytest.raises(BadParams):
         enumerate_exponents(n, d)
+
+
+def _shift_reference(n, d):
+    """_shift_table by looking each gamma + e_j up in the degree-d index map."""
+    idx = _index_map(n, d)
+    return tuple(tuple(idx[g[:j] + (g[j] + 1,) + g[j + 1:]] for j in range(n)) for g in enumerate_exponents(n, d - 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_shift_table_matches_the_index_map(n, d):
+    assert _shift_table(n, d) == _shift_reference(n, d)
+
+
+def test_shift_table_in_one_variable():
+    for d in range(1, 40):
+        assert _shift_table(1, d) == ((0,),)
+
+
+def test_shift_table_in_a_thousand_variables():
+    # no recursion per variable: n = 1000 is the exponent cap's reach at d = 1
+    assert _shift_table(1000, 1) == _shift_reference(1000, 1) == (tuple(range(1000)),)
+
+
+def test_shift_table_is_refused_past_the_entry_cap():
+    # N(3, 999) * 3 entries, refused before any row is listed
+    with pytest.raises(BudgetExceeded, match=r"^1501500 shift-table entries in 3 variables of degree 1000 exceed budget"):
+        _shift_table(3, 1000)

@@ -1,26 +1,35 @@
 """The integer core over Q against the plain Fraction algorithms it replaced.
 
-Over Q, linalg._rref_raw, polyalgebra.sym_power, Matrix.__mul__ and
-Matrix.apply clear denominators once and compute on ints.  The
-references below are the Fraction loops they replaced, run on the same
-inputs: non-integer values, numerators and denominators above 10^30,
-zero rows, zero columns, repeated rows, and empty or one-column shapes.
-Equality and hashing cannot tell Fraction(2) from 2, so every stored
-output value is also checked to be a Fraction.
+Over Q, linalg._rref_raw, rank, span_raw, Matrix.__mul__, Matrix.apply
+and polyalgebra.sym_power clear denominators once and compute on ints;
+subspace_intersect reduces B's primitive integer rows against A's and
+reads the meet off one _rref_int; product_space convolves integer forms
+and power_subspace powers them.  The references below are the Fraction
+loops they replaced, run on the same inputs: non-integer values,
+numerators and denominators above 10^30, zero rows, zero columns,
+repeated rows, empty or one-column shapes, and zero, nested, equal and
+disjoint pairs of subspaces.  Equality and hashing cannot tell
+Fraction(2) from 2, so every stored output value is also checked to be
+a Fraction, and stored pivots are compared too.  Over GF(q) the
+one-elimination intersection is held to the two-elimination one it
+replaced.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from verolab import Matrix, rank, rationals, subspace_intersect
+from verolab import Matrix, parse_field, rank, rationals, subspace_intersect
 from verolab.field import Scalar
-from verolab.linalg import Subspace, _rref_int, _rref_raw, span_raw
-from verolab.monomials import _parent_steps, _shift_table, num_monomials
-from verolab.polyalgebra import sym_power
+from verolab.linalg import Subspace, _reduce, _rref_int, _rref_raw, span_raw, zero_subspace
+from verolab.monomials import _parent_steps, _shift_table, enumerate_exponents, num_monomials
+from verolab.polyalgebra import HomogPoly, poly_mul, power_subspace, product_space, sym_power
 
 Q = rationals()
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -95,6 +104,16 @@ def ref_sym_power(rows, d):
     return table
 
 
+def ref_poly_product(a, da, b, db, n):
+    """The coefficients of the product of two forms, term by term."""
+    out = {}
+    for alpha, x in zip(enumerate_exponents(n, da), a):
+        for beta, y in zip(enumerate_exponents(n, db), b):
+            k = tuple(u + v for u, v in zip(alpha, beta))
+            out[k] = out.get(k, ZERO) + x * y
+    return [out.get(g, ZERO) for g in enumerate_exponents(n, da + db)]
+
+
 def ref_dot(row, col):
     acc = ZERO
     for x, y in zip(row, col):
@@ -152,6 +171,11 @@ def all_fractions(rows):
     return all(type(x) is Fraction for r in rows for x in r)
 
 
+def same_subspace(got, want):
+    return (got == want and hash(got) == hash(want) and got.pivots == want.pivots
+            and all_fractions(got.basis.raw))
+
+
 def primitive(row):
     """The primitive integer vector with the same direction as a Fraction row."""
     den = math.lcm(*[x.denominator for x in row])
@@ -170,6 +194,9 @@ def primitive(row):
 @example([[ZERO]])
 @example([[Fraction(3, 7)], [Fraction(HUGE + 1, 3)]])
 @example([[ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]])
+@example([[Fraction(HUGE + 1, 3), Fraction(-2, HUGE), ONE],  # rank 2: the second row is 2/3 of the first
+          [Fraction(2 * HUGE + 2, 9), Fraction(-4, 3 * HUGE), Fraction(2, 3)],
+          [ZERO, ONE, Fraction(HUGE, 7)]])
 def test_rref_matches_fraction_elimination(rows):
     want_rows, want_pivots = ref_rref(rows)
     got_rows, got_pivots = _rref_raw(Q, [list(r) for r in rows])
@@ -208,13 +235,108 @@ def test_intersection_matches_fraction_elimination(args):
     m, a_rows, b_rows, common = args
     a_rows, b_rows = a_rows + common, b_rows + common
     a, b = span_raw([list(r) for r in a_rows], m, Q), span_raw([list(r) for r in b_rows], m, Q)
-    got = subspace_intersect(a, b)
-    want = ref_intersect(a_rows, b_rows, m)
-    assert got == want and hash(got) == hash(want) and all_fractions(got.basis.raw)
+    assert same_subspace(subspace_intersect(a, b), ref_intersect(a_rows, b_rows, m))
+
+
+PAIR_KINDS = ("random", "zero", "nested", "equal", "disjoint")
+
+
+def draw_raw(rng, f):
+    if f.is_finite:
+        return rng.randrange(f.q)
+    sign = rng.choice([1, -1])
+    return rng.choice([
+        ZERO,
+        Fraction(rng.randint(-4, 4)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        Fraction(sign * rng.randint(HUGE, 10 ** 40), rng.randint(1, 10 ** 40)),
+    ])
+
+
+def draw_nonzero(rng, f):
+    while True:
+        x = draw_raw(rng, f)
+        if x != f.zero_raw:
+            return x
+
+
+def pair_rows(rng, f, m, kind):
+    """Raw generating rows (a, b) of a pair of subspaces of K^m of the
+    given kind.  nested: b's rows are combinations of a's; equal: b's rows
+    are a's times an invertible bidiagonal matrix; disjoint: a on the
+    first h coordinates and b on the rest, both moved by one invertible
+    map; zero: b has no rows or only zero rows."""
+    def rows(count, lo=0, hi=m):
+        return [[draw_raw(rng, f) if lo <= j < hi else f.zero_raw for j in range(m)] for _ in range(count)]
+
+    def comb(c, x, y):  # c x + y
+        return [f.fma(v, c, u) for u, v in zip(x, y)]
+
+    if kind == "disjoint":
+        h = rng.randint(0, m)
+        a, b = rows(rng.randint(0, h), 0, h), rows(rng.randint(0, m - h), h, m)
+        ts = [draw_raw(rng, f) for _ in range(m)]
+        mix = lambda r: [r[0]] + [f.fma(r[j], ts[j], r[j - 1]) for j in range(1, m)]  # unit lower bidiagonal
+        return [mix(r) for r in a], [mix(r) for r in b]
+    a = rows(rng.randint(1, m + 1))
+    if kind == "random":
+        return a, rows(rng.randint(0, m + 1))
+    if kind == "zero":
+        return a, [[f.zero_raw] * m for _ in range(rng.randint(0, 2))]
+    if kind == "nested":
+        return a, [comb(draw_raw(rng, f), rng.choice(a), rng.choice(a)) for _ in range(rng.randint(1, len(a)))]
+    c = draw_nonzero(rng, f)
+    zero_row = [f.zero_raw] * m
+    return a, [comb(c, x, y) for x, y in zip(a, a[1:] + [zero_row])]
+
+
+def two_step_intersect(a, b):
+    """The reference meet: the Zassenhaus right halves spanned by a second
+    elimination."""
+    f, m = a.field, a.ambient_dim
+    if a.is_zero() or b.is_zero():
+        return zero_subspace(f, m)
+    if a.dim < b.dim:
+        a, b = b, a
+    rows = [_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r) for r in b.basis.raw]
+    rows, piv = _rref_raw(f, rows)
+    return span_raw([row[m:] for row, p in zip(rows, piv) if p >= m], m, f)
+
+
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_intersection_of_kinds_matches_fraction_elimination(kind):
+    rng = random.Random(f"q-meet:{kind}")
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        a_rows, b_rows = pair_rows(rng, Q, m, kind)
+        a, b = span_raw([list(r) for r in a_rows], m, Q), span_raw([list(r) for r in b_rows], m, Q)
+        want = ref_intersect(a_rows, b_rows, m)
+        assert same_subspace(subspace_intersect(a, b), want), (m, a.dim, b.dim)
+        assert same_subspace(subspace_intersect(b, a), want), (m, b.dim, a.dim)
+        if kind in ("zero", "disjoint"):
+            assert want.is_zero()
+        elif kind == "nested":
+            assert want == b
+        elif kind == "equal":
+            assert want == a
+
+
+@pytest.mark.parametrize("name", ["F2", "F3", "F4", "F64", "F257"])
+@pytest.mark.parametrize("kind", PAIR_KINDS)
+def test_one_elimination_meet_matches_two_over_gf_q(name, kind):
+    f = parse_field(name)
+    rng = random.Random(f"gf-meet:{name}:{kind}")
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        a_rows, b_rows = pair_rows(rng, f, m, kind)
+        a, b = span_raw(a_rows, m, f), span_raw(b_rows, m, f)
+        for x, y in ((a, b), (b, a)):
+            got, want = subspace_intersect(x, y), two_step_intersect(x, y)
+            assert got == want and got.pivots == want.pivots, (m, x.dim, y.dim)
 
 
 # ----------------------------------------------------------------------
-# Sym^d, products, apply
+# Sym^d, products, powers, apply
 # ----------------------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -227,6 +349,39 @@ def test_sym_power_matches_fraction_table(rows, d):
     if rows:
         gm, wm = Matrix.from_raw_rows(Q, got), Matrix.from_raw_rows(Q, want)
         assert gm == wm and hash(gm) == hash(wm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2), st.integers(1, 2)).flatmap(lambda s: st.tuples(
+        st.just(s), q_rows(ncols=num_monomials(s[0], s[1]), max_rows=3),
+        q_rows(ncols=num_monomials(s[0], s[2]), max_rows=3)))))
+@example(((2, 1, 1), [[Fraction(HUGE + 1, 3), Fraction(-2, HUGE)]], [[ONE, Fraction(HUGE, 7)], [ZERO, ZERO]]))
+@example(((2, 0, 1), [], [[ONE, ONE]]))
+def test_product_space_matches_fraction_products(args):
+    (n, i, j), p_rows, q_rows_ = args
+    p = span_raw([list(r) for r in p_rows], num_monomials(n, i), Q)
+    q = span_raw([list(r) for r in q_rows_], num_monomials(n, j), Q)
+    products = []
+    for a in p.basis.raw:
+        for b in q.basis.raw:
+            want = ref_poly_product(a, i, b, j, n)
+            assert list(poly_mul(HomogPoly.from_raw(Q, n, i, a), HomogPoly.from_raw(Q, n, j, b)).raw) == want
+            products.append(want)
+    assert same_subspace(product_space(p, i, q, j, n), ref_subspace(products, num_monomials(n, i + j)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: q_rows(ncols=n, max_rows=3)), st.integers(1, 3))
+@example([[Fraction(-HUGE - 3, HUGE + 1), Fraction(1, HUGE)], [Fraction(2, 3), ZERO]], 3)
+@example([], 2)
+@example([[ZERO, ZERO]], 2)
+def test_power_subspace_matches_fraction_sym_power(rows, d):
+    ncols = len(rows[0]) if rows else 2
+    t = span_raw([list(r) for r in rows], ncols, Q)
+    power_subspace.cache_clear()
+    got = power_subspace(t, d)
+    assert same_subspace(got, ref_subspace(ref_sym_power(t.basis.raw, d), num_monomials(ncols, d)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -59,6 +59,9 @@ CATALOGUE = (
     Mutant("exponents-order-reversed", "monomials.py", "enumerate_exponents",
            (("for t in sums][::-1])", "for t in sums])"),),
            "tests/test_monomials.py", "the exponents come in ascending lex order"),
+    Mutant("shift-table-offset-one-variable-more", "monomials.py", "_shift_table",
+           (("math.comb(n - j - 1 + top - t, top - t)", "math.comb(n - j + top - t, top - t)"),),
+           "tests/test_monomials.py", "each step adds N(n - j + 1, .), the offset of the table in one variable more"),
     Mutant("exponent-entries-cap-dropped", "monomials.py", "enumerate_exponents",
            (("num_monomials(n, d) * n, ENUM_BUDGET)", "num_monomials(n, d), ENUM_BUDGET)"),),
            "tests/test_monomials.py", "only the tuples are capped, so n times more entries are listed"),
@@ -91,8 +94,20 @@ CATALOGUE = (
            (("[_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r)", "[list(r) + list(r)"),),
            "tests/test_linalg.py", "B's rows are not reduced against A, so every meet comes out zero"),
     Mutant("intersect-left-half-ignored", "linalg.py", "subspace_intersect",
-           (("for row, p in zip(rows, piv) if p >= m]", "for row, p in zip(rows, piv)]"),),
+           (("k = bisect_left(piv, m)", "k = 0"),),
            "tests/test_linalg.py", "right halves are kept from every row, so the meet is the smaller space"),
+    Mutant("intersect-tag-not-scaled", "linalg.py", "_residues_int",
+           (("s *= e", "pass"),),
+           "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
+    Mutant("intersect-meet-not-divided", "linalg.py", "subspace_intersect",
+           (("meet = _q_rows(meet, pivots)", "meet = [[_fraction(x, 1) for x in row] for row in meet]"),),
+           "tests/test_rational_core.py", "the Q meet's primitive integer rows are stored undivided by their pivot"),
+    Mutant("intersect-pivots-unshifted", "linalg.py", "subspace_intersect",
+           (("pivots = tuple(p - m for p in piv[k:])", "pivots = tuple(piv[k:])"),),
+           "tests/test_rational_core.py", "the meet's pivots are stored as columns of the doubled rows, p not p - m"),
+    Mutant("rank-q-row-count", "linalg.py", "rank",
+           (("return len(_rref_int(_int_rows(m.raw)[0]))", "return m.rows"),),
+           "tests/test_rational_core.py", "rank over Q returns the row count"),
     Mutant("power-memo-not-cleared", "harness.py", "run_check",
            (("    _clear_power_memo()\n    try:", "    try:"),
             ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
