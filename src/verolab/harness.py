@@ -425,14 +425,15 @@ def _check_t1_3(f, seed, budget, n, d, trials):
     check_budget(f"cell updates per trial to reduce {d + 1} powers of {big_n} coefficients", (d + 1) ** 2 * big_n,
                  ENUM_BUDGET)
 
+    # A trial draws d + 1 distinct lines <s> and joins their power subspaces <s^d>, each spanned by the
+    # integer d-th power of the line's primitive row, so no Fraction is built
     def trial(rng, i):
         forms = set()
         while len(forms) < d + 1:
             s = span([_random_vector(rng, f, n)], n, f)
             if not s.is_zero():
                 forms.add(s)
-        powers = [linear_form_power(HomogPoly.from_raw(f, n, 1, s.basis.raw[0]), d) for s in forms]
-        return None if span_raw([list(p.raw) for p in powers], big_n, f).dim == d + 1 else {"trial": i}
+        return None if subspace_join([power_subspace(s, d) for s in forms], big_n, f).dim == d + 1 else {"trial": i}
 
     return _sampled(seed, trials, trial)
 

@@ -7,16 +7,18 @@ needed.
 
 A Matrix stores raw field values (integer indices or Fractions, see the
 field module), one tuple per row.  Over GF(q) all elimination runs on
-them.  Over Q the elimination (rref, rank, span_raw), Matrix products,
-subspace_intersect, and polyalgebra's sym_power, power_subspace and
-product_space clear denominators once (_int_rows: each row becomes
-integers over the lcm of its denominators, primitive for an RREF row)
-and then run on ints.  The elimination is fraction-free Gauss-Jordan that divides out
-each row's content (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
-Computational Algebraic Number Theory, 2.2-2.3).  One Fraction is built
-per stored output value (none for rank), so every stored Q value is
-still a Fraction and equality and hashing are unchanged.  annihilator,
-combine_basis and _echelon_extend still compute on Fractions.
+them.  Over Q the elimination (rref, rank, span_raw), Matrix products and
+every subspace op run on integers: the elimination is fraction-free
+Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
+22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
+2.2-2.3), so each RREF row comes out as its primitive integer multiple.
+A Q Subspace keeps those rows, each with a positive pivot entry, as its
+canonical form (ints) and forms its Fraction basis only when that is
+read; equality and hashing compare the integer rows.  Matrix values
+cross between the two forms once per call: _int_rows clears each row's
+denominators and _q_rows divides each row by its pivot entry.  Every
+value read from a Matrix or a basis is still a Fraction.  combine_basis
+and _echelon_extend compute on Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -505,8 +507,11 @@ def contained_in(anns, u: Subspace) -> list[bool]:
     """Whether u lies in each member D of a family, given by the members'
     annihilators anns: u is in D exactly when ann(D) u^T = 0, so one
     product of the stacked annihilator rows with u's basis answers every
-    member."""
+    member.  Over Q the integer rows are multiplied, and each product
+    tested for zero."""
     f = u.field
+    if not f.is_finite:
+        return [all(not sum(map(_imul, r, y)) for r in a.ints for y in u.ints) for a in anns]
     zero = f.zero_raw
     prod = _dots(f, [r for a in anns for r in a.basis.raw], u.basis.raw)
     out = []
@@ -618,21 +623,23 @@ def rank(m: Matrix) -> int:
 
 class Subspace:
     """A subspace of K^m held as its canonical RREF basis (no zero rows)
-    and the pivot column of each basis row.  The pivots are kept from the
-    elimination that built the basis; equality and hashing read the basis
-    alone."""
+    and the pivot column of each basis row, kept from the elimination
+    that built the basis.  Over GF(q) equality and hashing read the basis
+    alone; a subspace over Q is a _QSubspace."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "pivots", "basis", "ints")
 
     def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        if not field.q:  # q = 0 means Q; read in place of is_finite, a property call every GF(q) subspace would pay
+            self.__class__ = _QSubspace
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def __eq__(self, other) -> bool:
         return (
@@ -649,7 +656,41 @@ class Subspace:
         return f"Subspace({self.field.name}, ambient={self.ambient_dim}, dim={self.dim})"
 
     def is_zero(self) -> bool:
-        return self.dim == 0
+        return not self.pivots
+
+
+class _QSubspace(Subspace):
+    """A Subspace over Q, also held as ints: for each RREF row, its
+    primitive integer multiple with a positive pivot entry.  That row is
+    unique, so equality and hashing read ints.  The Q ops build subspaces
+    from integer rows (_q_subspace) and read ints; such a subspace divides
+    its rows into the Fraction basis the first time basis is read, and
+    one built from a Fraction basis clears its rows into ints when they
+    are first read.  Each is a plain slot that __getattr__ fills once:
+    __getattr__ is defined here and not on Subspace, because it would
+    slow every attribute read of a GF(q) subspace."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # called only when the slot name is unfilled
+        if name == "basis":
+            self.basis = Matrix.from_raw_rows(self.field, _q_rows(self.ints, self.pivots), self.ambient_dim)
+            return self.basis
+        if name == "ints":
+            self.ints = tuple(map(tuple, _int_rows(self.basis.raw)[0]))  # each row's lcm is its pivot entry
+            return self.ints
+        raise AttributeError(name)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _QSubspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.ints == other.ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.ints))
 
 
 def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
@@ -675,10 +716,19 @@ def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
 
 def _span_int(rows: list[list[int]], ambient_dim: int, field: FieldSpec) -> Subspace:
     """The span over Q (field) of integer rows, which _rref_int reduces in
-    place; one Fraction is built per stored basis value."""
-    pivots = _rref_int(rows)
-    return Subspace(field, ambient_dim, Matrix.from_raw_rows(field, _q_rows(rows, pivots), ambient_dim),
-                    tuple(pivots))
+    place."""
+    return _q_subspace(field, ambient_dim, rows, _rref_int(rows))
+
+
+def _q_subspace(field: FieldSpec, ambient_dim: int, rows, pivots) -> Subspace:
+    """The Q subspace whose RREF rows are the primitive integer rows given,
+    row i with its pivot entry, of either sign, at pivots[i] (further rows
+    are ignored).  Each is stored with a positive pivot entry, and the
+    Fraction basis is left to be formed when read."""
+    s = _QSubspace.__new__(_QSubspace)
+    s.field, s.ambient_dim, s.pivots = field, ambient_dim, tuple(pivots)
+    s.ints = tuple(tuple(row) if row[p] > 0 else tuple([-x for x in row]) for row, p in zip(rows, pivots))
+    return s
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
@@ -702,7 +752,10 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_join(members, ambient_dim: int, field: FieldSpec) -> Subspace:
-    """The span of the union of the bases of the members (possibly none)."""
+    """The span of the union of the bases of the members (possibly none);
+    over Q, of their integer rows."""
+    if not field.is_finite:
+        return _span_int([list(r) for s in members for r in s.ints], ambient_dim, field)
     return span_raw([r for s in members for r in s.basis.raw_rows()], ambient_dim, field)
 
 
@@ -716,7 +769,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     pivot p lies in the right half (p >= m) carry the intersection.  They
     come last, and their right halves are already its RREF basis, with
     pivots p - m.  Over Q the rows are integers (_residues_int) reduced
-    by _rref_int, and each meet row is divided by its pivot entry."""
+    by _rref_int, and the meet keeps the right halves as its ints."""
     _check_compatible(a, b)
     f = a.field
     m = a.ambient_dim
@@ -734,24 +787,24 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     pivots = tuple(p - m for p in piv[k:])
     meet = [row[m:] for row in rows[k:len(piv)]]
     if not f.is_finite:
-        meet = _q_rows(meet, pivots)
+        return _q_subspace(f, m, meet, pivots)
     return Subspace(f, m, Matrix.from_raw_rows(f, meet, m), pivots)
 
 
 def _residues_int(a: Subspace, b: Subspace) -> list[list[int]]:
     """The rows [r | s y] of subspace_intersect over Q, on integers: for
-    each primitive integer basis row y of b (_int_rows), r is s y reduced
-    against the primitive integer rows of A's RREF basis.  Each step
-    clears the entry at one of A's pivots, whose row has zeros at the
-    others, by r -> e r - c z (e and c the pivot and the cleared entry
-    over their gcd), so the tag half is scaled by e along with r."""
-    arows, dens = _int_rows(a.basis.raw)  # dens[i] is row i's pivot entry
+    each integer row y of b (ints), r is s y reduced against the integer
+    rows z of a.  Each step clears the entry at one of a's pivots p,
+    whose row has zeros at the others, by r -> e r - c z (e and c the
+    pivot entry z[p] and the cleared entry over their gcd), so the tag
+    half is scaled by e along with r."""
     out = []
-    for y in _int_rows(b.basis.raw)[0]:
-        r, s = y, 1
-        for z, p, pv in zip(arows, a.pivots, dens):
+    for y in b.ints:
+        r, s = list(y), 1
+        for z, p in zip(a.ints, a.pivots):
             c = r[p]
             if c:
+                pv = z[p]
                 g = gcd(pv, c)
                 e, c = pv // g, c // g
                 r = [e * x - c * w for x, w in zip(r, z)]
@@ -761,14 +814,33 @@ def _residues_int(a: Subspace, b: Subspace) -> list[list[int]]:
 
 
 def annihilator(a: Subspace) -> Subspace:
-    """All functionals vanishing on a, under the standard dot pairing."""
+    """All functionals vanishing on a, under the standard dot pairing: for
+    each non-pivot column c, e_c minus row i's entry at c at each pivot
+    p_i.  Over Q the rows are a's integer rows z_i, so each generator is
+    scaled by the lcm L of their pivot entries e_i: L at c and
+    -z_i[c] L / e_i at p_i."""
     f = a.field
     m = a.ambient_dim
     if a.is_zero():
         return full_subspace(f, m)
+    pivot_set = set(a.pivots)
+    if not f.is_finite:
+        rows = a.ints
+        ents = [row[p] for row, p in zip(rows, a.pivots)]
+        scale = lcm(*ents)
+        factors = [scale // e for e in ents]
+        gens = []
+        for c in range(m):
+            if c in pivot_set:
+                continue
+            vec = [0] * m
+            vec[c] = scale
+            for row, p, x in zip(rows, a.pivots, factors):
+                vec[p] = -row[c] * x
+            gens.append(vec)
+        return _span_int(gens, m, f)
     rows = a.basis.raw
     zero, one = f.zero_raw, f.one_raw
-    pivot_set = set(a.pivots)
     gens = []
     for c in range(m):
         if c in pivot_set:

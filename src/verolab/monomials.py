@@ -53,7 +53,7 @@ def _parent_steps(n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)  # bounded: one sym_power reads each degree's table once, so old ones need not stay
 def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Row g, entry j: the index in degree d (d >= 1) of gamma + e_j, where
     gamma is the g-th degree-(d - 1) exponent.

@@ -232,18 +232,23 @@ def component_space(field: FieldSpec, n: int, d: int) -> Subspace:
 
 def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
     """Interpret the basis rows of s as degree-d polynomials."""
+    _check_component(s, n, d)
+    return [HomogPoly.from_raw(s.field, n, d, r) for r in s.basis.raw]
+
+
+def _check_component(s: Subspace, n: int, d: int) -> None:
+    """DegreeMismatch unless s lies in K^dim(A_d), n variables."""
     if s.ambient_dim != num_monomials(n, d):
         raise DegreeMismatch(f"ambient {s.ambient_dim} is not dim A_{d} in {n} variables")
-    return [HomogPoly.from_raw(s.field, n, d, r) for r in s.basis.raw]
 
 
 @functools.lru_cache(maxsize=1024)
 def power_subspace(t: Subspace, d: int) -> Subspace:
     """<T^d>: span of all d-fold products of elements of T <= A_1, i.e. the
     row space of sym_power over the canonical basis of T.  Over Q the
-    integer table (_sym_table) of its primitive integer multiples
-    (_int_rows), whose rows are nonzero multiples of sym_power's, is
-    reduced as it is.
+    integer table (_sym_table) of T's integer rows (ints), whose rows are
+    nonzero multiples of sym_power's, is reduced as it is, and no
+    Fraction is built.
 
     Memoised on (T, d): sampled checks draw the same subspaces again and
     again.  harness.run_check clears the memo before and after each check
@@ -254,24 +259,25 @@ def power_subspace(t: Subspace, d: int) -> Subspace:
     big_n = num_monomials(t.ambient_dim, d)
     if fld.is_finite:
         return span_raw(sym_power(t.basis.raw, d, fld), big_n, fld)
-    return _span_int(_sym_table(_int_rows(t.basis.raw)[0], d, fld), big_n, fld)
+    return _span_int(_sym_table(t.ints, d, fld), big_n, fld)
 
 
 def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> Subspace:
     """<PQ>: span of pairwise products of basis elements of P <= A_i and
     Q <= A_j, inside A_{i+j}.  Over Q the products are taken of the
-    primitive integer multiples of the basis rows (_int_rows), which span
-    the same space, and reduced on ints (_span_int)."""
+    integer rows (ints), which span the same spaces as the bases, and
+    reduced on ints (_span_int)."""
     fld = p.field
     if fld != q.field:
         raise FieldMismatch("product of subspaces over different fields")
     check_budget(f"entries of the products of a {p.dim}-space of degree {deg_p} and a {q.dim}-space of degree "
                  f"{deg_q} in {n} variables", p.dim * q.dim * num_monomials(n, deg_p + deg_q), ENUM_BUDGET)
-    pp = [a.raw for a in subspace_polys(p, n, deg_p)]
-    qq = [b.raw for b in subspace_polys(q, n, deg_q)]
-    zero, span_rows = fld.zero_raw, span_raw
-    if not fld.is_finite:
-        (pp, _), (qq, _), zero, span_rows = _int_rows(pp), _int_rows(qq), 0, _span_int
+    _check_component(p, n, deg_p)
+    _check_component(q, n, deg_q)
+    if fld.is_finite:
+        pp, qq, zero, span_rows = p.basis.raw, q.basis.raw, fld.zero_raw, span_raw
+    else:
+        pp, qq, zero, span_rows = p.ints, q.ints, 0, _span_int
     return span_rows([_convolve(n, a, deg_p, b, deg_q, fld.fma, zero) for a in pp for b in qq],
                      num_monomials(n, deg_p + deg_q), fld)
 

@@ -13,6 +13,15 @@ Fraction(2) from 2, so every stored output value is also checked to be
 a Fraction, and stored pivots are compared too.  Over GF(q) the
 one-elimination intersection is held to the two-elimination one it
 replaced.
+
+A Q Subspace keeps its primitive integer rows (ints) and forms its
+Fraction basis only when read.  Its equality and hash, read off ints,
+are held to equality of the Fraction bases across every way a subspace
+is built; the lazy basis to the eager division of the same rows; the
+integer annihilator and contained_in to their Fraction forms; and
+T1_3's join of power subspaces to the span of Fraction powers it
+replaced.  A guard counts the Fraction bases power_intersection_check
+forms over Q: none.
 """
 
 from __future__ import annotations
@@ -26,10 +35,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from verolab import Matrix, parse_field, rank, rationals, subspace_intersect
+from verolab import linalg
 from verolab.field import Scalar
-from verolab.linalg import Subspace, _reduce, _rref_int, _rref_raw, span_raw, zero_subspace
+from verolab.linalg import Subspace, _q_rows, _reduce, _rref_int, _rref_raw, _span_int, annihilator
+from verolab.linalg import contained_in, full_subspace, span, span_raw, subspace_join, zero_subspace
 from verolab.monomials import _parent_steps, _shift_table, enumerate_exponents, num_monomials
-from verolab.polyalgebra import HomogPoly, poly_mul, power_subspace, product_space, sym_power
+from verolab.polyalgebra import HomogPoly, linear_form_power, poly_mul, power_intersection_check
+from verolab.polyalgebra import power_subspace, product_space, sym_power
 
 Q = rationals()
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -173,7 +185,7 @@ def all_fractions(rows):
 
 def same_subspace(got, want):
     return (got == want and hash(got) == hash(want) and got.pivots == want.pivots
-            and all_fractions(got.basis.raw))
+            and got.basis == want.basis and all_fractions(got.basis.raw))
 
 
 def primitive(row):
@@ -409,3 +421,174 @@ def test_values_past_the_rank_are_fractions():
     got, pivots = _rref_raw(Q, rows)
     assert pivots == [0]
     assert got == [[ONE, Fraction(2 * HUGE, 7)], [ZERO, ZERO], [ZERO, ZERO]] and all_fractions(got)
+
+
+# ----------------------------------------------------------------------
+# the integer rows a Q subspace keeps
+# ----------------------------------------------------------------------
+
+def ref_annihilator(rows, m):
+    """The Fraction annihilator of the span of rows: e_c minus the RREF
+    rows' entries at c, at their pivots, for each non-pivot column c."""
+    basis, pivots = ref_rref(rows)
+    gens = []
+    for c in range(m):
+        if c not in pivots:
+            vec = [ZERO] * m
+            vec[c] = ONE
+            for row, p in zip(basis, pivots):
+                vec[p] = -row[c]
+            gens.append(vec)
+    return ref_subspace(gens, m)
+
+
+def small_rows(rng, m, count):
+    return [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(m)] for _ in range(count)]
+
+
+def built_every_way(rng, m):
+    """One span of random rows, built by each route that makes a Q
+    subspace, with the Fraction reference last; every one is equal."""
+    rows = small_rows(rng, m, rng.randint(0, m + 1))
+    scales = [rng.choice([-2, 1, 3]) for _ in rows]
+    ints = [[k * x for x in primitive(r)] if any(r) else [0] * m for r, k in zip(rows, scales)]
+    want = ref_subspace(rows, m)
+    return [
+        span([tuple(Scalar(Q, x) for x in r) for r in rows], m, Q),
+        _span_int(ints, m, Q),
+        subspace_intersect(span_raw([list(r) for r in rows], m, Q), full_subspace(Q, m)),
+        annihilator(annihilator(span_raw([list(r) for r in rows], m, Q))),
+        want,
+    ]
+
+
+def test_equality_and_hash_match_fraction_bases():
+    rng = random.Random("q-eq")
+    pool = [zero_subspace(Q, 2), full_subspace(Q, 2), full_subspace(Q, 3),
+            _span_int([[-2, 1]], 2, Q), span_raw([[Fraction(-2), ONE]], 2, Q), ref_subspace([[Fraction(-2), ONE]], 2),
+            _span_int([[2, 1]], 2, Q), _span_int([[0, -3, 6]], 3, Q)]
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        same = built_every_way(rng, m)
+        for s in same:
+            assert s == same[-1] and hash(s) == hash(same[-1]) and s.basis == same[-1].basis
+        pool += same
+    f2 = parse_field("F2")
+    assert full_subspace(f2, 2) != full_subspace(Q, 2) and full_subspace(Q, 2) != full_subspace(f2, 2)
+    rng.shuffle(pool)
+    for x in pool:
+        for y in pool:
+            assert (x == y) == (x.ambient_dim == y.ambient_dim and x.basis == y.basis)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_negative_pivot_is_normalised():
+    s = _span_int([[-2, 1]], 2, Q)
+    assert s.ints == ((2, -1),) and s.pivots == (0,)
+    assert s == span_raw([[Fraction(-2), ONE]], 2, Q) == ref_subspace([[Fraction(-2), ONE]], 2)
+    assert s.basis.raw == ((ONE, Fraction(-1, 2)),) and all_fractions(s.basis.raw)
+    meet = subspace_intersect(span_raw([[ONE, ZERO, ZERO], [ZERO, ONE, Fraction(1, 2)]], 3, Q),
+                              span_raw([[Fraction(-4), Fraction(-2), Fraction(-1)], [ZERO, ZERO, ONE]], 3, Q))
+    assert meet.ints == ((4, 2, 1),) and meet == ref_subspace([[Fraction(4), Fraction(2), ONE]], 3)
+    for s in (_span_int([[-3, 5, 0], [0, -7, 2]], 3, Q), annihilator(_span_int([[1, 1, -4]], 3, Q))):
+        assert all(row[p] > 0 for row, p in zip(s.ints, s.pivots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q_rows())
+def test_lazy_basis_is_the_eager_division(rows):
+    work = [primitive(r) if any(r) else [0] * len(r) for r in rows]
+    m = len(rows[0]) if rows else 1
+    s = _span_int([list(r) for r in work], m, Q)
+    pivots = _rref_int(work)
+    want = Matrix.from_raw_rows(Q, _q_rows(work, pivots), m)
+    assert s.basis == want and s.basis is s.basis and all_fractions(s.basis.raw)
+    assert s.basis == ref_subspace(rows, m).basis and s.dim == len(pivots)
+
+
+def members_and_vectors(rng, m):
+    """Subspaces of Q^m, zero and full among them, and for each member
+    whose annihilator has two rows or more, the kernel of its first one:
+    a subspace through the member that it does not contain."""
+    members = [zero_subspace(Q, m), full_subspace(Q, m)]
+    members += [span_raw(small_rows(rng, m, rng.randint(1, m)), m, Q) for _ in range(4)]
+    us = list(members) + [span_raw(small_rows(rng, m, rng.randint(0, m)), m, Q) for _ in range(4)]
+    for d in members:
+        ann = annihilator(d)
+        if ann.dim >= 2:
+            us.append(annihilator(span_raw([list(ann.basis.raw[0])], m, Q)))
+    return members, us
+
+
+def test_integer_annihilator_matches_fraction():
+    rng = random.Random("q-ann")
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        members, _ = members_and_vectors(rng, m)
+        for d in members:
+            want = ref_annihilator(d.basis.raw, m)
+            assert same_subspace(annihilator(d), want), (m, d.dim)
+            assert annihilator(d).dim == m - d.dim
+
+
+def test_integer_containment_matches_fraction_dots():
+    rng = random.Random("q-in")
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        members, us = members_and_vectors(rng, m)
+        anns = [annihilator(d) for d in members]
+        for u in us:
+            want = [all(ref_dot(r, y) == ZERO for r in a.basis.raw for y in u.basis.raw) for a in anns]
+            assert contained_in(anns, u) == want
+            assert want == [subspace_join((u, d), m, Q) == d for d in members]
+
+
+def fraction_powers_span(forms, n, d):
+    """T1_3's former route: the Fraction d-th power of each form's RREF row."""
+    powers = [linear_form_power(HomogPoly.from_raw(Q, n, 1, s.basis.raw[0]), d) for s in forms]
+    return span_raw([list(p.raw) for p in powers], num_monomials(n, d), Q)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_t1_3_join_matches_fraction_powers(n, d):
+    rng = random.Random(f"t1_3:{n}:{d}")
+    for count in (d + 1, d + 1, d + 2):
+        forms = set()
+        while len(forms) < count:
+            s = span([tuple(Scalar(Q, Fraction(rng.randint(-5, 5))) for _ in range(n))], n, Q)
+            if not s.is_zero():
+                forms.add(s)
+        power_subspace.cache_clear()
+        got = subspace_join([power_subspace(s, d) for s in forms], num_monomials(n, d), Q)
+        want = fraction_powers_span(forms, n, d)
+        assert same_subspace(got, want)
+        if count == d + 1 or n == 2:  # T1_3; and d + 2 powers in A_d of dimension d + 1 are dependent
+            assert got.dim == d + 1
+
+
+def test_t1_3_dependent_draw():
+    # n = 2: dim A_d = d + 1, so d + 2 powers are dependent; four forms whose squares span A_2 only
+    forms = [span_raw([[Fraction(a), Fraction(b)]], 2, Q) for a, b in ((1, 0), (0, 1), (1, 1), (1, -1))]
+    got = subspace_join([power_subspace(s, 2) for s in forms], 3, Q)
+    assert same_subspace(got, fraction_powers_span(forms, 2, 2)) and got.dim == 3
+
+
+def test_power_intersection_check_forms_no_fraction_basis(monkeypatch):
+    calls = []
+
+    def counted(work, pivots):
+        calls.append(len(pivots))
+        return _q_rows(work, pivots)
+
+    monkeypatch.setattr(linalg, "_q_rows", counted)
+    rng = random.Random("q-guard")
+    for n, d in ((3, 2), (4, 2), (3, 3)):
+        for _ in range(5):
+            common = small_rows(rng, n, 1)
+            b = span_raw(small_rows(rng, n, rng.randint(1, n - 1)) + common, n, Q)
+            c = span_raw(small_rows(rng, n, rng.randint(1, n - 1)) + common, n, Q)
+            power_subspace.cache_clear()
+            assert power_intersection_check(b, c, d)
+    assert calls == []
+    assert _span_int([[1, 2]], 2, Q).basis.rows == 1 and calls == [1]  # the counter sees a basis formed

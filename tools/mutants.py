@@ -4,14 +4,14 @@ and exit nonzero if any mutant survives.
 
     python3 tools/mutants.py
 
-Each mutant names a function in src/verolab, one or more exact text
-edits inside that function (each old text must occur there exactly
-once) and the test module that must fail with them applied.  src/,
-tests/ and pyproject.toml are copied to a fresh temporary directory per
-run, and pytest runs there with that copy first on PYTHONPATH, without
-bytecode files, so no stale .pyc, hypothesis database or cache from the
-checkout or from another mutant takes part.  Each named test module must
-pass on the unmutated copy first.
+Each mutant names a function in src/verolab (a method as Class.name),
+one or more exact text edits inside that function (each old text must
+occur there exactly once) and the test module that must fail with them
+applied.  src/, tests/ and pyproject.toml are copied to a fresh
+temporary directory per run, and pytest runs there with that copy first
+on PYTHONPATH, without bytecode files, so no stale .pyc, hypothesis
+database or cache from the checkout or from another mutant takes part.
+Each named test module must pass on the unmutated copy first.
 
 Exit status: 0 when every mutant was killed, 1 when one survived, 2 when
 the catalogue no longer applies (an edit that does not match once) or a
@@ -38,7 +38,7 @@ TIMEOUT_S = 900  # a mutant that makes its module hang counts as killed
 class Mutant:
     name: str
     module: str  # under src/verolab
-    function: str
+    function: str  # a method as Class.name
     edits: tuple[tuple[str, str], ...]  # (old, new) text inside the function
     tests: str  # the test module that must kill it
     fault: str
@@ -99,15 +99,29 @@ CATALOGUE = (
     Mutant("intersect-tag-not-scaled", "linalg.py", "_residues_int",
            (("s *= e", "pass"),),
            "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
-    Mutant("intersect-meet-not-divided", "linalg.py", "subspace_intersect",
-           (("meet = _q_rows(meet, pivots)", "meet = [[_fraction(x, 1) for x in row] for row in meet]"),),
-           "tests/test_rational_core.py", "the Q meet's primitive integer rows are stored undivided by their pivot"),
+    Mutant("intersect-meet-not-divided", "linalg.py", "_QSubspace.__getattr__",
+           (("_q_rows(self.ints, self.pivots)", "[[_fraction(x, 1) for x in row] for row in self.ints]"),),
+           "tests/test_rational_core.py",
+           "a Q subspace's integer rows, the meet's among them, become its Fraction basis undivided by their pivot"),
     Mutant("intersect-pivots-unshifted", "linalg.py", "subspace_intersect",
            (("pivots = tuple(p - m for p in piv[k:])", "pivots = tuple(piv[k:])"),),
            "tests/test_rational_core.py", "the meet's pivots are stored as columns of the doubled rows, p not p - m"),
     Mutant("rank-q-row-count", "linalg.py", "rank",
            (("return len(_rref_int(_int_rows(m.raw)[0]))", "return m.rows"),),
            "tests/test_rational_core.py", "rank over Q returns the row count"),
+    # the integer rows a Q subspace keeps
+    Mutant("q-pivot-sign-not-normalised", "linalg.py", "_q_subspace",
+           (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
+           "tests/test_rational_core.py", "a row with a negative pivot entry is kept, so equal spans differ"),
+    Mutant("q-annihilator-lcm-dropped", "linalg.py", "annihilator",
+           (("vec[c] = scale", "vec[c] = 1"),),
+           "tests/test_rational_core.py", "over Q each generator's free entry is not scaled by the lcm of the pivots"),
+    Mutant("q-containment-first-row-only", "linalg.py", "contained_in",
+           (("for r in a.ints for y in u.ints", "for r in a.ints[:1] for y in u.ints"),),
+           "tests/test_rational_core.py", "over Q only each member's first annihilator row is tested"),
+    Mutant("q-equality-pivots-only", "linalg.py", "_QSubspace.__eq__",
+           (("and self.ints == other.ints", "and self.pivots == other.pivots"),),
+           "tests/test_rational_core.py", "two Q subspaces with the same pivots compare equal"),
     Mutant("power-memo-not-cleared", "harness.py", "run_check",
            (("    _clear_power_memo()\n    try:", "    try:"),
             ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
@@ -211,8 +225,13 @@ CATALOGUE = (
 
 
 def _function_span(source: str, name: str) -> tuple[int, int]:
-    """Character offsets of the one function called name in source."""
-    found = [n for n in ast.walk(ast.parse(source))
+    """Character offsets of the one function called name in source, or,
+    for a name Class.method, of that method of that class."""
+    scope = ast.parse(source)
+    if "." in name:
+        cls, name = name.split(".")
+        scope = next(n for n in ast.walk(scope) if isinstance(n, ast.ClassDef) and n.name == cls)
+    found = [n for n in ast.walk(scope)
              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == name]
     if len(found) != 1:
         raise LookupError(f"{len(found)} functions named {name}")
