@@ -7,18 +7,20 @@ needed.
 
 A Matrix stores raw field values (integer indices or Fractions, see the
 field module), one tuple per row.  Over GF(q) all elimination runs on
-them.  Over Q the elimination (rref, rank, span_raw), Matrix products and
-every subspace op run on integers: the elimination is fraction-free
-Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
-22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
-2.2-2.3), so each RREF row comes out as its primitive integer multiple.
+them.  Over Q the elimination (rref, rank, span_raw), Matrix products,
+span, subspace_intersect and subspace_join run on integers: the
+elimination is fraction-free Gauss-Jordan that divides out each row's
+content (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, 2.2-2.3), so each RREF row comes
+out as its primitive integer multiple.
 A Q Subspace keeps those rows, each with a positive pivot entry, as its
 canonical form (ints) and forms its Fraction basis only when that is
 read; equality and hashing compare the integer rows.  Matrix values
 cross between the two forms once per call: _int_rows clears each row's
 denominators and _q_rows divides each row by its pivot entry.  Every
-value read from a Matrix or a basis is still a Fraction.  combine_basis
-and _echelon_extend compute on Fractions.
+value read from a Matrix or a basis is still a Fraction.  annihilator
+and contained_in read the Fraction basis, and combine_basis and
+_echelon_extend compute on Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -507,11 +509,8 @@ def contained_in(anns, u: Subspace) -> list[bool]:
     """Whether u lies in each member D of a family, given by the members'
     annihilators anns: u is in D exactly when ann(D) u^T = 0, so one
     product of the stacked annihilator rows with u's basis answers every
-    member.  Over Q the integer rows are multiplied, and each product
-    tested for zero."""
+    member."""
     f = u.field
-    if not f.is_finite:
-        return [all(not sum(map(_imul, r, y)) for r in a.ints for y in u.ints) for a in anns]
     zero = f.zero_raw
     prod = _dots(f, [r for a in anns for r in a.basis.raw], u.basis.raw)
     out = []
@@ -814,33 +813,14 @@ def _residues_int(a: Subspace, b: Subspace) -> list[list[int]]:
 
 
 def annihilator(a: Subspace) -> Subspace:
-    """All functionals vanishing on a, under the standard dot pairing: for
-    each non-pivot column c, e_c minus row i's entry at c at each pivot
-    p_i.  Over Q the rows are a's integer rows z_i, so each generator is
-    scaled by the lcm L of their pivot entries e_i: L at c and
-    -z_i[c] L / e_i at p_i."""
+    """All functionals vanishing on a, under the standard dot pairing."""
     f = a.field
     m = a.ambient_dim
     if a.is_zero():
         return full_subspace(f, m)
-    pivot_set = set(a.pivots)
-    if not f.is_finite:
-        rows = a.ints
-        ents = [row[p] for row, p in zip(rows, a.pivots)]
-        scale = lcm(*ents)
-        factors = [scale // e for e in ents]
-        gens = []
-        for c in range(m):
-            if c in pivot_set:
-                continue
-            vec = [0] * m
-            vec[c] = scale
-            for row, p, x in zip(rows, a.pivots, factors):
-                vec[p] = -row[c] * x
-            gens.append(vec)
-        return _span_int(gens, m, f)
     rows = a.basis.raw
     zero, one = f.zero_raw, f.one_raw
+    pivot_set = set(a.pivots)
     gens = []
     for c in range(m):
         if c in pivot_set:

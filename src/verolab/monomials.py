@@ -53,7 +53,10 @@ def _parent_steps(n: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=16)  # bounded: one sym_power reads each degree's table once, so old ones need not stay
+_shift_entries = 0  # entries of the tables _shift_table's cache holds
+
+
+@functools.lru_cache(maxsize=None)
 def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Row g, entry j: the index in degree d (d >= 1) of gamma + e_j, where
     gamma is the g-th degree-(d - 1) exponent.
@@ -67,7 +70,14 @@ def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     (1-based).  The partial sums are listed as enumerate_exponents reads
     them, and the table is built column by column; BudgetExceeded, before
     any is listed, when its n N(n, d - 1) entries are more than
-    ENUM_BUDGET."""
+    ENUM_BUDGET.
+
+    The cache keeps the tables until together they would hold more than
+    ENUM_BUDGET entries; then it is emptied.  Each sym_power call reads
+    the tables of degrees 1..d in turn, so a cap on the number of tables
+    kept would drop each one just before it is read again once d passed
+    the cap."""
+    global _shift_entries
     top = d - 1
     check_budget(f"shift-table entries in {n} variables of degree {d}", num_monomials(n, top) * n, ENUM_BUDGET)
     sums = list(itertools.combinations_with_replacement(range(d), n - 1))[::-1]
@@ -78,7 +88,12 @@ def _shift_table(n: int, d: int) -> tuple[tuple[int, ...], ...]:
         step = [math.comb(n - j - 1 + top - t, top - t) for t in range(d)]  # N(n - j, top - t)
         col = list(map(index.__getitem__, map(add, col, map(step.__getitem__, s))))
         cols.append(col)
-    return tuple(zip(*cols))
+    table = tuple(zip(*cols))
+    _shift_entries += n * len(table)
+    if _shift_entries > ENUM_BUDGET:
+        _shift_table.cache_clear()  # the cache stores table once this call returns
+        _shift_entries = n * len(table)
+    return table
 
 
 @functools.lru_cache(maxsize=None)

@@ -230,12 +230,6 @@ def component_space(field: FieldSpec, n: int, d: int) -> Subspace:
     return full_subspace(field, num_monomials(n, d))
 
 
-def subspace_polys(s: Subspace, n: int, d: int) -> list[HomogPoly]:
-    """Interpret the basis rows of s as degree-d polynomials."""
-    _check_component(s, n, d)
-    return [HomogPoly.from_raw(s.field, n, d, r) for r in s.basis.raw]
-
-
 def _check_component(s: Subspace, n: int, d: int) -> None:
     """DegreeMismatch unless s lies in K^dim(A_d), n variables."""
     if s.ambient_dim != num_monomials(n, d):

@@ -16,6 +16,7 @@ from verolab import (
     parse_field,
     rationals,
 )
+from verolab import monomials
 from verolab.field import int_in_field
 from verolab.monomials import _index_map, _shift_table
 
@@ -155,3 +156,29 @@ def test_shift_table_is_refused_past_the_entry_cap():
     # N(3, 999) * 3 entries, refused before any row is listed
     with pytest.raises(BudgetExceeded, match=r"^1501500 shift-table entries in 3 variables of degree 1000 exceed budget"):
         _shift_table(3, 1000)
+
+
+def test_shift_tables_past_sixteen_degrees_are_built_once(monkeypatch):
+    # sym_power reads degrees 1..d in turn on every call; none is built again
+    _shift_table.cache_clear()
+    monkeypatch.setattr(monomials, "_shift_entries", 0)
+    first = [_shift_table(3, k) for k in range(1, 31)]
+    assert all(_shift_table(3, k) is t for k, t in enumerate(first, 1))
+    assert _shift_table.cache_info().currsize == 30
+
+
+def test_kept_shift_tables_stay_under_the_entry_cap(monkeypatch):
+    # degrees 1..10 in 3 variables hold 660 entries, more than the cap of 300
+    _shift_table.cache_clear()
+    monkeypatch.setattr(monomials, "ENUM_BUDGET", 300)
+    monkeypatch.setattr(monomials, "_shift_entries", 0)
+    sizes = {}
+    for _ in range(2):
+        for k in range(1, 11):
+            t = _shift_table(3, k)
+            assert t == _shift_reference(3, k)
+            sizes[k] = 3 * len(t)
+            assert monomials._shift_entries <= 300
+    # the cache was emptied at degrees 8 and 10, then 6 and 9; it holds 9 and 10
+    assert _shift_table.cache_info().currsize == 2 and monomials._shift_entries == sizes[9] + sizes[10] == 300
+    _shift_table.cache_clear()

@@ -17,8 +17,8 @@ replaced.
 A Q Subspace keeps its primitive integer rows (ints) and forms its
 Fraction basis only when read.  Its equality and hash, read off ints,
 are held to equality of the Fraction bases across every way a subspace
-is built; the lazy basis to the eager division of the same rows; the
-integer annihilator and contained_in to their Fraction forms; and
+is built; the lazy basis to the eager division of the same rows;
+annihilator and contained_in over Q to their Fraction forms; and
 T1_3's join of power subspaces to the span of Fraction powers it
 replaced.  A guard counts the Fraction bases power_intersection_check
 forms over Q: none.
@@ -521,7 +521,7 @@ def members_and_vectors(rng, m):
     return members, us
 
 
-def test_integer_annihilator_matches_fraction():
+def test_q_annihilator_matches_fraction():
     rng = random.Random("q-ann")
     for _ in range(40):
         m = rng.randint(1, 5)
@@ -532,7 +532,7 @@ def test_integer_annihilator_matches_fraction():
             assert annihilator(d).dim == m - d.dim
 
 
-def test_integer_containment_matches_fraction_dots():
+def test_q_containment_matches_fraction_dots():
     rng = random.Random("q-in")
     for _ in range(30):
         m = rng.randint(1, 5)
