@@ -162,7 +162,8 @@ class FieldSpec:
     at construction and excluded from equality.  fma is a 2-D table
     lookup up to q = 64; above it, XOR with a log-table product for
     p = 2, one mod p for primes, a Zech-logarithm sum for odd
-    extensions, and plain a + b*c over Q.
+    extensions, and plain a + b*c over Q.  q (0 for Q) and is_finite are
+    plain attributes set the same way, since the kernels read them per call.
     """
 
     kind: str  # "finite" | "rational"
@@ -173,6 +174,7 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if self.kind == "rational":
             object.__setattr__(self, "q", 0)
+            object.__setattr__(self, "is_finite", False)
             self._install_rational_ops()
             return
         if self.kind != "finite":
@@ -185,13 +187,10 @@ class FieldSpec:
             if not _poly_is_irreducible(field_make("finite", self.p, 1), list(mod)):
                 raise ValueError("modulus is reducible")
         object.__setattr__(self, "q", self.p ** self.m)
+        object.__setattr__(self, "is_finite", True)
         self._install_finite_ops()
 
     # -- identity ------------------------------------------------------
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
 
     @property
     def char(self) -> int:

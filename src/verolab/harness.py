@@ -67,6 +67,7 @@ from .linalg import (
 from .monomials import enumerate_exponents, num_monomials, _index_map
 from .polyalgebra import (
     HomogPoly,
+    check_sym_budget,
     component_space,
     linear_form_power,
     poly_mul,
@@ -166,8 +167,10 @@ def _random_vector(rng: random.Random, f: FieldSpec, m: int):
     return tuple(Scalar(f, Fraction(rng.randint(-5, 5))) for _ in range(m))
 
 
-def _random_subspace(rng: random.Random, f: FieldSpec, m: int, dim: int) -> Subspace:
+def _random_subspace(rng: random.Random, f: FieldSpec, m: int, dim: int, power: int = 0) -> Subspace:
     check_budget(f"entries of {dim} random vectors of length {m}", dim * m, ENUM_BUDGET)
+    if power:  # the caller takes the power-th power subspace: refuse its Sym table before the span
+        check_sym_budget(dim, m, power)
     while True:
         s = span([_random_vector(rng, f, m) for _ in range(dim)], m, f)
         if s.dim == dim:
@@ -510,8 +513,9 @@ def _check_p5_2(f, seed, budget, n, d, trials):
 def _check_c5_3(f, seed, budget, n, d, trials):
 
     def trial(rng, i):
-        b = _random_subspace(rng, f, n, rng.randint(0, n))
-        c = _random_subspace(rng, f, n, rng.randint(0, n))
+        # each Sym table is checked before its span; the meet's has no more forms than either
+        b = _random_subspace(rng, f, n, rng.randint(0, n), d)
+        c = _random_subspace(rng, f, n, rng.randint(0, n), d)
         return None if power_intersection_check(b, c, d) else {"trial": i}
 
     return _sampled(seed, trials, trial)

@@ -5,22 +5,19 @@ with zero rows dropped, so two subspaces are equal exactly when their
 representations are equal; no separate equivalence test exists or is
 needed.
 
-A Matrix stores raw field values (integer indices or Fractions, see the
-field module), one tuple per row.  Over GF(q) all elimination runs on
-them.  Over Q the elimination (rref, rank, span_raw), Matrix products,
-span, subspace_intersect and subspace_join run on integers: the
-elimination is fraction-free Gauss-Jordan that divides out each row's
-content (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
-Computational Algebraic Number Theory, 2.2-2.3), so each RREF row comes
-out as its primitive integer multiple.
-A Q Subspace keeps those rows, each with a positive pivot entry, as its
-canonical form (ints) and forms its Fraction basis only when that is
-read; equality and hashing compare the integer rows.  Matrix values
-cross between the two forms once per call: _int_rows clears each row's
-denominators and _q_rows divides each row by its pivot entry.  Every
-value read from a Matrix or a basis is still a Fraction.  annihilator
-and contained_in read the Fraction basis, and combine_basis and
-_echelon_extend compute on Fractions.
+A Matrix over GF(q) stores raw field values (integer indices, see the
+field module), one tuple per row, and all elimination runs on them.  A
+Matrix over Q is a _QMatrix: integer rows, each over one positive
+denominator, the one form Q values take inside the package.  A Q
+Subspace keeps the primitive integer multiples of its RREF rows (ints),
+and its basis is their _QMatrix, each over its pivot entry.  Products,
+rank, span, subspace_intersect and subspace_join over Q run on these
+rows, by fraction-free Gauss-Jordan that divides out each row's content
+(Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational
+Algebraic Number Theory, 2.2-2.3), so each RREF row comes out as its
+primitive integer multiple.  Fractions are formed only where values are
+read (raw, and the Scalars of row, at and apply); annihilator,
+contained_in and rref read them, and _echelon_extend computes on them.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -81,12 +78,9 @@ Vector = tuple[Scalar, ...]
 # raw elimination
 # ----------------------------------------------------------------------
 
-_QZERO = Fraction(0)
-
-
 def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     """Rows of Fractions as (int_rows, dens): row i times dens[i], the lcm
-    of its denominators, is int_rows[i]."""
+    of its denominators, is int_rows[i], and the two are coprime."""
     out, dens = [], []
     for r in rows:
         den = lcm(*[x.denominator for x in r])
@@ -98,26 +92,14 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, dens
 
 
-def _fraction(num: int, den: int) -> Fraction:
-    """num / den as a stored Q value."""
-    if not num:
-        return _QZERO
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
-    """Row i, entry j: the dot product of rows[i] and cols[j], raw.  Over Q
-    it is an integer dot product over one denominator per row and column.
-    Over GF(q) each column's nonzero (index, value) pairs are listed once
-    per call, and each dot product walks only that list, skipping the
-    zeros of the row, with one fma per term."""
+    """Row i, entry j: the dot product of rows[i] and cols[j].  Over Q a
+    plain sum of products (of integers, in a _QMatrix product).  Over GF(q)
+    each column's nonzero (index, value) pairs are listed once per call,
+    and each dot product walks only that list, skipping the zeros of the
+    row, with one fma per term."""
     if not f.is_finite:
-        a, da = _int_rows(rows)
-        b, db = _int_rows(cols)
-        return tuple(
-            tuple(_fraction(sum(map(_imul, ar, bc)), x * y) for bc, y in zip(b, db))
-            for ar, x in zip(a, da)
-        )
+        return tuple(tuple([sum(map(_imul, ar, bc)) for bc in cols]) for ar in rows)
     fma, zero = f.fma, f.zero_raw
     nonzeros = [[(i, y) for i, y in enumerate(bc) if y != zero] for bc in cols]
     out = []
@@ -136,8 +118,6 @@ def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
 
 def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not f.is_finite:
-        return _rref_q(rows)
     zero = f.zero_raw
     one = f.one_raw
     fma, neg, div = f.fma, f.neg, f.div
@@ -172,26 +152,9 @@ def _rref_raw(f: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
     return rows, pivots
 
 
-def _rref_q(rows: list[list]) -> tuple[list[list], list[int]]:
-    """_rref_raw over Q: _rref_int on the integer rows, then each pivot row
-    divided by its pivot into Fractions."""
-    work, _ = _int_rows(rows)
-    pivots = _rref_int(work)
-    rows[:len(pivots)] = _q_rows(work, pivots)
-    for i in range(len(pivots), len(rows)):
-        rows[i] = [_QZERO] * len(work[i])
-    return rows, pivots
-
-
-def _q_rows(work: list[list[int]], pivots) -> list[list[Fraction]]:
-    """The first len(pivots) rows of work, integer rows with their pivot
-    entry at pivots[i], each divided by that entry: the RREF rows over Q
-    that _rref_int leaves as primitive integer rows."""
-    return [[_fraction(x, row[p]) for x in row] for row, p in zip(work, pivots)]
-
-
 def _rref_int(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    """Fraction-free Gauss-Jordan on a list of integer rows, in place (a
+    row is replaced, never changed, so rows may be tuples); returns the
     pivot columns.  Each update is a r_i - b r_p, with a and b the pivot
     and target entries over their gcd, and every row's content is divided
     out, so each nonzero row ends as the primitive integer multiple of its
@@ -527,15 +490,19 @@ def contained_in(anns, u: Subspace) -> list[bool]:
 
 class Matrix:
     """Immutable dense matrix over a field, row-major: raw holds one tuple
-    of raw values per row."""
+    of raw values per row.  A matrix over Q is a _QMatrix."""
 
-    __slots__ = ("field", "rows", "cols", "raw")
+    __slots__ = ("field", "rows", "cols", "raw", "ints", "dens")
 
     def __init__(self, field: FieldSpec, raw: tuple[tuple, ...], cols: int) -> None:
         self.field = field
         self.rows = len(raw)
         self.cols = cols
         self.raw = raw
+        if not field.is_finite:
+            self.__class__ = _QMatrix
+            ints, dens = _int_rows(raw)
+            self.ints, self.dens = tuple(map(tuple, ints)), tuple(dens)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> Matrix:
@@ -554,8 +521,9 @@ class Matrix:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> Matrix:
         check_budget(f"entries of the {n} x {n} identity", n * n, ENUM_BUDGET)
-        z, o = field.zero_raw, field.one_raw
-        return cls.from_raw_rows(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        # 0 and 1: the raw zero and one over GF(q), and the integer rows over Q
+        rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
+        return Matrix(field, rows, n) if field.is_finite else _q_matrix(field, rows, (1,) * n, n)
 
     def row(self, i: int) -> Vector:
         f = self.field
@@ -578,6 +546,8 @@ class Matrix:
     def __mul__(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        if not self.field.is_finite:
+            return _q_product(self, other)
         return Matrix(self.field, _dots(self.field, self.raw, other.transpose().raw), other.cols)
 
     def apply(self, v: Vector) -> Vector:
@@ -585,7 +555,11 @@ class Matrix:
         if len(v) != self.cols:
             raise LengthMismatch(f"vector length {len(v)} != {self.cols}")
         f = self.field
-        return tuple(Scalar(f, r[0]) for r in _dots(f, self.raw, [[s.v for s in v]]))
+        if not f.is_finite:
+            out = _q_product(self, Matrix(f, tuple((s.v,) for s in v), 1)).raw
+        else:
+            out = _dots(f, self.raw, [[s.v for s in v]])
+        return tuple(Scalar(f, r[0]) for r in out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -603,6 +577,70 @@ class Matrix:
         return f"Matrix({self.field.name} {self.rows}x{self.cols}: {body})"
 
 
+class _QMatrix(Matrix):
+    """A Matrix over Q, held as integer rows: row i is ints[i] / dens[i],
+    dens[i] > 0 coprime to the content of ints[i].  That form is unique
+    (dens[i] is the lcm of the row's denominators), so equality and
+    hashing read it.  A matrix built from Fractions clears them at once;
+    one built from integer rows leaves raw to __getattr__, which fills the
+    slot on first read (defined here, not on Matrix, where every GF(q)
+    read would pay for it)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # called only when the slot name is unfilled
+        if name != "raw":
+            raise AttributeError(name)
+        self.raw = tuple(tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
+                         for r, den in zip(self.ints, self.dens))
+        return self.raw
+
+    def transpose(self) -> Matrix:
+        cols, den = _q_columns(self)
+        return _q_matrix(self.field, cols, (den,) * self.cols, self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, _QMatrix)
+            and self.cols == other.cols
+            and self.dens == other.dens
+            and self.ints == other.ints
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cols, self.ints, self.dens))
+
+
+def _q_matrix(field: FieldSpec, rows, dens, cols: int) -> Matrix:
+    """The Q matrix whose row i is rows[i] / dens[i] (integers, dens[i] >
+    0), each row and its denominator divided by their gcd; its Fractions
+    are left to be formed when read."""
+    ints, out = [], []
+    for r, den in zip(rows, dens):
+        g = gcd(den, *r) if den > 1 else 1
+        ints.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
+        out.append(den // g)
+    m = _QMatrix.__new__(_QMatrix)
+    m.field, m.rows, m.cols, m.ints, m.dens = field, len(ints), cols, tuple(ints), tuple(out)
+    return m
+
+
+def _q_columns(m: Matrix) -> tuple[tuple, int]:
+    """The columns of a Q matrix as integer rows over one common
+    denominator, the lcm of its dens, and that denominator."""
+    den = lcm(*m.dens)
+    rows = m.ints if den == 1 else [[x * (den // y) for x in r] for r, y in zip(m.ints, m.dens)]
+    return (tuple(zip(*rows)) if rows else ((),) * m.cols), den
+
+
+def _q_product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b over Q: the integer dots of a's rows with b's columns over
+    their common denominator L, row i over a's dens[i] * L."""
+    cols, den = _q_columns(b)
+    return _q_matrix(a.field, _dots(a.field, a.ints, cols), [x * den for x in a.dens], b.cols)
+
+
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """The unique reduced row echelon form of m and its rank."""
     rows, pivots = _rref_raw(m.field, m.raw_rows())
@@ -611,7 +649,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 def rank(m: Matrix) -> int:
     if not m.field.is_finite:
-        return len(_rref_int(_int_rows(m.raw)[0]))
+        return len(_rref_int(list(m.ints)))
     _, pivots = _rref_raw(m.field, m.raw_rows())
     return len(pivots)
 
@@ -633,7 +671,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        if not field.q:  # q = 0 means Q; read in place of is_finite, a property call every GF(q) subspace would pay
+        if not field.is_finite:
             self.__class__ = _QSubspace
 
     @property
@@ -662,22 +700,21 @@ class _QSubspace(Subspace):
     """A Subspace over Q, also held as ints: for each RREF row, its
     primitive integer multiple with a positive pivot entry.  That row is
     unique, so equality and hashing read ints.  The Q ops build subspaces
-    from integer rows (_q_subspace) and read ints; such a subspace divides
-    its rows into the Fraction basis the first time basis is read, and
-    one built from a Fraction basis clears its rows into ints when they
-    are first read.  Each is a plain slot that __getattr__ fills once:
-    __getattr__ is defined here and not on Subspace, because it would
-    slow every attribute read of a GF(q) subspace."""
+    from ints (_q_subspace) and read them; the basis, the _QMatrix of those
+    rows over their pivot entries, is formed when first read, and a
+    subspace built from a basis reads ints off it.  As on _QMatrix, each
+    is a plain slot that __getattr__, defined on the subclass only, fills."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
         # called only when the slot name is unfilled
         if name == "basis":
-            self.basis = Matrix.from_raw_rows(self.field, _q_rows(self.ints, self.pivots), self.ambient_dim)
+            pivot_entries = tuple([row[p] for row, p in zip(self.ints, self.pivots)])
+            self.basis = _q_matrix(self.field, self.ints, pivot_entries, self.ambient_dim)
             return self.basis
         if name == "ints":
-            self.ints = tuple(map(tuple, _int_rows(self.basis.raw)[0]))  # each row's lcm is its pivot entry
+            self.ints = self.basis.ints  # an RREF row over its lcm denominator is primitive, that lcm at its pivot
             return self.ints
         raise AttributeError(name)
 
@@ -723,7 +760,7 @@ def _q_subspace(field: FieldSpec, ambient_dim: int, rows, pivots) -> Subspace:
     """The Q subspace whose RREF rows are the primitive integer rows given,
     row i with its pivot entry, of either sign, at pivots[i] (further rows
     are ignored).  Each is stored with a positive pivot entry, and the
-    Fraction basis is left to be formed when read."""
+    basis is left to be formed when read."""
     s = _QSubspace.__new__(_QSubspace)
     s.field, s.ambient_dim, s.pivots = field, ambient_dim, tuple(pivots)
     s.ints = tuple(tuple(row) if row[p] > 0 else tuple([-x for x in row]) for row, p in zip(rows, pivots))
@@ -754,7 +791,7 @@ def subspace_join(members, ambient_dim: int, field: FieldSpec) -> Subspace:
     """The span of the union of the bases of the members (possibly none);
     over Q, of their integer rows."""
     if not field.is_finite:
-        return _span_int([list(r) for s in members for r in s.ints], ambient_dim, field)
+        return _span_int([r for s in members for r in s.ints], ambient_dim, field)
     return span_raw([r for s in members for r in s.basis.raw_rows()], ambient_dim, field)
 
 

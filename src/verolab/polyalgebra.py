@@ -29,8 +29,8 @@ from operator import add
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import ENUM_BUDGET, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
-from .linalg import _fraction, _int_rows, _span_int, zero_subspace
+from .linalg import ENUM_BUDGET, Matrix, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
+from .linalg import _int_rows, _q_matrix, _span_int, zero_subspace
 from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
@@ -164,18 +164,35 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     first nonzero index of beta.  No rows give no rows; d = 0 gives the
     constant 1 per row.
 
-    Over Q the table is built on the integer forms rows[i] * dens[i] (see
-    linalg._int_rows), and row beta is divided by prod_i dens[i]^beta_i
-    into Fractions at the end.
+    Over Q the rows are cleared into a _QMatrix, and the Fractions of its
+    sym_matrix are returned.
     """
     if field.is_finite:
         return _sym_table(rows, d, field)
-    if not rows:
-        return []
-    rows, dens = _int_rows(rows)
-    table = _sym_table(rows, d, field)
-    scales = (math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(len(rows), d))
-    return [[_fraction(x, den) for x in row] for row, den in zip(table, scales)]
+    return [list(r) for r in sym_matrix(_q_matrix(field, *_int_rows(rows), len(rows[0]) if rows else 0), d).raw]
+
+
+def sym_matrix(m: Matrix, d: int) -> Matrix:
+    """Sym^d of the rows of m (see sym_power), as a Matrix.  Over Q the
+    table is built on m's integer rows, so row beta stands over prod_i
+    dens[i]^beta_i, and no Fraction is formed."""
+    f = m.field
+    table = _sym_table(m.raw if f.is_finite else m.ints, d, f)
+    cols = len(table[0]) if table else 0
+    if f.is_finite:
+        return Matrix.from_raw_rows(f, table, cols)
+    dens = m.dens
+    scales = ((1,) * len(table) if max(dens, default=1) == 1
+              else [math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(m.rows, d)])
+    return _q_matrix(f, table, scales, cols)
+
+
+def check_sym_budget(m: int, n: int, d: int) -> None:
+    """_sym_table's budget gate on Sym^d of m forms in n variables, which a
+    caller may also run before it builds the forms.  The count in n
+    variables is formed first, as power_subspace forms it before the table."""
+    check_budget(f"entries of Sym^{d} of {m} forms in {n} variables", num_monomials(n, d) * num_monomials(m, d),
+                 ENUM_BUDGET)
 
 
 def _sym_table(rows, d: int, field: FieldSpec) -> list[list]:
@@ -186,8 +203,7 @@ def _sym_table(rows, d: int, field: FieldSpec) -> list[list]:
     if m == 0:
         return []
     n = len(rows[0])
-    check_budget(f"entries of Sym^{d} of {m} forms in {n} variables", num_monomials(m, d) * num_monomials(n, d),
-                 ENUM_BUDGET)
+    check_sym_budget(m, n, d)
     fma, ints = field.fma, not field.is_finite
     zero, one = (0, 1) if ints else (field.zero_raw, field.one_raw)
     terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]

@@ -35,14 +35,13 @@ so rho_d(T) * rho_d(T^-1) == rho_d(I) == I.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import SingularT
 from .field import FieldSpec, Scalar
 from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
-from .linalg import span, span_raw, zero_subspace
+from .linalg import _q_matrix, _span_int, span, span_raw, zero_subspace
 from .monomials import enumerate_exponents, num_monomials
-from .polyalgebra import sym_power
+from .polyalgebra import _sym_table, sym_matrix
 
 
 def veronese_vector(t: Vector, d: int) -> Vector:
@@ -87,6 +86,7 @@ def veronese_subspace(u: Subspace, d: int) -> Subspace:
     K^N(dim, d) and the image spans exactly the column space of S.  When
     q <= d that fails, and the span is taken over one vector per 1-space
     of u (images scale by lambda^d), raising BudgetExceeded if q^dim > ENUM_BUDGET.
+    Over Q, b is u's primitive integer rows (ints), another basis of u.
     """
     f = u.field
     big_n = num_monomials(u.ambient_dim, d)
@@ -95,8 +95,9 @@ def veronese_subspace(u: Subspace, d: int) -> Subspace:
     if f.is_finite and f.q <= d:
         vecs = projective_vectors(u)
         return span([veronese_vector(v, d) for v in vecs], big_n, f)
-    s = sym_power(u.basis.transpose().raw, d, f)
-    return span_raw([list(col) for col in zip(*s)], big_n, f)
+    s = _sym_table(list(zip(*(u.basis.raw if f.is_finite else u.ints))), d, f)
+    cols = [list(col) for col in zip(*s)]
+    return span_raw(cols, big_n, f) if f.is_finite else _span_int(cols, big_n, f)
 
 
 def rho_d(t_mat: Matrix, d: int) -> Matrix:
@@ -105,16 +106,15 @@ def rho_d(t_mat: Matrix, d: int) -> Matrix:
     is sym_power of the rows of T."""
     if t_mat.cols != t_mat.rows:
         raise SingularT("square matrix required")
-    return Matrix.from_raw_rows(t_mat.field, sym_power(t_mat.raw, d, t_mat.field))
+    return sym_matrix(t_mat, d)
 
 
 def random_invertible_matrix(rng: random.Random, f: FieldSpec, n: int) -> Matrix:
     while True:
         if f.is_finite:
-            rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
+            m = Matrix.from_raw_rows(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)], n)
         else:
-            rows = [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(n)]
-        m = Matrix.from_raw_rows(f, rows, n)
+            m = _q_matrix(f, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], (1,) * n, n)
         if rank(m) == n:
             return m
 

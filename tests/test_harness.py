@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -427,6 +428,16 @@ def test_cli_refuses_oversized_coordinate_lists_at_once(argv):
     assert out.returncode == 2 and out.stdout == ""
     # one line: the needed count, the quantity, the allowed count
     assert re.fullmatch(r"error: \d\S* .+ exceed budget \d+\n", out.stderr)
+
+
+def test_c5_3_refuses_an_oversized_power_before_it_spans():
+    # both random draws were spanned (5.9 s) before Sym^2 of the 82-space was refused
+    start = time.perf_counter()
+    out = _cli("check", "C5_3", "--field", "Q", "--n", "200", "--d", "2", "--trials", "1", timeout=30)
+    took = time.perf_counter() - start
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: 68400300 entries of Sym^2 of 82 forms in 200 variables exceed budget 1000000\n"
+    assert took < 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
 """The integer core over Q against the plain Fraction algorithms it replaced.
 
-Over Q, linalg._rref_raw, rank, span_raw, Matrix.__mul__, Matrix.apply
-and polyalgebra.sym_power clear denominators once and compute on ints;
+Over Q a Matrix holds integer rows, each over one positive denominator
+(a _QMatrix), and rank, span_raw, Matrix.__mul__, Matrix.apply,
+transpose, rho_d and polyalgebra.sym_power compute on them;
 subspace_intersect reduces B's primitive integer rows against A's and
 reads the meet off one _rref_int; product_space convolves integer forms
 and power_subspace powers them.  The references below are the Fraction
@@ -14,10 +15,13 @@ a Fraction, and stored pivots are compared too.  Over GF(q) the
 one-elimination intersection is held to the two-elimination one it
 replaced.
 
-A Q Subspace keeps its primitive integer rows (ints) and forms its
-Fraction basis only when read.  Its equality and hash, read off ints,
-are held to equality of the Fraction bases across every way a subspace
-is built; the lazy basis to the eager division of the same rows;
+A Q Subspace's basis keeps its primitive integer rows, each over its
+pivot entry, and forms its Fractions only when read.  Its equality and
+hash, read off those rows, are held to equality of the Fraction bases
+across every way a subspace is built; the lazy Fractions to the eager
+division of the same rows; a Q matrix built from integer rows, with a
+factor to divide out, to the same matrix built from Fractions, and its
+products, transpose, rank and rho_d to the Fraction loops;
 annihilator and contained_in over Q to their Fraction forms; and
 T1_3's join of power subspaces to the span of Fraction powers it
 replaced.  A guard counts the Fraction bases power_intersection_check
@@ -34,10 +38,10 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from verolab import Matrix, parse_field, rank, rationals, subspace_intersect
+from verolab import Matrix, parse_field, rank, rationals, rho_d, rref, subspace_intersect
 from verolab import linalg
 from verolab.field import Scalar
-from verolab.linalg import Subspace, _q_rows, _reduce, _rref_int, _rref_raw, _span_int, annihilator
+from verolab.linalg import Subspace, _q_matrix, _reduce, _rref_int, _rref_raw, _span_int, annihilator
 from verolab.linalg import contained_in, full_subspace, span, span_raw, subspace_join, zero_subspace
 from verolab.monomials import _parent_steps, _shift_table, enumerate_exponents, num_monomials
 from verolab.polyalgebra import HomogPoly, linear_form_power, poly_mul, power_intersection_check
@@ -217,6 +221,9 @@ def test_rref_matches_fraction_elimination(rows):
     if rows:
         m = Matrix.from_raw_rows(Q, rows)
         assert rank(m) == len(want_pivots)
+        reduced, rk = rref(m)
+        assert rk == len(want_pivots) and reduced == Matrix.from_raw_rows(Q, want_rows)
+        assert [list(r) for r in reduced.raw] == want_rows and all_fractions(reduced.raw)
         got = span_raw([list(r) for r in rows], m.cols, Q)
         want = ref_subspace(rows, m.cols)
         assert got == want and hash(got) == hash(want) and all_fractions(got.basis.raw)
@@ -416,8 +423,88 @@ def test_product_and_apply_match_fraction_dots(args):
         assert all(type(s.v) is Fraction for s in out)
 
 
+# ----------------------------------------------------------------------
+# the integer rows a Q matrix keeps
+# ----------------------------------------------------------------------
+
+def canonical_row(row):
+    """A Fraction row as (integer row, denominator): the lcm of its
+    denominators (1 for a zero row) and the row times it."""
+    den = math.lcm(*[x.denominator for x in row])
+    return tuple(x.numerator * (den // x.denominator) for x in row), den
+
+
+def from_ints(rows, cols, extra):
+    """The Q matrix of Fraction rows built from integer rows: row i and its
+    canonical denominator both times extra[i], a factor to divide out."""
+    scaled = [([x * k for x in r], den * k) for (r, den), k in zip(map(canonical_row, rows), extra)]
+    return _q_matrix(Q, [r for r, _ in scaled], [den for _, den in scaled], cols)
+
+
+def eager(rows, cols):
+    return Matrix(Q, tuple(map(tuple, rows)), cols)
+
+
+def fraction_matrices(shape):
+    return st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(lambda s: st.tuples(
+    fraction_matrices(s[:2]), fraction_matrices(s[1:]), st.lists(st.integers(1, 12), min_size=4, max_size=4),
+    st.just(s))))
+@example(([[Fraction(1, 2), Fraction(-HUGE, 3)], [ZERO, ZERO]], [[Fraction(2)], [Fraction(3, HUGE)]], [6, 1, 4, 2],
+          (2, 2, 1)))
+def test_qmatrix_matches_fraction_references(args):
+    a_rows, b_rows, extra, (r, k, c) = args
+    a, b = from_ints(a_rows, k, extra), from_ints(b_rows, c, extra)
+    # one form per matrix, whether built from integer rows or from Fractions
+    want = [canonical_row(row) for row in a_rows]
+    assert a.ints == tuple(w for w, _ in want) and a.dens == tuple(den for _, den in want)
+    e = eager(a_rows, k)
+    assert (e.ints, e.dens) == (a.ints, a.dens) and a == e and hash(a) == hash(e)
+    assert a.raw == e.raw and all_fractions(a.raw)
+    if r and k:
+        changed = [list(row) for row in a_rows]
+        changed[-1][-1] += Fraction(1, 3)
+        assert a != eager(changed, k) and eager(changed, k) != a
+    # the product, the transpose and the rank against the Fraction loops
+    got, want = a * b, ref_product(a_rows, b_rows, c)
+    assert (got.rows, got.cols) == (r, c) and got == want and hash(got) == hash(want)
+    assert got.raw == want.raw and all_fractions(got.raw)
+    t, want = a.transpose(), eager(list(zip(*a_rows)) if r else [()] * k, r)
+    assert (t.rows, t.cols) == (k, r) and t == want and hash(t) == hash(want)
+    assert t.raw == want.raw and all_fractions(t.raw)
+    assert rank(a) == len(ref_rref(a_rows)[1])
+    # a subspace's basis is the Fraction RREF of its rows
+    reduced, pivots = ref_rref(a_rows)
+    basis = span_raw([list(row) for row in a_rows], k, Q).basis
+    assert basis == eager(reduced[:len(pivots)], k) and hash(basis) == hash(eager(reduced[:len(pivots)], k))
+    assert basis.raw == tuple(map(tuple, reduced[:len(pivots)])) and all_fractions(basis.raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(fraction_matrices((n, n)), fraction_matrices((n, n)))),
+       st.integers(0, 3), st.lists(st.integers(1, 12), min_size=3, max_size=3))
+@example(([[Fraction(HUGE + 1, 3), Fraction(-2, HUGE)], [ZERO, ZERO]], [[Fraction(2, 7), ONE], [ONE, ZERO]]),
+         2, [5, 3, 1])
+def test_rho_d_over_q_matches_fraction_sym_power(pair, d, extra):
+    a_rows, b_rows = pair
+    n = len(a_rows)
+    want = ref_sym_power(a_rows, d)
+    for t in (eager(a_rows, n), from_ints(a_rows, n, extra)):
+        got = rho_d(t, d)
+        assert got == eager(want, len(want[0])) and hash(got) == hash(eager(want, len(want[0])))
+        assert [list(row) for row in got.raw] == want and all_fractions(got.raw)
+    a, b = from_ints(a_rows, n, extra), eager(b_rows, n)
+    assert rho_d(a * b, d) == rho_d(a, d) * rho_d(b, d)
+
+
 def test_values_past_the_rank_are_fractions():
     rows = [[Fraction(1, 2), Fraction(HUGE, 7)], [ONE, Fraction(2 * HUGE, 7)], [ZERO, ZERO]]
+    got, rk = rref(Matrix.from_raw_rows(Q, rows))
+    assert rk == 1
+    assert got.raw == ((ONE, Fraction(2 * HUGE, 7)), (ZERO, ZERO), (ZERO, ZERO)) and all_fractions(got.raw)
     got, pivots = _rref_raw(Q, rows)
     assert pivots == [0]
     assert got == [[ONE, Fraction(2 * HUGE, 7)], [ZERO, ZERO], [ZERO, ZERO]] and all_fractions(got)
@@ -502,7 +589,7 @@ def test_lazy_basis_is_the_eager_division(rows):
     m = len(rows[0]) if rows else 1
     s = _span_int([list(r) for r in work], m, Q)
     pivots = _rref_int(work)
-    want = Matrix.from_raw_rows(Q, _q_rows(work, pivots), m)
+    want = Matrix.from_raw_rows(Q, [[Fraction(x, row[p]) for x in row] for row, p in zip(work, pivots)], m)
     assert s.basis == want and s.basis is s.basis and all_fractions(s.basis.raw)
     assert s.basis == ref_subspace(rows, m).basis and s.dim == len(pivots)
 
@@ -576,12 +663,14 @@ def test_t1_3_dependent_draw():
 
 def test_power_intersection_check_forms_no_fraction_basis(monkeypatch):
     calls = []
+    fill = linalg._QMatrix.__getattr__
 
-    def counted(work, pivots):
-        calls.append(len(pivots))
-        return _q_rows(work, pivots)
+    def counted(m, name):
+        if name == "raw":
+            calls.append(m.rows)
+        return fill(m, name)
 
-    monkeypatch.setattr(linalg, "_q_rows", counted)
+    monkeypatch.setattr(linalg._QMatrix, "__getattr__", counted)
     rng = random.Random("q-guard")
     for n, d in ((3, 2), (4, 2), (3, 3)):
         for _ in range(5):
@@ -591,4 +680,4 @@ def test_power_intersection_check_forms_no_fraction_basis(monkeypatch):
             power_subspace.cache_clear()
             assert power_intersection_check(b, c, d)
     assert calls == []
-    assert _span_int([[1, 2]], 2, Q).basis.rows == 1 and calls == [1]  # the counter sees a basis formed
+    assert len(_span_int([[1, 2]], 2, Q).basis.raw) == 1 and calls == [1]  # the counter sees a basis formed

@@ -78,9 +78,10 @@ CATALOGUE = (
     Mutant("int-rows-first-den-one", "linalg.py", "_int_rows",
            (("dens.append(den)", "dens.append(den if dens else 1)"),),
            "tests/test_rational_core.py", "dens[0] forced to 1"),
-    Mutant("rref-q-int-zero-rows", "linalg.py", "_rref_q",
-           (("rows[i] = [_QZERO] * len(work[i])", "rows[i] = [0] * len(work[i])"),),
-           "tests/test_rational_core.py", "rows past the rank left as int 0"),
+    Mutant("rref-q-int-zero-rows", "linalg.py", "_QMatrix.__getattr__",
+           (("tuple(map(Fraction, r)) if den == 1", "r if den == 1"),),
+           "tests/test_rational_core.py",
+           "rows over denominator 1, the zero rows past the rank among them, read as ints"),
     # the fused multiply-add kernels
     Mutant("dots-column-last-nonzero-dropped", "linalg.py", "_dots",
            (("if y != zero] for bc in cols]", "if y != zero][:-1] for bc in cols]"),),
@@ -103,15 +104,24 @@ CATALOGUE = (
            (("s *= e", "pass"),),
            "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
     Mutant("intersect-meet-not-divided", "linalg.py", "_QSubspace.__getattr__",
-           (("_q_rows(self.ints, self.pivots)", "[[_fraction(x, 1) for x in row] for row in self.ints]"),),
+           (("tuple([row[p] for row, p in zip(self.ints, self.pivots)])", "(1,) * len(self.ints)"),),
            "tests/test_rational_core.py",
-           "a Q subspace's integer rows, the meet's among them, become its Fraction basis undivided by their pivot"),
+           "a Q subspace's integer rows, the meet's among them, stand in its basis over 1, not over their pivot"),
     Mutant("intersect-pivots-unshifted", "linalg.py", "subspace_intersect",
            (("pivots = tuple(p - m for p in piv[k:])", "pivots = tuple(piv[k:])"),),
            "tests/test_rational_core.py", "the meet's pivots are stored as columns of the doubled rows, p not p - m"),
     Mutant("rank-q-row-count", "linalg.py", "rank",
-           (("return len(_rref_int(_int_rows(m.raw)[0]))", "return m.rows"),),
+           (("return len(_rref_int(list(m.ints)))", "return m.rows"),),
            "tests/test_rational_core.py", "rank over Q returns the row count"),
+    # the integer rows a Q matrix keeps
+    Mutant("q-product-dens-not-multiplied", "linalg.py", "_q_product",
+           (("[x * den for x in a.dens]", "a.dens"),),
+           "tests/test_rational_core.py",
+           "a product's rows stand over a's denominators alone, not times b's common one"),
+    Mutant("q-matrix-rows-not-reduced", "linalg.py", "_q_matrix",
+           (("g = gcd(den, *r) if den > 1 else 1", "g = 1"),),
+           "tests/test_rational_core.py", "rows keep a factor shared with their denominator, so == and hash tell equal "
+           "matrices apart"),
     # the integer rows a Q subspace keeps
     Mutant("q-pivot-sign-not-normalised", "linalg.py", "_q_subspace",
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
