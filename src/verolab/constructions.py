@@ -304,18 +304,27 @@ def is_regular(
 
     U lies in a member D exactly when ann(D) U^T = 0, so the members'
     annihilators, computed once per family for the census walk and this
-    test, say which members contain U in one product
-    (linalg.contained_in).  The basis rows of the others are pushed into
-    one semi-echelon basis until it has rank m, and then U lies in their
-    span; otherwise U lies in it exactly when none of U's rows extends
-    the basis."""
+    test, say which members contain U (linalg.contained_in).  The members
+    are first split, in order, into disjoint runs whose join is K^m
+    (covers); if no member of some cover contains U, the others span K^m.
+    Otherwise their basis rows are pushed into one semi-echelon basis
+    until it has rank m, and then U lies in their span; otherwise U lies
+    in it exactly when none of U's rows extends the basis."""
     f, m = fam.field, fam.ambient_dim
     anns = fam.annihilators()
+    covers, cover, basis, pivots = [], [], [], []
+    for s, a in zip(fam, anns):
+        cover.append(a)
+        for row in s.basis.raw:
+            _echelon_extend(f, basis, pivots, list(row), m)
+        if len(basis) == m:
+            covers.append(cover)
+            cover, basis, pivots = [], [], []
     for idx, u in intersection_lattice(fam, budget):
-        others = (r for s, held in zip(fam, contained_in(anns, u)) if not held for r in s.basis.raw)
-        basis: list[list] = []
-        pivots: list[int] = []
-        for row in others:
+        if any(not any(contained_in(c, u)) for c in covers):
+            continue
+        basis, pivots = [], []
+        for row in (r for s, h in zip(fam, contained_in(anns, u)) if not h for r in s.basis.raw):
             _echelon_extend(f, basis, pivots, list(row), m)
             if len(basis) == m:
                 break

@@ -35,6 +35,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -49,7 +50,6 @@ from .linalg import (
     Subspace,
     _rref_raw,
     check_budget,
-    contained_in,
     enumerate_vectors,
     full_subspace,
     meet_walk,
@@ -658,10 +658,10 @@ def _check_ex10(f, seed, budget):
     anns3 = d3.annihilators()
     pair_points = [stack_meet(stack, m3, f) for prefix, _, stack in meet_walk(anns3, 2) if prefix]
     pairs_ok = all(pt.dim == 1 for pt in pair_points)
-    # each distinct pair point lies in exactly q + 1 members
-    membership_ok = pairs_ok and all(
-        sum(contained_in(anns3, pt)) == 1 + q for pt in dict.fromkeys(pair_points)
-    )
+    # each distinct pair point lies in exactly q + 1 members.  Any two
+    # members meet in a point (pairs_ok), so the k members through a point
+    # u meet pairwise in u, and u is the meet of exactly C(k, 2) pairs
+    membership_ok = pairs_ok and all(c == math.comb(q + 1, 2) for c in Counter(pair_points).values())
     # the shared 1-spaces force unequal triple dimensions, so not a dual arc:
     # walk the triple meets until two of them differ in dimension
     triple_ranks = set()

@@ -470,18 +470,26 @@ def stack_meet(stack: list[list], ambient_dim: int, field: FieldSpec) -> Subspac
 
 def contained_in(anns, u: Subspace) -> list[bool]:
     """Whether u lies in each member D of a family, given by the members'
-    annihilators anns: u is in D exactly when ann(D) u^T = 0, so one
-    product of the stacked annihilator rows with u's basis answers every
-    member."""
+    annihilators anns: u is in D exactly when each annihilator row of D is
+    orthogonal to u's basis, so D is rejected at its first row that is
+    not.  Each dot product walks only the nonzero entries of u's rows,
+    listed once per call, with one fma per term."""
     f = u.field
-    zero = f.zero_raw
-    prod = _dots(f, [r for a in anns for r in a.basis.raw], u.basis.raw)
-    out = []
-    k = 0
-    for a in anns:
-        out.append(all(x == zero for row in prod[k:k + a.dim] for x in row))
-        k += a.dim
-    return out
+    zero, fma = f.zero_raw, f.fma
+    nonzeros = [[(i, y) for i, y in enumerate(b) if y != zero] for b in u.basis.raw]
+
+    def orthogonal(r) -> bool:
+        for nz in nonzeros:
+            acc = zero
+            for i, y in nz:
+                x = r[i]
+                if x != zero:
+                    acc = fma(acc, x, y)
+            if acc != zero:
+                return False
+        return True
+
+    return [all(map(orthogonal, a.basis.raw)) for a in anns]
 
 
 # ----------------------------------------------------------------------

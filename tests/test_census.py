@@ -48,7 +48,7 @@ from verolab import constructions, harness, linalg
 from verolab.constructions import intersection_lattice, partial_spread_products
 from verolab.field import Scalar
 from verolab.linalg import SUBSET_BUDGET, annihilator, contained_in, meet_walk, projective_vectors, stack_meet
-from verolab.linalg import subspace_join
+from verolab.linalg import combine_basis, full_subspace, subspace_join
 from verolab.monomials import num_monomials
 from verolab.polyalgebra import component_space, poly_mul, product_space
 
@@ -293,20 +293,36 @@ def _in_hyperplane(fam):
     return SubspaceFamily(span([r + (f.zero(),) for r in s.basis.row_list()], m + 1, f) for s in fam)
 
 
+def _ref_covers(fam):
+    """is_regular's spanning covers, by rank: runs of members, in order,
+    each closed as soon as its join is K^m; a last run short of K^m is
+    not a cover."""
+    f, m = fam.field, fam.ambient_dim
+    covers, run = [], []
+    for i in range(len(fam)):
+        run.append(i)
+        if subspace_join([fam[j] for j in run], m, f).dim == m:
+            covers.append(run)
+            run = []
+    return covers
+
+
 @pytest.mark.parametrize("q,n,d,regular", [
     (2, 3, 2, True), (2, 3, 3, True), (3, 3, 2, True), (2, 3, 4, False), (2, 2, 2, False), (4, 2, 4, False),
 ])
 def test_regularity_in_a_hyperplane_is_decided_by_the_final_reduction(q, n, d, regular):
-    # the members span at most the hyperplane, so no join reaches full rank
+    # the members span at most the hyperplane, so there is no cover and no
+    # join reaches full rank
     fam = dual_arc_ad(n, d, parse_field(f"F{q}"))
     flat = _in_hyperplane(fam)
+    assert _ref_covers(flat) == []
     assert is_regular(flat) == _ref_is_regular(flat) == is_regular(fam)
     assert is_regular(flat)[0] is regular
 
 
 def test_members_around_one_core_fail_on_the_core():
     # the four 2-spaces through e1 in F3^3 meet pairwise in <e1>, which every
-    # member contains: no member is left to span it
+    # member contains: no member is left to span it, and every cover holds it
     f = F3
     e1 = (f.one(), f.zero(), f.zero())
     rest = [(f.zero(), Scalar(f, t), f.one()) for t in range(3)] + [(f.zero(), f.one(), f.zero())]
@@ -314,6 +330,7 @@ def test_members_around_one_core_fail_on_the_core():
     core = span([e1], 3, f)
     assert ((0, 1), core) in intersection_lattice(fam)
     assert all(contained_in([annihilator(s) for s in fam], core))
+    assert _ref_covers(fam) == [[0, 1], [2, 3]]
     assert is_regular(fam) == _ref_is_regular(fam) == (False, (0, 1))
 
 
@@ -323,51 +340,105 @@ def test_boundary_cases_are_not_regular(q, n, d, witness):
     assert is_regular(fam) == _ref_is_regular(fam) == (False, witness)
 
 
-def test_join_test_runs_both_branches_on_the_grid():
-    # per meet U, the rows is_regular pushes: at most the others' rows when
-    # their join reaches full rank (the early exit), more when U's rows are
-    # reduced against it (the final reduction)
-    early = final = 0
+@pytest.mark.parametrize("q,n,d", [(2, 3, 3), (3, 3, 2), (4, 2, 3), (5, 2, 3)])
+def test_regularity_of_perturbed_dual_arcs_matches_reference(q, n, d):
+    # one member swapped for a random subspace: the covers change, and a
+    # meet through the new member may be held in every cover
+    fam = dual_arc_ad(n, d, parse_field(f"F{q}"))
+    for seed in range(4):
+        bad = _perturbed(fam, seed)
+        assert is_regular(bad) == _ref_is_regular(bad), seed
+
+
+def test_join_test_runs_all_three_branches_on_the_grid():
+    # per meet U, the rows is_regular pushes once its covers are built: none
+    # when no member of some cover holds U (the cover pass), at most the
+    # others' rows when their join reaches full rank (the early exit), more
+    # when U's rows are reduced against it (the final reduction)
+    passed = early = final = 0
     for param in _ad_grid():
         f, n, d = param.values
         fam = dual_arc_ad(n, d, f)
+        covers = _ref_covers(fam)
         pushes = []
 
-        def held(anns, u):
-            pushes.append(0)
-            return linalg.contained_in(anns, u)
+        def lattice(*args):
+            for item in intersection_lattice(*args):
+                pushes.append(0)
+                yield item
 
         def push(*args):
-            pushes[-1] += 1
+            if pushes:  # the covers are built before the first meet
+                pushes[-1] += 1
             return linalg._echelon_extend(*args)
 
-        with mock.patch.object(constructions, "contained_in", wraps=held), \
+        with mock.patch.object(constructions, "intersection_lattice", lattice), \
                 mock.patch.object(constructions, "_echelon_extend", wraps=push):
             assert is_regular(fam) == _ref_is_regular(fam)
         for (idx, u), count in zip(intersection_lattice(fam), pushes):
-            others = [s for s in fam if not subspace_le(u, s)]
+            holders = {i for i, s in enumerate(fam) if subspace_le(u, s)}
+            others = [s for i, s in enumerate(fam) if i not in holders]
             rows = sum(s.dim for s in others)
-            if subspace_join(others, fam.ambient_dim, f).dim == fam.ambient_dim:
+            if any(holders.isdisjoint(c) for c in covers):
+                passed += 1
+                assert count == 0, idx
+            elif subspace_join(others, fam.ambient_dim, f).dim == fam.ambient_dim:
                 early += 1
                 assert count <= rows, idx
             else:
                 final += 1
                 assert count > rows, idx
-    assert early and final
+    assert passed and early and final
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "F4", "F5", "Q"])
+def test_contained_in_matches_subspace_le(field):
+    # members of every dimension, K^m among them (no annihilator rows); U runs
+    # over the members, their meets and random subspaces of the members
+    f = parse_field(field)
+    rng = random.Random(f"contained-in-{field}")
+
+    def raw():
+        return rng.randrange(f.q) if f.is_finite else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for m in range(3, 6):
+        members = [full_subspace(f, m)]
+        while len(members) < 6:
+            s = span([tuple(Scalar(f, raw()) for _ in range(m)) for _ in range(rng.randint(1, m - 1))], m, f)
+            if s.dim and s not in members:
+                members.append(s)
+        us = members + [subspace_intersect(a, b) for a, b in itertools.combinations(members, 2)]
+        for s in members:
+            k = rng.randint(1, s.dim)
+            us.append(span(combine_basis(s, [[raw() for _ in range(s.dim)] for _ in range(k)]), m, f))
+        anns = [annihilator(s) for s in members]
+        big = 0
+        for u in us:
+            if u.is_zero():
+                continue
+            want = [subspace_le(u, s) for s in members]
+            assert contained_in(anns, u) == want, (m, u)
+            assert want[0]
+            big += u.dim > 1 and sum(want) > 1
+        assert big, m
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_ex10_membership_matches_subspace_le(q):
+    # EX10 reads membership off the pair counts: the k members through a pair
+    # point meet pairwise in it, so it is the meet of exactly C(k, 2) pairs
     f = parse_field(f"F{q}")
     fam = wedge_family(f, 5)
     anns = [annihilator(s) for s in fam]
-    points = dict.fromkeys(stack_meet(st, fam.ambient_dim, f) for prefix, _, st in meet_walk(anns, 2) if prefix)
+    counts = Counter(stack_meet(st, fam.ambient_dim, f) for prefix, _, st in meet_walk(anns, 2) if prefix)
+    points = list(counts)
     if q == 3:
-        points = list(points)[::7]  # every seventh of the 1,210 points keeps the reference short
+        points = points[::7]  # every seventh of the 1,210 points keeps the reference short
     for pt in points:
         flags = contained_in(anns, pt)
         assert flags == [subspace_le(pt, s) for s in fam]
         assert sum(flags) == 1 + q
+        assert counts[pt] == math.comb(sum(flags), 2)
 
 
 # ----------------------------------------------------------------------

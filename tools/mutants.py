@@ -162,11 +162,19 @@ CATALOGUE = (
            "tests/test_rho_proof.py", "equivariance is not tested, so a functorial rho that is not equivariant passes"),
     # regularity on the members' annihilators
     Mutant("containment-row-skipped", "linalg.py", "contained_in",
-           (("prod[k:k + a.dim]", "prod[k:k + a.dim - 1]"),),
+           (("all(map(orthogonal, a.basis.raw))", "all(map(orthogonal, a.basis.raw[:-1]))"),),
            "tests/test_census.py", "each member's last annihilator row is not tested"),
     Mutant("regular-early-exit-short", "constructions.py", "is_regular",
-           (("if len(basis) == m:", "if len(basis) == m - 1:"),),
+           (("            if len(basis) == m:", "            if len(basis) == m - 1:"),),
            "tests/test_census.py", "the join stops at m - 1 rows"),
+    Mutant("regular-cover-held-ignored", "constructions.py", "is_regular",
+           (("if any(not any(contained_in(c, u)) for c in covers):",
+             "if any(not all(contained_in(c, u)) for c in covers):"),),
+           "tests/test_census.py", "a cover passes U although one of its members holds U"),
+    Mutant("regular-cover-below-rank", "constructions.py", "is_regular",
+           (("        if len(basis) == m:\n            covers.append(cover)",
+             "        if len(basis) == m - 1:\n            covers.append(cover)"),),
+           "tests/test_census.py", "a run of members is closed as a cover before its join reaches rank m"),
     Mutant("regular-final-reduction-skipped", "constructions.py", "is_regular",
            (("if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.basis.raw):", "if False:"),),
            "tests/test_census.py", "a join below full rank always holds U"),
@@ -225,6 +233,9 @@ CATALOGUE = (
     Mutant("ex10-first-triple-only", "harness.py", "_check_ex10",
            (("if len(triple_ranks) == 2:", "if triple_ranks:"),),
            "tests/test_harness.py", "the triple walk stops after the first triple"),
+    Mutant("ex10-pair-count-linear", "harness.py", "_check_ex10",
+           (("math.comb(q + 1, 2)", "q + 1"),),
+           "tests/test_harness.py", "a pair point's pair count is compared with q + 1, not C(q + 1, 2)"),
     Mutant("iterate-first-vector-only", "harness.py", "_check_iterate",
            (("enumerate_vectors(full_subspace(f, n))", "enumerate_vectors(full_subspace(f, n))[:1]"),),
            "tests/test_harness.py", "only the zero vector is tested"),
