@@ -87,8 +87,11 @@ def _construct_cmd(args) -> int:
     fam = list(build(f=parse_field(args.field), **{flag: getattr(args, flag) for flag in flags}))
     text = format_family(fam)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:  # a missing directory, a directory, no permission: bad input, not a failed check
+            raise BadParams(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
         print(text)
     return 0

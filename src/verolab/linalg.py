@@ -5,19 +5,19 @@ with zero rows dropped, so two subspaces are equal exactly when their
 representations are equal; no separate equivalence test exists or is
 needed.
 
-A Matrix over GF(q) stores raw field values (integer indices, see the
-field module), one tuple per row, and all elimination runs on them.  A
-Matrix over Q is a _QMatrix: integer rows, each over one positive
-denominator, the one form Q values take inside the package.  A Q
-Subspace keeps the primitive integer multiples of its RREF rows (ints),
-and its basis is their _QMatrix, each over its pivot entry.  Products,
-rank, span, subspace_intersect and subspace_join over Q run on these
-rows, by fraction-free Gauss-Jordan that divides out each row's content
-(Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational
-Algebraic Number Theory, 2.2-2.3), so each RREF row comes out as its
-primitive integer multiple.  Fractions are formed only where values are
-read (raw, and the Scalars of row, at and apply); annihilator,
-contained_in and rref read them, and _echelon_extend computes on them.
+Every Matrix and Subspace holds its rows in one integer form, ints, and
+the subspace ops (rank, _span_int, subspace_join, subspace_intersect,
+and power_subspace, product_space and veronese_subspace above them) read
+ints only.  Over GF(q) raw values are integers (element indices, see the
+field module), so ints is raw itself.  Over Q a Matrix is a _QMatrix,
+integer rows each over one positive denominator, and a Subspace's ints
+are the primitive integer multiples of its RREF rows, its basis their
+_QMatrix over the pivot entries; the ops run by fraction-free
+Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
+22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
+2.2-2.3).  Fractions are formed only where values are read (raw, and
+the Scalars of row, at and apply); annihilator, contained_in, rref and
+sym_power read them, and _echelon_extend computes on them.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -498,7 +498,8 @@ def contained_in(anns, u: Subspace) -> list[bool]:
 
 class Matrix:
     """Immutable dense matrix over a field, row-major: raw holds one tuple
-    of raw values per row.  A matrix over Q is a _QMatrix."""
+    of raw values per row, and ints the rows in integer form, raw itself
+    over GF(q).  A matrix over Q is a _QMatrix."""
 
     __slots__ = ("field", "rows", "cols", "raw", "ints", "dens")
 
@@ -506,7 +507,7 @@ class Matrix:
         self.field = field
         self.rows = len(raw)
         self.cols = cols
-        self.raw = raw
+        self.raw = self.ints = raw
         if not field.is_finite:
             self.__class__ = _QMatrix
             ints, dens = _int_rows(raw)
@@ -656,10 +657,7 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def rank(m: Matrix) -> int:
-    if not m.field.is_finite:
-        return len(_rref_int(list(m.ints)))
-    _, pivots = _rref_raw(m.field, m.raw_rows())
-    return len(pivots)
+    return _span_int([list(r) for r in m.ints], m.cols, m.field).dim
 
 
 # ----------------------------------------------------------------------
@@ -667,10 +665,12 @@ def rank(m: Matrix) -> int:
 # ----------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of K^m held as its canonical RREF basis (no zero rows)
-    and the pivot column of each basis row, kept from the elimination
-    that built the basis.  Over GF(q) equality and hashing read the basis
-    alone; a subspace over Q is a _QSubspace."""
+    """A subspace of K^m held as its canonical RREF basis (no zero rows),
+    the pivot column of each basis row, kept from the elimination that
+    built the basis, and ints, the basis rows in integer form: over Q
+    their primitive multiples with positive pivots.  ints is unique to the
+    subspace, so equality reads the field, the ambient dimension and ints,
+    and hashing the last two.  A subspace over Q is a _QSubspace."""
 
     __slots__ = ("field", "ambient_dim", "pivots", "basis", "ints")
 
@@ -679,6 +679,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self.ints = basis.ints  # over Q, an RREF row over its lcm denominator is primitive, that lcm at its pivot
         if not field.is_finite:
             self.__class__ = _QSubspace
 
@@ -691,11 +692,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.ints))
 
     def __repr__(self) -> str:
         return f"Subspace({self.field.name}, ambient={self.ambient_dim}, dim={self.dim})"
@@ -705,36 +706,21 @@ class Subspace:
 
 
 class _QSubspace(Subspace):
-    """A Subspace over Q, also held as ints: for each RREF row, its
-    primitive integer multiple with a positive pivot entry.  That row is
-    unique, so equality and hashing read ints.  The Q ops build subspaces
-    from ints (_q_subspace) and read them; the basis, the _QMatrix of those
-    rows over their pivot entries, is formed when first read, and a
-    subspace built from a basis reads ints off it.  As on _QMatrix, each
-    is a plain slot that __getattr__, defined on the subclass only, fills."""
+    """A Subspace over Q with a lazy basis.  The Q ops build subspaces
+    from ints (_q_subspace) and read only them; the basis, the _QMatrix of
+    those rows over their pivot entries, is formed when first read.  As on
+    _QMatrix, it is a plain slot that __getattr__, defined on the subclass
+    only, fills."""
 
     __slots__ = ()
 
     def __getattr__(self, name: str):
         # called only when the slot name is unfilled
-        if name == "basis":
-            pivot_entries = tuple([row[p] for row, p in zip(self.ints, self.pivots)])
-            self.basis = _q_matrix(self.field, self.ints, pivot_entries, self.ambient_dim)
-            return self.basis
-        if name == "ints":
-            self.ints = self.basis.ints  # an RREF row over its lcm denominator is primitive, that lcm at its pivot
-            return self.ints
-        raise AttributeError(name)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, _QSubspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.ints == other.ints
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.ints))
+        if name != "basis":
+            raise AttributeError(name)
+        pivot_entries = tuple([row[p] for row, p in zip(self.ints, self.pivots)])
+        self.basis = _q_matrix(self.field, self.ints, pivot_entries, self.ambient_dim)
+        return self.basis
 
 
 def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
@@ -751,16 +737,17 @@ def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
     """span() of raw coordinate lists, which are reduced in place."""
     if not field.is_finite:
         return _span_int(_int_rows(rows)[0], ambient_dim, field)
-    if not rows:
-        return zero_subspace(field, ambient_dim)
     rows, pivots = _rref_raw(field, rows)
     basis = Matrix.from_raw_rows(field, rows[: len(pivots)], ambient_dim)
     return Subspace(field, ambient_dim, basis, tuple(pivots))
 
 
 def _span_int(rows: list[list[int]], ambient_dim: int, field: FieldSpec) -> Subspace:
-    """The span over Q (field) of integer rows, which _rref_int reduces in
-    place."""
+    """The one span of rows in integer form (ints, or rows built from them;
+    lists, reduced in place): over GF(q) raw rows, which span_raw reduces,
+    and over Q integer rows, which _rref_int reduces without a Fraction."""
+    if field.is_finite:
+        return span_raw(rows, ambient_dim, field)
     return _q_subspace(field, ambient_dim, rows, _rref_int(rows))
 
 
@@ -796,11 +783,8 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_join(members, ambient_dim: int, field: FieldSpec) -> Subspace:
-    """The span of the union of the bases of the members (possibly none);
-    over Q, of their integer rows."""
-    if not field.is_finite:
-        return _span_int([r for s in members for r in s.ints], ambient_dim, field)
-    return span_raw([r for s in members for r in s.basis.raw_rows()], ambient_dim, field)
+    """The span of the union of the members' rows (ints; possibly none)."""
+    return _span_int([list(r) for s in members for r in s.ints], ambient_dim, field)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -822,7 +806,7 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.dim < b.dim:
         a, b = b, a
     if f.is_finite:
-        rows = [_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r) for r in b.basis.raw]
+        rows = [_reduce(f, a.ints, a.pivots, list(r)) + list(r) for r in b.ints]
         rows, piv = _rref_raw(f, rows)
     else:
         rows = _residues_int(a, b)

@@ -29,8 +29,8 @@ from operator import add
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
 from .field import FieldSpec, Scalar, scalar_from_str
-from .linalg import ENUM_BUDGET, Matrix, Subspace, check_budget, full_subspace, span_raw, subspace_intersect
-from .linalg import _int_rows, _q_matrix, _span_int, zero_subspace
+from .linalg import ENUM_BUDGET, Matrix, Subspace, check_budget, full_subspace, subspace_intersect
+from .linalg import _q_matrix, _span_int, zero_subspace
 from .monomials import enumerate_exponents, multinomial, num_monomials
 from .monomials import _index_map, _parent_steps, _shift_table
 
@@ -124,8 +124,8 @@ def poly_mul(f_poly: HomogPoly, g_poly: HomogPoly) -> HomogPoly:
 def _convolve(n: int, a, da: int, b, db: int, fma, zero) -> list:
     """The coefficients of the product of the forms a and b of degrees da
     and db in n variables: one fma(acc, x, y) per pair of nonzero terms.
-    poly_mul runs it on field values, and product_space over Q on
-    integers, whose zero is 0, with Q's fma (a + b*c)."""
+    poly_mul runs it on field values, and product_space on rows in
+    integer form (ints), whose zero is 0 on every field."""
     d = da + db
     idx = _index_map(n, d)
     out = [zero] * num_monomials(n, d)
@@ -164,20 +164,18 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
     first nonzero index of beta.  No rows give no rows; d = 0 gives the
     constant 1 per row.
 
-    Over Q the rows are cleared into a _QMatrix, and the Fractions of its
-    sym_matrix are returned.
+    The rows go in as a Matrix and the raw rows of its sym_matrix come
+    out, so over Q Fractions are formed at this boundary only.
     """
-    if field.is_finite:
-        return _sym_table(rows, d, field)
-    return [list(r) for r in sym_matrix(_q_matrix(field, *_int_rows(rows), len(rows[0]) if rows else 0), d).raw]
+    return [list(r) for r in sym_matrix(Matrix.from_raw_rows(field, rows), d).raw]
 
 
 def sym_matrix(m: Matrix, d: int) -> Matrix:
-    """Sym^d of the rows of m (see sym_power), as a Matrix.  Over Q the
-    table is built on m's integer rows, so row beta stands over prod_i
-    dens[i]^beta_i, and no Fraction is formed."""
+    """Sym^d of the rows of m (see sym_power), as a Matrix.  The table is
+    built on m's integer rows (ints), so over Q row beta stands over
+    prod_i dens[i]^beta_i, and no Fraction is formed."""
     f = m.field
-    table = _sym_table(m.raw if f.is_finite else m.ints, d, f)
+    table = _sym_table(m.ints, d, f)
     cols = len(table[0]) if table else 0
     if f.is_finite:
         return Matrix.from_raw_rows(f, table, cols)
@@ -196,29 +194,28 @@ def check_sym_budget(m: int, n: int, d: int) -> None:
 
 
 def _sym_table(rows, d: int, field: FieldSpec) -> list[list]:
-    """The table of sym_power: over GF(q) on field values, one field.fma
-    per term, and over Q on integer rows, with inline int arithmetic and
-    no call, left as ints."""
+    """The table of sym_power on rows in integer form (ints), whose zero
+    and one are 0 and 1 on every field: over GF(q) one field.fma per
+    term, and over Q inline int arithmetic with no call, left as ints."""
     m = len(rows)
     if m == 0:
         return []
     n = len(rows[0])
     check_sym_budget(m, n, d)
-    fma, ints = field.fma, not field.is_finite
-    zero, one = (0, 1) if ints else (field.zero_raw, field.one_raw)
-    terms = [[(j, c) for j, c in enumerate(r) if c != zero] for r in rows]
-    table = [[one]]
+    fma, over_q = field.fma, not field.is_finite
+    terms = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+    table = [[1]]
     for k in range(1, d + 1):
         shift = _shift_table(n, k)
         width = num_monomials(n, k)
         nxt = []
         for parent, i in _parent_steps(m, k):
-            out = [zero] * width
+            out = [0] * width
             form = terms[i]
             for c, sh in zip(table[parent], shift):
-                if c == zero:
+                if not c:
                     continue
-                if ints:
+                if over_q:
                     for j, l in form:
                         out[sh[j]] += c * l
                 else:
@@ -255,10 +252,10 @@ def _check_component(s: Subspace, n: int, d: int) -> None:
 @functools.lru_cache(maxsize=1024)
 def power_subspace(t: Subspace, d: int) -> Subspace:
     """<T^d>: span of all d-fold products of elements of T <= A_1, i.e. the
-    row space of sym_power over the canonical basis of T.  Over Q the
-    integer table (_sym_table) of T's integer rows (ints), whose rows are
-    nonzero multiples of sym_power's, is reduced as it is, and no
-    Fraction is built.
+    row space of sym_power over the canonical basis of T.  The table
+    (_sym_table) of T's integer rows (ints), whose rows are nonzero
+    multiples of sym_power's, is spanned as it is (_span_int), so over Q
+    no Fraction is built.
 
     Memoised on (T, d): sampled checks draw the same subspaces again and
     again.  harness.run_check clears the memo before and after each check
@@ -266,17 +263,14 @@ def power_subspace(t: Subspace, d: int) -> Subspace:
     if d < 1:
         raise DegreeMismatch("power degree must be >= 1")
     fld = t.field
-    big_n = num_monomials(t.ambient_dim, d)
-    if fld.is_finite:
-        return span_raw(sym_power(t.basis.raw, d, fld), big_n, fld)
-    return _span_int(_sym_table(t.ints, d, fld), big_n, fld)
+    return _span_int(_sym_table(t.ints, d, fld), num_monomials(t.ambient_dim, d), fld)
 
 
 def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> Subspace:
     """<PQ>: span of pairwise products of basis elements of P <= A_i and
-    Q <= A_j, inside A_{i+j}.  Over Q the products are taken of the
-    integer rows (ints), which span the same spaces as the bases, and
-    reduced on ints (_span_int)."""
+    Q <= A_j, inside A_{i+j}.  The products are taken of the integer rows
+    (ints), which span the same spaces as the bases, and spanned by
+    _span_int, so over Q no Fraction is built."""
     fld = p.field
     if fld != q.field:
         raise FieldMismatch("product of subspaces over different fields")
@@ -284,11 +278,7 @@ def product_space(p: Subspace, deg_p: int, q: Subspace, deg_q: int, n: int) -> S
                  f"{deg_q} in {n} variables", p.dim * q.dim * num_monomials(n, deg_p + deg_q), ENUM_BUDGET)
     _check_component(p, n, deg_p)
     _check_component(q, n, deg_q)
-    if fld.is_finite:
-        pp, qq, zero, span_rows = p.basis.raw, q.basis.raw, fld.zero_raw, span_raw
-    else:
-        pp, qq, zero, span_rows = p.ints, q.ints, 0, _span_int
-    return span_rows([_convolve(n, a, deg_p, b, deg_q, fld.fma, zero) for a in pp for b in qq],
+    return _span_int([_convolve(n, a, deg_p, b, deg_q, fld.fma, 0) for a in p.ints for b in q.ints],
                      num_monomials(n, deg_p + deg_q), fld)
 
 

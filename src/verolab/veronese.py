@@ -39,7 +39,7 @@ import random
 from .errors import SingularT
 from .field import FieldSpec, Scalar
 from .linalg import Matrix, Subspace, Vector, projective_vectors, rank
-from .linalg import _q_matrix, _span_int, span, span_raw, zero_subspace
+from .linalg import _q_matrix, _span_int, span, zero_subspace
 from .monomials import enumerate_exponents, num_monomials
 from .polyalgebra import _sym_table, sym_matrix
 
@@ -86,7 +86,8 @@ def veronese_subspace(u: Subspace, d: int) -> Subspace:
     K^N(dim, d) and the image spans exactly the column space of S.  When
     q <= d that fails, and the span is taken over one vector per 1-space
     of u (images scale by lambda^d), raising BudgetExceeded if q^dim > ENUM_BUDGET.
-    Over Q, b is u's primitive integer rows (ints), another basis of u.
+    b is u's basis in integer form (ints): over Q its primitive integer
+    rows, another basis of u, so no Fraction is built.
     """
     f = u.field
     big_n = num_monomials(u.ambient_dim, d)
@@ -95,9 +96,8 @@ def veronese_subspace(u: Subspace, d: int) -> Subspace:
     if f.is_finite and f.q <= d:
         vecs = projective_vectors(u)
         return span([veronese_vector(v, d) for v in vecs], big_n, f)
-    s = _sym_table(list(zip(*(u.basis.raw if f.is_finite else u.ints))), d, f)
-    cols = [list(col) for col in zip(*s)]
-    return span_raw(cols, big_n, f) if f.is_finite else _span_int(cols, big_n, f)
+    s = _sym_table(list(zip(*u.ints)), d, f)
+    return _span_int([list(col) for col in zip(*s)], big_n, f)
 
 
 def rho_d(t_mat: Matrix, d: int) -> Matrix:

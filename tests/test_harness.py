@@ -369,6 +369,16 @@ def test_cli_construct_reports_bad_params_cleanly(argv):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_cli_construct_reports_an_unwritable_out_cleanly(tmp_path, target):
+    # both ended in a FileNotFoundError or IsADirectoryError traceback with exit 1, the code of a failed check
+    out_path = tmp_path / "no-such-dir" / "x" if target == "missing" else tmp_path
+    out = _cli("construct", "spread", "--field", "F2", "--k", "1", "--out", str(out_path))
+    assert out.returncode == 2
+    assert out.stdout == "" and out.stderr.startswith("error: cannot write --out")
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("argv", [
     # before their work was budgeted, six of these still ran at 30 s and two took 15-20 s
     ("check", "ITERATE", "--field", "F7", "--n", "8", "--d", "2", "--e", "2"),  # 7^8 vectors

@@ -38,9 +38,10 @@ from verolab import (
 )
 from verolab.field import Scalar, scalar_from_str
 from verolab.linalg import _dots, _echelon_extend, _rref_raw, check_budget, over_budget, span_raw
-from verolab.linalg import combine_basis, meet_walk, stack_meet, subspace_join
+from verolab.linalg import Subspace, combine_basis, meet_walk, stack_meet, subspace_join
 from verolab.monomials import num_monomials
-from verolab.polyalgebra import HomogPoly, power_subspace
+from verolab.polyalgebra import HomogPoly, power_subspace, product_space
+from verolab.veronese import veronese_point
 
 
 def vec(f, *coords):
@@ -381,6 +382,49 @@ def test_boxed_and_raw_constructors_agree(f, nrows, ncols, n, d, rnd):
     for m in (a, b, a.transpose(), a * a.transpose(), rref(a)[0], s.basis):
         assert all(_raw_stored(f, r) for r in m.raw)
     assert _raw_stored(f, p.raw) and _raw_stored(f, (p * p).raw)
+
+
+def _routes_to(w):
+    """w reached again by a span of Scalars (other generators), a join, a
+    meet, and the constructor given its basis."""
+    f, m = w.field, w.ambient_dim
+    rows = w.basis.row_list()
+    lines = [span([tuple(f.one() if j == i else f.zero() for j in range(m))], m, f) for i in range(m)]
+    x, y = next((x, y) for x, y in itertools.combinations(lines, 2) if subspace_join((w, x, y), m, f).dim == w.dim + 2)
+    return [
+        span([tuple(a + b for a, b in zip(rows[0], rows[-1])), *rows[::-1]], m, f),
+        subspace_join((span(rows[:1], m, f), span(rows[1:], m, f)), m, f),
+        subspace_intersect(subspace_join((w, x), m, f), subspace_join((w, y), m, f)),  # (W + X) cap (W + Y) = W
+        Subspace(f, m, w.basis, w.pivots),
+    ]
+
+
+@pytest.mark.parametrize("name", ["F4", "Q"])
+def test_every_route_to_one_subspace_compares_and_hashes_equal(name):
+    """Equality and hashing read the integer rows (ints) on every field, so
+    a power subspace and a Veronese image each compare and hash equal
+    however they are reached: by power_subspace or product_space, by
+    veronese_subspace or a join of Veronese points, or by _routes_to."""
+    f = parse_field(name)
+    n, d = 3, 2
+    big_n = num_monomials(n, d)
+    a, b = vec(f, 1, 1, 0), vec(f, 0, 1, 1)
+    gens = [a, b, tuple(x + y for x, y in zip(a, b))]  # three points of the line T
+    t = span([a, b], n, f)
+    power, image = power_subspace(t, d), veronese_subspace(t, d)
+    assert power.dim == image.dim == 3 and power != image  # the same dimension, not the same coordinates
+    for w, other in ((power, product_space(t, 1, t, 1, n)),
+                     (image, subspace_join([veronese_point(g, d) for g in gens], big_n, f))):
+        for s in (other, *_routes_to(w)):
+            assert s == w and hash(s) == hash(w)
+        assert len({w, other, *_routes_to(w)}) == 1
+
+
+def test_the_same_integer_rows_over_different_fields_compare_unequal():
+    spaces = [span([vec(f, 1, 0, 1), vec(f, 0, 1, 1)], 3, f) for f in (F2, F3, Q)]
+    assert len({s.ints for s in spaces}) == 1
+    for a, b in itertools.combinations(spaces, 2):
+        assert a != b
 
 
 def _dense_dots(f, rows, cols):

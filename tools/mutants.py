@@ -95,7 +95,7 @@ CATALOGUE = (
            "tests/test_linalg.py", "each stored pivot is one column past the basis row's first nonzero entry"),
     # the intersection on residues and the per-check power-subspace memo
     Mutant("intersect-residue-skipped", "linalg.py", "subspace_intersect",
-           (("[_reduce(f, a.basis.raw, a.pivots, list(r)) + list(r)", "[list(r) + list(r)"),),
+           (("[_reduce(f, a.ints, a.pivots, list(r)) + list(r)", "[list(r) + list(r)"),),
            "tests/test_linalg.py", "B's rows are not reduced against A, so every meet comes out zero"),
     Mutant("intersect-left-half-ignored", "linalg.py", "subspace_intersect",
            (("k = bisect_left(piv, m)", "k = 0"),),
@@ -111,8 +111,8 @@ CATALOGUE = (
            (("pivots = tuple(p - m for p in piv[k:])", "pivots = tuple(piv[k:])"),),
            "tests/test_rational_core.py", "the meet's pivots are stored as columns of the doubled rows, p not p - m"),
     Mutant("rank-q-row-count", "linalg.py", "rank",
-           (("return len(_rref_int(list(m.ints)))", "return m.rows"),),
-           "tests/test_rational_core.py", "rank over Q returns the row count"),
+           (("return _span_int([list(r) for r in m.ints], m.cols, m.field).dim", "return m.rows"),),
+           "tests/test_rational_core.py", "rank returns the row count, over Q among the fields"),
     # the integer rows a Q matrix keeps
     Mutant("q-product-dens-not-multiplied", "linalg.py", "_q_product",
            (("[x * den for x in a.dens]", "a.dens"),),
@@ -126,9 +126,16 @@ CATALOGUE = (
     Mutant("q-pivot-sign-not-normalised", "linalg.py", "_q_subspace",
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
            "tests/test_rational_core.py", "a row with a negative pivot entry is kept, so equal spans differ"),
-    Mutant("q-equality-pivots-only", "linalg.py", "_QSubspace.__eq__",
+    Mutant("q-equality-pivots-only", "linalg.py", "Subspace.__eq__",
            (("and self.ints == other.ints", "and self.pivots == other.pivots"),),
-           "tests/test_rational_core.py", "two Q subspaces with the same pivots compare equal"),
+           "tests/test_rational_core.py", "two subspaces with the same pivots compare equal, over Q among the fields"),
+    Mutant("subspace-eq-field-ignored", "linalg.py", "Subspace.__eq__",
+           (("            and self.field == other.field\n", ""),),
+           "tests/test_linalg.py", "subspaces over different fields with the same integer rows compare equal"),
+    # the integer rows a GF(q) matrix shares with its raw rows
+    Mutant("gf-ints-row-dropped", "linalg.py", "Matrix.__init__",
+           (("self.raw = self.ints = raw", "self.raw, self.ints = raw, raw[:-1]"),),
+           "tests/test_linalg.py", "a GF(q) matrix's integer rows lack its last row, so subspaces lose a basis row"),
     Mutant("power-memo-not-cleared", "harness.py", "run_check",
            (("    _clear_power_memo()\n    try:", "    try:"),
             ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
