@@ -315,7 +315,7 @@ def is_regular(
     covers, cover, basis, pivots = [], [], [], []
     for s, a in zip(fam, anns):
         cover.append(a)
-        for row in s.basis.raw:
+        for row in s.ints:
             _echelon_extend(f, basis, pivots, list(row), m)
         if len(basis) == m:
             covers.append(cover)
@@ -324,12 +324,12 @@ def is_regular(
         if any(not any(contained_in(c, u)) for c in covers):
             continue
         basis, pivots = [], []
-        for row in (r for s, h in zip(fam, contained_in(anns, u)) if not h for r in s.basis.raw):
+        for row in (r for s, h in zip(fam, contained_in(anns, u)) if not h for r in s.ints):
             _echelon_extend(f, basis, pivots, list(row), m)
             if len(basis) == m:
                 break
         else:
-            if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.basis.raw):
+            if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.ints):
                 return False, idx
     return True, None
 

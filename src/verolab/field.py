@@ -220,15 +220,16 @@ class FieldSpec:
             object.__setattr__(self, nm, fn)
 
     def _install_rational_ops(self) -> None:
-        def inv(a: Fraction) -> Fraction:
+        # Fraction(a, b), not a / b: the integer rows over Q reach these as ints
+        def inv(a: Fraction | int) -> Fraction:
             if not a:
                 raise DivisionByZero("inverse of 0")
-            return 1 / a
+            return Fraction(1, a)
 
-        def div(a: Fraction, b: Fraction) -> Fraction:
+        def div(a: Fraction | int, b: Fraction | int) -> Fraction:
             if not b:
                 raise DivisionByZero("division by 0")
-            return a / b
+            return Fraction(a, b)
 
         self._set_ops(add=operator.add, mul=operator.mul, neg=operator.neg,
                       fma=lambda a, b, c: a + b * c, inv=inv, div=div,

@@ -88,10 +88,10 @@ def is_r_independent(
     if not 2 <= r <= n:
         raise BadParams(f"r={r} outside [2, {n}]")
     check_budget(f"{r}-subsets of {n} members", math.comb(n, r), budget)
-    raw = [s.basis.raw for s in fam.members]
+    ints = [s.ints for s in fam.members]
 
     def rows_of(i, depth):
-        return [list(row) for row in raw[i]]
+        return [list(row) for row in ints[i]]
 
     for prefix, _ in dependent_prefixes(fam.field, n, rows_of, fam.ambient_dim, r, complete=True):
         last = prefix[-1]

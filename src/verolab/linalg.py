@@ -1,23 +1,23 @@
 """Exact dense matrices and canonical subspaces over any FieldSpec.
 
-A Subspace is stored as the reduced row echelon basis of its row space
-with zero rows dropped, so two subspaces are equal exactly when their
-representations are equal; no separate equivalence test exists or is
-needed.
+A Subspace, one class on every field, is stored as the reduced row
+echelon basis of its row space with zero rows dropped, in integer form
+(ints), with its pivot columns, so two subspaces are equal exactly when
+their representations are equal; no separate equivalence test exists.
 
 Every Matrix and Subspace holds its rows in one integer form, ints, and
 the subspace ops (rank, _span_int, subspace_join, subspace_intersect,
-and power_subspace, product_space and veronese_subspace above them) read
+contained_in, meet_walk, and the searches and products above them) read
 ints only.  Over GF(q) raw values are integers (element indices, see the
 field module), so ints is raw itself.  Over Q a Matrix is a _QMatrix,
 integer rows each over one positive denominator, and a Subspace's ints
-are the primitive integer multiples of its RREF rows, its basis their
-_QMatrix over the pivot entries; the ops run by fraction-free
-Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
-22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
-2.2-2.3).  Fractions are formed only where values are read (raw, and
-the Scalars of row, at and apply); annihilator, contained_in, rref and
-sym_power read them, and _echelon_extend computes on them.
+are the primitive integer multiples of its RREF rows, reduced by
+fraction-free Gauss-Jordan that divides out each row's content (Bareiss,
+Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
+Theory, 2.2-2.3).  A Subspace's basis Matrix is formed from ints on each
+read.  Fractions are read only by annihilator, rref, Matrix.raw (and the
+Scalars of row, at and apply) and the public boundary; _echelon_extend
+divides the integer rows it is given into Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -434,7 +434,7 @@ def meet_walk(anns, max_size: int):
     neither.
     """
     f, m = anns[0].field, anns[0].ambient_dim
-    ann = [a.basis.raw for a in anns]
+    ann = [a.ints for a in anns]
     n = len(ann)
     basis: list[list] = []
     pivots: list[int] = []
@@ -471,25 +471,25 @@ def stack_meet(stack: list[list], ambient_dim: int, field: FieldSpec) -> Subspac
 def contained_in(anns, u: Subspace) -> list[bool]:
     """Whether u lies in each member D of a family, given by the members'
     annihilators anns: u is in D exactly when each annihilator row of D is
-    orthogonal to u's basis, so D is rejected at its first row that is
-    not.  Each dot product walks only the nonzero entries of u's rows,
-    listed once per call, with one fma per term."""
-    f = u.field
-    zero, fma = f.zero_raw, f.fma
-    nonzeros = [[(i, y) for i, y in enumerate(b) if y != zero] for b in u.basis.raw]
+    orthogonal to u's rows, so D is rejected at its first row that is
+    not.  Both sides are read as ints, whose zero is 0 on every field, and
+    each dot product walks only the nonzero entries of u's rows, listed
+    once per call, with one fma per term."""
+    fma = u.field.fma
+    nonzeros = [[(i, y) for i, y in enumerate(b) if y] for b in u.ints]
 
     def orthogonal(r) -> bool:
         for nz in nonzeros:
-            acc = zero
+            acc = 0
             for i, y in nz:
                 x = r[i]
-                if x != zero:
+                if x:
                     acc = fma(acc, x, y)
-            if acc != zero:
+            if acc:
                 return False
         return True
 
-    return [all(map(orthogonal, a.basis.raw)) for a in anns]
+    return [all(map(orthogonal, a.ints)) for a in anns]
 
 
 # ----------------------------------------------------------------------
@@ -665,23 +665,29 @@ def rank(m: Matrix) -> int:
 # ----------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of K^m held as its canonical RREF basis (no zero rows),
-    the pivot column of each basis row, kept from the elimination that
-    built the basis, and ints, the basis rows in integer form: over Q
-    their primitive multiples with positive pivots.  ints is unique to the
-    subspace, so equality reads the field, the ambient dimension and ints,
-    and hashing the last two.  A subspace over Q is a _QSubspace."""
+    """A subspace of K^m held as ints, its canonical RREF rows in integer
+    form (over Q their primitive multiples with positive pivot entries),
+    and pivots, their pivot columns.  ints is unique to the subspace, so
+    equality reads the field, the ambient dimension and ints, and hashing
+    the last two; basis, the RREF rows as a Matrix, is formed on each read.
+    The constructor takes the rows and pivots of an elimination and ignores
+    the rows past the pivots; a row with a negative pivot entry (Q only:
+    over GF(q) it is the raw one, 1) is stored negated."""
 
-    __slots__ = ("field", "ambient_dim", "pivots", "basis", "ints")
+    __slots__ = ("field", "ambient_dim", "pivots", "ints")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]) -> None:
+    def __init__(self, field: FieldSpec, ambient_dim: int, rows, pivots) -> None:
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-        self.ints = basis.ints  # over Q, an RREF row over its lcm denominator is primitive, that lcm at its pivot
-        if not field.is_finite:
-            self.__class__ = _QSubspace
+        self.pivots = pivots = tuple(pivots)
+        self.ints = tuple([tuple(row) if row[p] > 0 else tuple([-x for x in row]) for row, p in zip(rows, pivots)])
+
+    @property
+    def basis(self) -> Matrix:
+        f, m = self.field, self.ambient_dim
+        if f.is_finite:
+            return Matrix(f, self.ints, m)
+        return _q_matrix(f, self.ints, tuple([row[p] for row, p in zip(self.ints, self.pivots)]), m)
 
     @property
     def dim(self) -> int:
@@ -705,24 +711,6 @@ class Subspace:
         return not self.pivots
 
 
-class _QSubspace(Subspace):
-    """A Subspace over Q with a lazy basis.  The Q ops build subspaces
-    from ints (_q_subspace) and read only them; the basis, the _QMatrix of
-    those rows over their pivot entries, is formed when first read.  As on
-    _QMatrix, it is a plain slot that __getattr__, defined on the subclass
-    only, fills."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # called only when the slot name is unfilled
-        if name != "basis":
-            raise AttributeError(name)
-        pivot_entries = tuple([row[p] for row, p in zip(self.ints, self.pivots)])
-        self.basis = _q_matrix(self.field, self.ints, pivot_entries, self.ambient_dim)
-        return self.basis
-
-
 def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
     """Canonical subspace spanned by the given vectors (possibly none)."""
     raw = []
@@ -734,40 +722,27 @@ def span(vectors, ambient_dim: int, field: FieldSpec) -> Subspace:
 
 
 def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
-    """span() of raw coordinate lists, which are reduced in place."""
+    """span() of raw coordinate lists, reduced in place over GF(q); over Q
+    their Fractions are first cleared into new integer rows."""
     if not field.is_finite:
-        return _span_int(_int_rows(rows)[0], ambient_dim, field)
-    rows, pivots = _rref_raw(field, rows)
-    basis = Matrix.from_raw_rows(field, rows[: len(pivots)], ambient_dim)
-    return Subspace(field, ambient_dim, basis, tuple(pivots))
+        rows = _int_rows(rows)[0]
+    return _span_int(rows, ambient_dim, field)
 
 
 def _span_int(rows: list[list[int]], ambient_dim: int, field: FieldSpec) -> Subspace:
     """The one span of rows in integer form (ints, or rows built from them;
-    lists, reduced in place): over GF(q) raw rows, which span_raw reduces,
+    lists, reduced in place): over GF(q) raw rows, reduced by _rref_raw,
     and over Q integer rows, which _rref_int reduces without a Fraction."""
-    if field.is_finite:
-        return span_raw(rows, ambient_dim, field)
-    return _q_subspace(field, ambient_dim, rows, _rref_int(rows))
-
-
-def _q_subspace(field: FieldSpec, ambient_dim: int, rows, pivots) -> Subspace:
-    """The Q subspace whose RREF rows are the primitive integer rows given,
-    row i with its pivot entry, of either sign, at pivots[i] (further rows
-    are ignored).  Each is stored with a positive pivot entry, and the
-    basis is left to be formed when read."""
-    s = _QSubspace.__new__(_QSubspace)
-    s.field, s.ambient_dim, s.pivots = field, ambient_dim, tuple(pivots)
-    s.ints = tuple(tuple(row) if row[p] > 0 else tuple([-x for x in row]) for row, p in zip(rows, pivots))
-    return s
+    pivots = _rref_raw(field, rows)[1] if field.is_finite else _rref_int(rows)
+    return Subspace(field, ambient_dim, rows, pivots)
 
 
 def zero_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix(field, (), ambient_dim), ())
+    return Subspace(field, ambient_dim, (), ())
 
 
 def full_subspace(field: FieldSpec, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
+    return Subspace(field, ambient_dim, Matrix.identity(field, ambient_dim).ints, range(ambient_dim))
 
 
 def _check_compatible(a: Subspace, b: Subspace) -> None:
@@ -807,16 +782,13 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         a, b = b, a
     if f.is_finite:
         rows = [_reduce(f, a.ints, a.pivots, list(r)) + list(r) for r in b.ints]
-        rows, piv = _rref_raw(f, rows)
+        piv = _rref_raw(f, rows)[1]
     else:
         rows = _residues_int(a, b)
         piv = _rref_int(rows)
     k = bisect_left(piv, m)
     pivots = tuple(p - m for p in piv[k:])
-    meet = [row[m:] for row in rows[k:len(piv)]]
-    if not f.is_finite:
-        return _q_subspace(f, m, meet, pivots)
-    return Subspace(f, m, Matrix.from_raw_rows(f, meet, m), pivots)
+    return Subspace(f, m, [row[m:] for row in rows[k:len(piv)]], pivots)
 
 
 def _residues_int(a: Subspace, b: Subspace) -> list[list[int]]:
@@ -879,11 +851,12 @@ def subspace_le(a: Subspace, b: Subspace) -> bool:
 
 
 def combine_basis(a: Subspace, combos) -> list[Vector]:
-    """The vector sum_i c_i b_i over the basis b of a, for each tuple c of
-    raw coefficients in combos, in the order given: the product of the
-    combos with the basis, as one _dots."""
+    """The vector sum_i c_i b_i over the rows b of a.ints (its RREF basis
+    over GF(q), over Q their primitive integer multiples), for each tuple
+    c of raw coefficients in combos, in the order given: the product of
+    the combos with those rows, as one _dots."""
     f = a.field
-    rows = a.basis.raw
+    rows = a.ints
     cols = [[row[j] for row in rows] for j in range(a.ambient_dim)]
     return [tuple(Scalar(f, x) for x in v) for v in _dots(f, combos, cols)]
 

@@ -130,11 +130,11 @@ def _restricted_rows(cm: CheckMatrix, support) -> list[list]:
 
 def dependency_vector(cm: CheckMatrix, support) -> list:
     """The kernel vector witnessing the dependency on a minimal support:
-    the one basis row of the annihilator of the restricted row space."""
+    the one row (ints) of the annihilator of the restricted row space."""
     kernel = annihilator(span_raw(_restricted_rows(cm, support), len(support), cm.field))
     if kernel.is_zero():
         raise ValueError(f"columns {tuple(support)} are independent")
-    return list(kernel.basis.raw[0])
+    return list(kernel.ints[0])
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,22 @@ def test_scalar_sub_over_q_matches_fractions():
         assert (Scalar(q, a) - Scalar(q, a)).v == 0
 
 
+def test_q_division_is_exact_on_int_operands():
+    """The integer rows over Q reach inv and div as ints; the quotient must
+    be the exact Fraction, never a float."""
+    q = rationals()
+    for a, b in ((1, 3), (-4, 6), (0, 7), (Fraction(2, 3), 5), (5, Fraction(2, 3)), (Fraction(-1, 2), Fraction(3, 4))):
+        got = q.div(a, b)
+        assert type(got) is Fraction and got == Fraction(a) / Fraction(b), (a, b)
+        assert type(q.inv(b)) is Fraction and q.inv(b) == 1 / Fraction(b)
+    third = Scalar(q, 1) / Scalar(q, 3)
+    assert type(third.v) is Fraction and str(third) == "1/3" and str(Scalar(q, 3).inv()) == "1/3"
+    with pytest.raises(DivisionByZero):
+        q.div(1, 0)
+    with pytest.raises(DivisionByZero):
+        q.inv(0)
+
+
 @pytest.mark.parametrize("name", ["F2", "F9", "F64", "F128", "F243", "F257", "F65536"])
 def test_zero_division_in_both_op_forms(name):
     f = parse_field(name)

@@ -386,7 +386,7 @@ def test_boxed_and_raw_constructors_agree(f, nrows, ncols, n, d, rnd):
 
 def _routes_to(w):
     """w reached again by a span of Scalars (other generators), a join, a
-    meet, and the constructor given its basis."""
+    meet, and the constructor given its integer rows and pivots."""
     f, m = w.field, w.ambient_dim
     rows = w.basis.row_list()
     lines = [span([tuple(f.one() if j == i else f.zero() for j in range(m))], m, f) for i in range(m)]
@@ -395,16 +395,17 @@ def _routes_to(w):
         span([tuple(a + b for a, b in zip(rows[0], rows[-1])), *rows[::-1]], m, f),
         subspace_join((span(rows[:1], m, f), span(rows[1:], m, f)), m, f),
         subspace_intersect(subspace_join((w, x), m, f), subspace_join((w, y), m, f)),  # (W + X) cap (W + Y) = W
-        Subspace(f, m, w.basis, w.pivots),
+        Subspace(f, m, w.ints, w.pivots),
     ]
 
 
-@pytest.mark.parametrize("name", ["F4", "Q"])
+@pytest.mark.parametrize("name", ["F2", "F4", "Q"])
 def test_every_route_to_one_subspace_compares_and_hashes_equal(name):
     """Equality and hashing read the integer rows (ints) on every field, so
     a power subspace and a Veronese image each compare and hash equal
     however they are reached: by power_subspace or product_space, by
-    veronese_subspace or a join of Veronese points, or by _routes_to."""
+    veronese_subspace or a join of Veronese points, or by _routes_to.
+    Every route builds the one Subspace class, over Q too."""
     f = parse_field(name)
     n, d = 3, 2
     big_n = num_monomials(n, d)
@@ -415,8 +416,8 @@ def test_every_route_to_one_subspace_compares_and_hashes_equal(name):
     assert power.dim == image.dim == 3 and power != image  # the same dimension, not the same coordinates
     for w, other in ((power, product_space(t, 1, t, 1, n)),
                      (image, subspace_join([veronese_point(g, d) for g in gens], big_n, f))):
-        for s in (other, *_routes_to(w)):
-            assert s == w and hash(s) == hash(w)
+        for s in (w, other, *_routes_to(w)):
+            assert type(s) is Subspace and s == w and hash(s) == hash(w)
         assert len({w, other, *_routes_to(w)}) == 1
 
 

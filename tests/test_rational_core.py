@@ -15,10 +15,10 @@ a Fraction, and stored pivots are compared too.  Over GF(q) the
 one-elimination intersection is held to the two-elimination one it
 replaced.
 
-A Q Subspace's basis keeps its primitive integer rows, each over its
-pivot entry, and forms its Fractions only when read.  Its equality and
-hash, read off those rows, are held to equality of the Fraction bases
-across every way a subspace is built; the lazy Fractions to the eager
+A Q Subspace keeps its primitive integer rows; its basis, formed on each
+read, holds each over its pivot entry and forms its Fractions only when
+they are read.  Its equality and hash, read off those rows, are held to
+equality of the Fraction bases across every way a subspace is built; the lazy Fractions to the eager
 division of the same rows; a Q matrix built from integer rows, with a
 factor to divide out, to the same matrix built from Fractions, and its
 products, transpose, rank and rho_d to the Fraction loops;
@@ -41,7 +41,7 @@ from hypothesis import example, given, settings, strategies as st
 from verolab import Matrix, parse_field, rank, rationals, rho_d, rref, subspace_intersect
 from verolab import linalg
 from verolab.field import Scalar
-from verolab.linalg import Subspace, _q_matrix, _reduce, _rref_int, _rref_raw, _span_int, annihilator
+from verolab.linalg import Subspace, _int_rows, _q_matrix, _reduce, _rref_int, _rref_raw, _span_int, annihilator
 from verolab.linalg import contained_in, full_subspace, span, span_raw, subspace_join, zero_subspace
 from verolab.monomials import _parent_steps, _shift_table, enumerate_exponents, num_monomials
 from verolab.polyalgebra import HomogPoly, linear_form_power, poly_mul, power_intersection_check
@@ -85,7 +85,7 @@ def ref_rref(rows):
 
 def ref_subspace(rows, ambient):
     reduced, pivots = ref_rref(rows)
-    return Subspace(Q, ambient, Matrix.from_raw_rows(Q, reduced[: len(pivots)], ambient), tuple(pivots))
+    return Subspace(Q, ambient, _int_rows(reduced[: len(pivots)])[0], pivots)
 
 
 def ref_intersect(a_rows, b_rows, m):
@@ -590,7 +590,7 @@ def test_lazy_basis_is_the_eager_division(rows):
     s = _span_int([list(r) for r in work], m, Q)
     pivots = _rref_int(work)
     want = Matrix.from_raw_rows(Q, [[Fraction(x, row[p]) for x in row] for row, p in zip(work, pivots)], m)
-    assert s.basis == want and s.basis is s.basis and all_fractions(s.basis.raw)
+    assert s.basis == want and all_fractions(s.basis.raw)
     assert s.basis == ref_subspace(rows, m).basis and s.dim == len(pivots)
 
 

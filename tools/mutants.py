@@ -90,8 +90,8 @@ CATALOGUE = (
            (("c = neg(c)", "pass"),),
            "tests/test_linalg.py", "the row update adds f*b where it subtracts it (the same in characteristic 2)"),
     # the pivots a subspace keeps from its elimination
-    Mutant("span-pivots-shifted", "linalg.py", "span_raw",
-           (("tuple(pivots)", "tuple(p + 1 for p in pivots)"),),
+    Mutant("span-pivots-shifted", "linalg.py", "_span_int",
+           (("Subspace(field, ambient_dim, rows, pivots)", "Subspace(field, ambient_dim, rows, [p + 1 for p in pivots])"),),
            "tests/test_linalg.py", "each stored pivot is one column past the basis row's first nonzero entry"),
     # the intersection on residues and the per-check power-subspace memo
     Mutant("intersect-residue-skipped", "linalg.py", "subspace_intersect",
@@ -103,7 +103,7 @@ CATALOGUE = (
     Mutant("intersect-tag-not-scaled", "linalg.py", "_residues_int",
            (("s *= e", "pass"),),
            "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
-    Mutant("intersect-meet-not-divided", "linalg.py", "_QSubspace.__getattr__",
+    Mutant("intersect-meet-not-divided", "linalg.py", "Subspace.basis",
            (("tuple([row[p] for row, p in zip(self.ints, self.pivots)])", "(1,) * len(self.ints)"),),
            "tests/test_rational_core.py",
            "a Q subspace's integer rows, the meet's among them, stand in its basis over 1, not over their pivot"),
@@ -123,9 +123,12 @@ CATALOGUE = (
            "tests/test_rational_core.py", "rows keep a factor shared with their denominator, so == and hash tell equal "
            "matrices apart"),
     # the integer rows a Q subspace keeps
-    Mutant("q-pivot-sign-not-normalised", "linalg.py", "_q_subspace",
+    Mutant("q-pivot-sign-not-normalised", "linalg.py", "Subspace.__init__",
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
            "tests/test_rational_core.py", "a row with a negative pivot entry is kept, so equal spans differ"),
+    Mutant("q-div-int-float", "field.py", "FieldSpec._install_rational_ops",
+           (("return Fraction(a, b)", "return a / b"),),
+           "tests/test_field.py", "Q division of two ints returns a float, not the exact Fraction"),
     Mutant("q-equality-pivots-only", "linalg.py", "Subspace.__eq__",
            (("and self.ints == other.ints", "and self.pivots == other.pivots"),),
            "tests/test_rational_core.py", "two subspaces with the same pivots compare equal, over Q among the fields"),
@@ -169,7 +172,7 @@ CATALOGUE = (
            "tests/test_rho_proof.py", "equivariance is not tested, so a functorial rho that is not equivariant passes"),
     # regularity on the members' annihilators
     Mutant("containment-row-skipped", "linalg.py", "contained_in",
-           (("all(map(orthogonal, a.basis.raw))", "all(map(orthogonal, a.basis.raw[:-1]))"),),
+           (("all(map(orthogonal, a.ints))", "all(map(orthogonal, a.ints[:-1]))"),),
            "tests/test_census.py", "each member's last annihilator row is not tested"),
     Mutant("regular-early-exit-short", "constructions.py", "is_regular",
            (("            if len(basis) == m:", "            if len(basis) == m - 1:"),),
@@ -183,7 +186,7 @@ CATALOGUE = (
              "        if len(basis) == m - 1:\n            covers.append(cover)"),),
            "tests/test_census.py", "a run of members is closed as a cover before its join reaches rank m"),
     Mutant("regular-final-reduction-skipped", "constructions.py", "is_regular",
-           (("if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.basis.raw):", "if False:"),),
+           (("if any(_echelon_extend(f, basis, pivots, list(r), m) for r in u.ints):", "if False:"),),
            "tests/test_census.py", "a join below full rank always holds U"),
     Mutant("regular-last-failure", "constructions.py", "is_regular",
            (("    for idx, u in intersection_lattice(fam, budget):",
