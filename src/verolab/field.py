@@ -8,11 +8,11 @@ element, and enumeration by increasing index is the canonical element
 order used everywhere downstream (fixture files store these indices).
 
 Elements of Q are represented by fractions.Fraction, which keeps every
-value in lowest terms with a positive denominator.  Every stored Q value
-is a Fraction, but the elimination, matrix products, intersections,
-Sym^d, power subspaces and product spaces over Q clear denominators and
-compute on ints, building one Fraction per stored output value (see the
-linalg module).
+value in lowest terms with a positive denominator.  A Q Scalar may hold
+an int: those a sampled check draws do (div and inv are exact on ints).
+The elimination, matrix products, intersections, Sym^d, power subspaces
+and product spaces over Q clear denominators and compute on ints,
+building one Fraction per stored output value (see the linalg module).
 
 A FieldSpec owns the arithmetic: it exposes raw operations (add, mul,
 neg, inv, ...) on the underlying representation, and one fused op,
@@ -220,16 +220,16 @@ class FieldSpec:
             object.__setattr__(self, nm, fn)
 
     def _install_rational_ops(self) -> None:
-        # Fraction(a, b), not a / b: the integer rows over Q reach these as ints
+        # one Fraction of ints: exact on int operands (a / b of two ints is a float) and faster than Fraction(a, b)
         def inv(a: Fraction | int) -> Fraction:
             if not a:
                 raise DivisionByZero("inverse of 0")
-            return Fraction(1, a)
+            return Fraction(a.denominator, a.numerator)
 
         def div(a: Fraction | int, b: Fraction | int) -> Fraction:
             if not b:
                 raise DivisionByZero("division by 0")
-            return Fraction(a, b)
+            return Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
 
         self._set_ops(add=operator.add, mul=operator.mul, neg=operator.neg,
                       fma=lambda a, b, c: a + b * c, inv=inv, div=div,
@@ -411,7 +411,7 @@ class Scalar:
 
     @property
     def value(self):
-        """Coefficient vector over GF(p) for finite fields, Fraction for Q."""
+        """Coefficient vector over GF(p) for finite fields, Fraction (or int) for Q."""
         if self.f.is_finite:
             return self.f._digits(self.v)
         return self.v

@@ -37,7 +37,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import BadCharacteristic, BadParams, BudgetExceeded, InfiniteField, UnknownCheck
@@ -49,6 +48,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _rref_raw,
+    _span_int,
     check_budget,
     enumerate_vectors,
     full_subspace,
@@ -161,18 +161,24 @@ def _not_met(reason: str):
     return "exhaustive", False, None, None, {"reason": reason}
 
 
+def _random_rows(rng: random.Random, f: FieldSpec, m: int, count: int) -> list[list[int]]:
+    """The sampled checks' one draw: count rows of m ints, row by row; a seed's trials depend on this call order."""
+    draw = functools.partial(rng.randrange, f.q) if f.is_finite else functools.partial(rng.randint, -5, 5)
+    return [[draw() for _ in range(m)] for _ in range(count)]
+
+
 def _random_vector(rng: random.Random, f: FieldSpec, m: int):
-    if f.is_finite:
-        return tuple(Scalar(f, rng.randrange(f.q)) for _ in range(m))
-    return tuple(Scalar(f, Fraction(rng.randint(-5, 5))) for _ in range(m))
+    """One row of _random_rows as Scalars; over Q each holds an int."""
+    return tuple([Scalar(f, v) for v in _random_rows(rng, f, m, 1)[0]])
 
 
 def _random_subspace(rng: random.Random, f: FieldSpec, m: int, dim: int, power: int = 0) -> Subspace:
+    """The span of dim rows of _random_rows, redrawn until it has dimension dim (a line for dim = 1)."""
     check_budget(f"entries of {dim} random vectors of length {m}", dim * m, ENUM_BUDGET)
     if power:  # the caller takes the power-th power subspace: refuse its Sym table before the span
         check_sym_budget(dim, m, power)
     while True:
-        s = span([_random_vector(rng, f, m) for _ in range(dim)], m, f)
+        s = _span_int(_random_rows(rng, f, m, dim), m, f)
         if s.dim == dim:
             return s
 
@@ -416,7 +422,7 @@ def _check_t1_3(f, seed, budget, n, d, trials):
         return _not_met("characteristic <= d")
     if f.is_finite:
         return _point_family_law(_powerpoint_family(f, n, d), d + 1, budget)
-    # _random_vector draws entries in [-5, 5].  Those vectors span at least 2^n lines of K^n (the
+    # _random_rows draws entries in [-5, 5].  Those rows span at least 2^n lines of K^n (the
     # nonzero 0/1 vectors and (1, -1, 0, ...)), so only 2^n <= d can leave fewer than d + 1; then, by
     # Moebius inversion over the gcd of the entries, they span this many
     if n < d.bit_length():
@@ -433,9 +439,7 @@ def _check_t1_3(f, seed, budget, n, d, trials):
     def trial(rng, i):
         forms = set()
         while len(forms) < d + 1:
-            s = span([_random_vector(rng, f, n)], n, f)
-            if not s.is_zero():
-                forms.add(s)
+            forms.add(_random_subspace(rng, f, n, 1))
         return None if subspace_join([power_subspace(s, d) for s in forms], big_n, f).dim == d + 1 else {"trial": i}
 
     return _sampled(seed, trials, trial)
@@ -485,10 +489,7 @@ def _check_p5_2(f, seed, budget, n, d, trials):
         lhs7 = subspace_intersect(au1, au2)
         if d >= 2:
             u1u2 = product_space(u1, 1, u2, 1, n)
-            if d == 2:
-                rhs7 = u1u2
-            else:
-                rhs7 = product_space(component_space(f, n, d - 2), d - 2, u1u2, 2, n)
+            rhs7 = u1u2 if d == 2 else product_space(component_space(f, n, d - 2), d - 2, u1u2, 2, n)
             if lhs7 != rhs7:
                 return {"trial": i, "eq": 7}
         # direct decomposition of the power of the sum: the pieces U1^k U2^(d-k)
@@ -499,9 +500,7 @@ def _check_p5_2(f, seed, budget, n, d, trials):
             )
         pieces.append(power_subspace(u1, d))
         total = subspace_join(pieces, big_n, f)
-        if total != power_subspace(subspace_sum(u1, u2), d):
-            return {"trial": i, "eq": 8}
-        if sum(p.dim for p in pieces) != total.dim:
+        if total != power_subspace(subspace_sum(u1, u2), d) or sum(p.dim for p in pieces) != total.dim:
             return {"trial": i, "eq": 8}
         if not subspace_intersect(power_subspace(u1, d), au2).is_zero():
             return {"trial": i, "eq": 9}

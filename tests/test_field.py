@@ -279,7 +279,8 @@ def test_q_division_is_exact_on_int_operands():
     """The integer rows over Q reach inv and div as ints; the quotient must
     be the exact Fraction, never a float."""
     q = rationals()
-    for a, b in ((1, 3), (-4, 6), (0, 7), (Fraction(2, 3), 5), (5, Fraction(2, 3)), (Fraction(-1, 2), Fraction(3, 4))):
+    for a, b in ((1, 3), (-4, 6), (0, 7), (Fraction(2, 3), 5), (5, Fraction(2, 3)), (Fraction(-1, 2), Fraction(3, 4)),
+                 (3, -6), (Fraction(1, 2), Fraction(-3, 4))):
         got = q.div(a, b)
         assert type(got) is Fraction and got == Fraction(a) / Fraction(b), (a, b)
         assert type(q.inv(b)) is Fraction and q.inv(b) == 1 / Fraction(b)

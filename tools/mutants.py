@@ -127,7 +127,7 @@ CATALOGUE = (
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
            "tests/test_rational_core.py", "a row with a negative pivot entry is kept, so equal spans differ"),
     Mutant("q-div-int-float", "field.py", "FieldSpec._install_rational_ops",
-           (("return Fraction(a, b)", "return a / b"),),
+           (("Fraction(a.numerator * b.denominator, a.denominator * b.numerator)", "a / b"),),
            "tests/test_field.py", "Q division of two ints returns a float, not the exact Fraction"),
     Mutant("q-equality-pivots-only", "linalg.py", "Subspace.__eq__",
            (("and self.ints == other.ints", "and self.pivots == other.pivots"),),
@@ -249,6 +249,14 @@ CATALOGUE = (
     Mutant("iterate-first-vector-only", "harness.py", "_check_iterate",
            (("enumerate_vectors(full_subspace(f, n))", "enumerate_vectors(full_subspace(f, n))[:1]"),),
            "tests/test_harness.py", "only the zero vector is tested"),
+    # the draw of the sampled checks: the same rng calls, in the same order
+    Mutant("draw-q-range-shifted", "harness.py", "_random_rows",
+           (("rng.randint, -5, 5)", "rng.randint, -5, 4)"),),
+           "tests/test_draws.py", "the Q entries are drawn from [-5, 4], not [-5, 5]"),
+    Mutant("draw-columns-first", "harness.py", "_random_rows",
+           (("return [[draw() for _ in range(m)] for _ in range(count)]",
+             "return [list(r) for r in zip(*[[draw() for _ in range(count)] for _ in range(m)])]"),),
+           "tests/test_draws.py", "entries are drawn column by column: the same rng calls fill other rows"),
 )
 
 
