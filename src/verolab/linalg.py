@@ -8,16 +8,17 @@ their representations are equal; no separate equivalence test exists.
 Every Matrix and Subspace holds its rows in one integer form, ints, and
 the subspace ops (rank, _span_int, subspace_join, subspace_intersect,
 contained_in, meet_walk, and the searches and products above them) read
-ints only.  Over GF(q) raw values are integers (element indices, see the
-field module), so ints is raw itself.  Over Q a Matrix is a _QMatrix,
-integer rows each over one positive denominator, and a Subspace's ints
-are the primitive integer multiples of its RREF rows, reduced by
-fraction-free Gauss-Jordan that divides out each row's content (Bareiss,
-Math. Comp. 22, 1968; Cohen, A Course in Computational Algebraic Number
-Theory, 2.2-2.3).  A Subspace's basis Matrix is formed from ints on each
-read.  Fractions are read only by annihilator, rref, Matrix.raw (and the
-Scalars of row, at and apply) and the public boundary; _echelon_extend
-divides the integer rows it is given into Fractions.
+ints only.  A Matrix, one class on every field, has row i = ints[i] /
+dens[i]; over GF(q) ints are the raw values (element indices, see the
+field module) and every den is 1.  A Subspace's ints are over Q the
+primitive integer multiples of its RREF rows, reduced by fraction-free
+Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
+22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
+2.2-2.3), and its basis Matrix is formed from ints on each read.
+Fractions are read only by annihilator, rref, Matrix.raw (formed on
+first read unless given), Matrix.apply's quotients and the public
+boundary; _echelon_extend divides the integer rows it is given into
+Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
 row_list, at and apply box on the way out, from_rows, span and contains
@@ -41,7 +42,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul as _imul
+from operator import attrgetter, getitem, mul as _imul
 
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteField, LengthMismatch
 from .field import FieldSpec, Scalar, parse_field, scalar_from_str
@@ -73,6 +74,8 @@ def check_budget(quantity: str, count: int, allowed: int, base: int = 1, exponen
 
 Vector = tuple[Scalar, ...]
 
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
 
 # ----------------------------------------------------------------------
 # raw elimination
@@ -83,9 +86,9 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     of its denominators, is int_rows[i], and the two are coprime."""
     out, dens = [], []
     for r in rows:
-        den = lcm(*[x.denominator for x in r])
+        den = lcm(*map(_denominator, r))
         if den == 1:
-            out.append([x.numerator for x in r])
+            out.append(list(map(_numerator, r)))
         else:
             out.append([x.numerator * (den // x.denominator) for x in r])
         dens.append(den)
@@ -94,7 +97,7 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
 
 def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
     """Row i, entry j: the dot product of rows[i] and cols[j].  Over Q a
-    plain sum of products (of integers, in a _QMatrix product).  Over GF(q)
+    plain sum of products (of integers, in a Matrix product).  Over GF(q)
     each column's nonzero (index, value) pairs are listed once per call,
     and each dot product walks only that list, skipping the zeros of the
     row, with one fma per term."""
@@ -497,42 +500,56 @@ def contained_in(anns, u: Subspace) -> list[bool]:
 # ----------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix over a field, row-major: raw holds one tuple
-    of raw values per row, and ints the rows in integer form, raw itself
-    over GF(q).  A matrix over Q is a _QMatrix."""
+    """Immutable dense matrix over a field, row-major, one class on every
+    field: row i is ints[i] / dens[i], ints integer rows and dens positive
+    integers.  Over GF(q) ints are the raw element indices and every den
+    is 1; over Q each row and its den are coprime.  That form is unique,
+    so equality reads the field, cols, ints and dens, and hashing the
+    last three.  raw, one tuple of raw values per row, is ints over
+    GF(q); over Q it is kept as given when the matrix is built from raw
+    values, and otherwise its Fractions are formed on first read and
+    kept."""
 
-    __slots__ = ("field", "rows", "cols", "raw", "ints", "dens")
+    __slots__ = ("field", "rows", "cols", "ints", "dens", "_raw")
 
     def __init__(self, field: FieldSpec, raw: tuple[tuple, ...], cols: int) -> None:
         self.field = field
         self.rows = len(raw)
         self.cols = cols
-        self.raw = self.ints = raw
-        if not field.is_finite:
-            self.__class__ = _QMatrix
+        self._raw = raw
+        if field.is_finite:
+            self.ints, self.dens = raw, (1,) * len(raw)
+        else:
             ints, dens = _int_rows(raw)
             self.ints, self.dens = tuple(map(tuple, ints)), tuple(dens)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> Matrix:
-        raw = tuple(tuple(s.v for s in r) for r in rows)
-        ncols = len(raw[0]) if raw else 0
+        return cls.from_raw_rows(field, [[s.v for s in r] for r in rows])
+
+    @classmethod
+    def from_raw_rows(cls, field: FieldSpec, rows, cols: int | None = None) -> Matrix:
+        raw = tuple(map(tuple, rows))
+        ncols = len(raw[0]) if raw else (cols or 0)
         for r in raw:
             if len(r) != ncols:
                 raise LengthMismatch("ragged rows")
         return cls(field, raw, ncols)
 
     @classmethod
-    def from_raw_rows(cls, field: FieldSpec, rows, cols: int | None = None) -> Matrix:
-        ncols = len(rows[0]) if rows else (cols or 0)
-        return cls(field, tuple(map(tuple, rows)), ncols)
-
-    @classmethod
     def identity(cls, field: FieldSpec, n: int) -> Matrix:
         check_budget(f"entries of the {n} x {n} identity", n * n, ENUM_BUDGET)
-        # 0 and 1: the raw zero and one over GF(q), and the integer rows over Q
+        # integer rows; over GF(q) 0 and 1 are the raw zero and one
         rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
-        return Matrix(field, rows, n) if field.is_finite else _q_matrix(field, rows, (1,) * n, n)
+        return _q_matrix(field, rows, (1,) * n, n)
+
+    @property
+    def raw(self) -> tuple[tuple, ...]:
+        if self._raw is None:
+            self._raw = self.ints if self.field.is_finite else tuple(
+                tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
+                for r, den in zip(self.ints, self.dens))
+        return self._raw
 
     def row(self, i: int) -> Vector:
         f = self.field
@@ -549,69 +566,33 @@ class Matrix:
         return [list(r) for r in self.raw]
 
     def transpose(self) -> Matrix:
-        cols = tuple(zip(*self.raw)) if self.rows else ((),) * self.cols
-        return Matrix(self.field, cols, self.rows)
+        cols, den = _columns(self)
+        return _q_matrix(self.field, cols, (den,) * self.cols, self.rows)
 
     def __mul__(self, other: Matrix) -> Matrix:
+        """The integer dots of self's rows with other's columns over their
+        common denominator L, row i over self's dens[i] * L."""
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        if not self.field.is_finite:
-            return _q_product(self, other)
-        return Matrix(self.field, _dots(self.field, self.raw, other.transpose().raw), other.cols)
+        cols, den = _columns(other)
+        dens = self.dens if den == 1 else [x * den for x in self.dens]
+        return _q_matrix(self.field, _dots(self.field, self.ints, cols), dens, other.cols)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j."""
+        """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j,
+        the integer dot of row i with v cleared to an integer row over den,
+        divided by dens[i] * den (over GF(q) the raw one)."""
         if len(v) != self.cols:
             raise LengthMismatch(f"vector length {len(v)} != {self.cols}")
         f = self.field
-        if not f.is_finite:
-            out = _q_product(self, Matrix(f, tuple((s.v,) for s in v), 1)).raw
-        else:
-            out = _dots(f, self.raw, [[s.v for s in v]])
-        return tuple(Scalar(f, r[0]) for r in out)
+        (col,), (den,) = _int_rows([[s.v for s in v]])
+        div = f.div
+        return tuple([Scalar(f, div(r[0], x * den)) for r, x in zip(_dots(f, self.ints, [col]), self.dens)])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.cols == other.cols
-            and self.raw == other.raw
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.cols, self.raw))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(s) for s in self.row(i)) for i in range(self.rows))
-        return f"Matrix({self.field.name} {self.rows}x{self.cols}: {body})"
-
-
-class _QMatrix(Matrix):
-    """A Matrix over Q, held as integer rows: row i is ints[i] / dens[i],
-    dens[i] > 0 coprime to the content of ints[i].  That form is unique
-    (dens[i] is the lcm of the row's denominators), so equality and
-    hashing read it.  A matrix built from Fractions clears them at once;
-    one built from integer rows leaves raw to __getattr__, which fills the
-    slot on first read (defined here, not on Matrix, where every GF(q)
-    read would pay for it)."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        # called only when the slot name is unfilled
-        if name != "raw":
-            raise AttributeError(name)
-        self.raw = tuple(tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
-                         for r, den in zip(self.ints, self.dens))
-        return self.raw
-
-    def transpose(self) -> Matrix:
-        cols, den = _q_columns(self)
-        return _q_matrix(self.field, cols, (den,) * self.cols, self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, _QMatrix)
             and self.cols == other.cols
             and self.dens == other.dens
             and self.ints == other.ints
@@ -620,34 +601,36 @@ class _QMatrix(Matrix):
     def __hash__(self) -> int:
         return hash((self.cols, self.ints, self.dens))
 
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(str(s) for s in self.row(i)) for i in range(self.rows))
+        return f"Matrix({self.field.name} {self.rows}x{self.cols}: {body})"
+
 
 def _q_matrix(field: FieldSpec, rows, dens, cols: int) -> Matrix:
-    """The Q matrix whose row i is rows[i] / dens[i] (integers, dens[i] >
-    0), each row and its denominator divided by their gcd; its Fractions
-    are left to be formed when read."""
-    ints, out = [], []
-    for r, den in zip(rows, dens):
-        g = gcd(den, *r) if den > 1 else 1
-        ints.append(tuple([x // g for x in r]) if g > 1 else tuple(r))
-        out.append(den // g)
-    m = _QMatrix.__new__(_QMatrix)
-    m.field, m.rows, m.cols, m.ints, m.dens = field, len(ints), cols, tuple(ints), tuple(out)
+    """The matrix whose row i is rows[i] / dens[i] (tuples of integers,
+    dens[i] > 0), each row and its denominator divided by their gcd; when
+    every den is 1, as over GF(q) always, there is nothing to divide.
+    Its raw values are left to be formed when read."""
+    if dens.count(1) == len(dens):
+        ints = tuple(rows)
+    else:
+        ints, out = [], []
+        for r, den in zip(rows, dens):
+            g = gcd(den, *r) if den > 1 else 1
+            ints.append(tuple([x // g for x in r]) if g > 1 else r)
+            out.append(den // g)
+        ints, dens = tuple(ints), out
+    m = Matrix.__new__(Matrix)
+    m.field, m.rows, m.cols, m.ints, m.dens, m._raw = field, len(ints), cols, ints, tuple(dens), None
     return m
 
 
-def _q_columns(m: Matrix) -> tuple[tuple, int]:
-    """The columns of a Q matrix as integer rows over one common
-    denominator, the lcm of its dens, and that denominator."""
+def _columns(m: Matrix) -> tuple[tuple, int]:
+    """The columns of m as integer rows over one common denominator, the
+    lcm of its dens, and that denominator."""
     den = lcm(*m.dens)
     rows = m.ints if den == 1 else [[x * (den // y) for x in r] for r, y in zip(m.ints, m.dens)]
     return (tuple(zip(*rows)) if rows else ((),) * m.cols), den
-
-
-def _q_product(a: Matrix, b: Matrix) -> Matrix:
-    """a * b over Q: the integer dots of a's rows with b's columns over
-    their common denominator L, row i over a's dens[i] * L."""
-    cols, den = _q_columns(b)
-    return _q_matrix(a.field, _dots(a.field, a.ints, cols), [x * den for x in a.dens], b.cols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -684,10 +667,7 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        f, m = self.field, self.ambient_dim
-        if f.is_finite:
-            return Matrix(f, self.ints, m)
-        return _q_matrix(f, self.ints, tuple([row[p] for row, p in zip(self.ints, self.pivots)]), m)
+        return _q_matrix(self.field, self.ints, tuple(map(getitem, self.ints, self.pivots)), self.ambient_dim)
 
     @property
     def dim(self) -> int:

@@ -174,15 +174,12 @@ def sym_matrix(m: Matrix, d: int) -> Matrix:
     """Sym^d of the rows of m (see sym_power), as a Matrix.  The table is
     built on m's integer rows (ints), so over Q row beta stands over
     prod_i dens[i]^beta_i, and no Fraction is formed."""
-    f = m.field
-    table = _sym_table(m.ints, d, f)
+    table = _sym_table(m.ints, d, m.field)
     cols = len(table[0]) if table else 0
-    if f.is_finite:
-        return Matrix.from_raw_rows(f, table, cols)
     dens = m.dens
-    scales = ((1,) * len(table) if max(dens, default=1) == 1
+    scales = ((1,) * len(table) if dens.count(1) == len(dens)
               else [math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(m.rows, d)])
-    return _q_matrix(f, table, scales, cols)
+    return _q_matrix(m.field, tuple(map(tuple, table)), scales, cols)
 
 
 def check_sym_budget(m: int, n: int, d: int) -> None:

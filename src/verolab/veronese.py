@@ -112,9 +112,10 @@ def rho_d(t_mat: Matrix, d: int) -> Matrix:
 def random_invertible_matrix(rng: random.Random, f: FieldSpec, n: int) -> Matrix:
     while True:
         if f.is_finite:
-            m = Matrix.from_raw_rows(f, [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)], n)
+            rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
         else:
-            m = _q_matrix(f, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], (1,) * n, n)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m = _q_matrix(f, tuple(map(tuple, rows)), (1,) * n, n)
         if rank(m) == n:
             return m
 

@@ -40,8 +40,8 @@ from verolab.field import Scalar, scalar_from_str
 from verolab.linalg import _dots, _echelon_extend, _rref_raw, check_budget, over_budget, span_raw
 from verolab.linalg import Subspace, combine_basis, meet_walk, stack_meet, subspace_join
 from verolab.monomials import num_monomials
-from verolab.polyalgebra import HomogPoly, power_subspace, product_space
-from verolab.veronese import veronese_point
+from verolab.polyalgebra import HomogPoly, power_subspace, product_space, sym_matrix
+from verolab.veronese import random_invertible_matrix, rho_d, veronese_point
 
 
 def vec(f, *coords):
@@ -421,6 +421,43 @@ def test_every_route_to_one_subspace_compares_and_hashes_equal(name):
         assert len({w, other, *_routes_to(w)}) == 1
 
 
+@pytest.mark.parametrize("name", ["F2", "F4", "Q"])
+def test_every_route_to_one_matrix_builds_one_class(name):
+    """One Matrix class on every field, whatever builds it: the identity,
+    both constructors, a product, a transpose, rho_d, sym_matrix, a
+    subspace's basis and a random invertible matrix.  The routes to one
+    matrix compare and hash equal, over Q whether its raw values were
+    given as Fractions or as ints or are formed on read."""
+    f = parse_field(name)
+    n = 3
+    one = Matrix.identity(f, n)
+    t = random_invertible_matrix(random.Random(name), f, n)
+    routes = {
+        one: [Matrix.from_rows(f, one.row_list()), Matrix.from_raw_rows(f, one.raw), Matrix.from_raw_rows(f, one.ints),
+              one * one, one.transpose(), rho_d(one, 1), sym_matrix(one, 1), full_subspace(f, n).basis,
+              span_raw(t.raw_rows(), n, f).basis],
+        t: [Matrix.from_rows(f, t.row_list()), Matrix.from_raw_rows(f, t.raw), t * one, one * t,
+            t.transpose().transpose(), rho_d(t, 1), sym_matrix(t, 1)],
+        rho_d(t, 2): [rho_d(t, 2) * rho_d(one, 2), Matrix.from_raw_rows(f, rho_d(t, 2).raw)],
+    }
+    for w, others in routes.items():
+        for m in (w, *others):
+            assert type(m) is Matrix and m == w and hash(m) == hash(w)
+        assert len({w, *others}) == 1
+    bumped = t.raw_rows()
+    bumped[-1][-1] = f.add(bumped[-1][-1], f.one_raw)
+    assert Matrix.from_raw_rows(f, bumped) != t
+
+
+@pytest.mark.parametrize("f", [F3, Q])
+def test_ragged_rows_are_refused_by_both_constructors(f):
+    rows = [[1, 2], [1]]
+    with pytest.raises(LengthMismatch):
+        Matrix.from_raw_rows(f, rows)
+    with pytest.raises(LengthMismatch):
+        Matrix.from_rows(f, [tuple(Scalar(f, x) for x in r) for r in rows])
+
+
 def test_the_same_integer_rows_over_different_fields_compare_unequal():
     spaces = [span([vec(f, 1, 0, 1), vec(f, 0, 1, 1)], 3, f) for f in (F2, F3, Q)]
     assert len({s.ints for s in spaces}) == 1
@@ -460,7 +497,13 @@ def test_dots_matches_a_dense_triple_loop(name):
         cols = [[nonzero() if rng.random() < density else zero for _ in range(inner)] for _ in range(ncols)]
         rows[rng.randrange(nrows)] = [zero] * inner
         cols[rng.randrange(ncols)] = [zero] * inner
-        assert _dots(f, rows, cols) == _dense_dots(f, rows, cols)
+        want = _dense_dots(f, rows, cols)
+        assert _dots(f, rows, cols) == want
+        # the product and the action on the same rows, through the integer rows over their denominators
+        a = Matrix.from_raw_rows(f, rows)
+        assert (a * Matrix.from_raw_rows(f, cols).transpose()).raw == want
+        for j, c in enumerate(cols):
+            assert tuple(s.v for s in a.apply(tuple(Scalar(f, x) for x in c))) == tuple(r[j] for r in want)
 
 
 @pytest.mark.parametrize("name", ["F3", "F5", "F9", "F243", "Q"])

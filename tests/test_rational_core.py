@@ -1,7 +1,7 @@
 """The integer core over Q against the plain Fraction algorithms it replaced.
 
-Over Q a Matrix holds integer rows, each over one positive denominator
-(a _QMatrix), and rank, span_raw, Matrix.__mul__, Matrix.apply,
+Over Q a Matrix (one class on every field) holds integer rows, each over
+one positive denominator, and rank, span_raw, Matrix.__mul__, Matrix.apply,
 transpose, rho_d and polyalgebra.sym_power compute on them;
 subspace_intersect reduces B's primitive integer rows against A's and
 reads the meet off one _rref_int; product_space convolves integer forms
@@ -24,8 +24,9 @@ factor to divide out, to the same matrix built from Fractions, and its
 products, transpose, rank and rho_d to the Fraction loops;
 annihilator and contained_in over Q to their Fraction forms; and
 T1_3's join of power subspaces to the span of Fraction powers it
-replaced.  A guard counts the Fraction bases power_intersection_check
-forms over Q: none.
+replaced.  A guard on Matrix.raw, the one place a Q matrix's Fractions
+are formed, counts the Fraction bases power_intersection_check forms
+over Q: none.
 """
 
 from __future__ import annotations
@@ -438,7 +439,7 @@ def from_ints(rows, cols, extra):
     """The Q matrix of Fraction rows built from integer rows: row i and its
     canonical denominator both times extra[i], a factor to divide out."""
     scaled = [([x * k for x in r], den * k) for (r, den), k in zip(map(canonical_row, rows), extra)]
-    return _q_matrix(Q, [r for r, _ in scaled], [den for _, den in scaled], cols)
+    return _q_matrix(Q, [tuple(r) for r, _ in scaled], [den for _, den in scaled], cols)
 
 
 def eager(rows, cols):
@@ -663,14 +664,14 @@ def test_t1_3_dependent_draw():
 
 def test_power_intersection_check_forms_no_fraction_basis(monkeypatch):
     calls = []
-    fill = linalg._QMatrix.__getattr__
+    fill = linalg.Matrix.raw.fget
 
-    def counted(m, name):
-        if name == "raw":
+    def counted(m):
+        if m._raw is None:  # the Fractions are formed on this read
             calls.append(m.rows)
-        return fill(m, name)
+        return fill(m)
 
-    monkeypatch.setattr(linalg._QMatrix, "__getattr__", counted)
+    monkeypatch.setattr(linalg.Matrix, "raw", property(counted))
     rng = random.Random("q-guard")
     for n, d in ((3, 2), (4, 2), (3, 3)):
         for _ in range(5):

@@ -78,7 +78,7 @@ CATALOGUE = (
     Mutant("int-rows-first-den-one", "linalg.py", "_int_rows",
            (("dens.append(den)", "dens.append(den if dens else 1)"),),
            "tests/test_rational_core.py", "dens[0] forced to 1"),
-    Mutant("rref-q-int-zero-rows", "linalg.py", "_QMatrix.__getattr__",
+    Mutant("rref-q-int-zero-rows", "linalg.py", "Matrix.raw",
            (("tuple(map(Fraction, r)) if den == 1", "r if den == 1"),),
            "tests/test_rational_core.py",
            "rows over denominator 1, the zero rows past the rank among them, read as ints"),
@@ -104,7 +104,7 @@ CATALOGUE = (
            (("s *= e", "pass"),),
            "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
     Mutant("intersect-meet-not-divided", "linalg.py", "Subspace.basis",
-           (("tuple([row[p] for row, p in zip(self.ints, self.pivots)])", "(1,) * len(self.ints)"),),
+           (("tuple(map(getitem, self.ints, self.pivots))", "(1,) * len(self.ints)"),),
            "tests/test_rational_core.py",
            "a Q subspace's integer rows, the meet's among them, stand in its basis over 1, not over their pivot"),
     Mutant("intersect-pivots-unshifted", "linalg.py", "subspace_intersect",
@@ -113,15 +113,22 @@ CATALOGUE = (
     Mutant("rank-q-row-count", "linalg.py", "rank",
            (("return _span_int([list(r) for r in m.ints], m.cols, m.field).dim", "return m.rows"),),
            "tests/test_rational_core.py", "rank returns the row count, over Q among the fields"),
-    # the integer rows a Q matrix keeps
-    Mutant("q-product-dens-not-multiplied", "linalg.py", "_q_product",
-           (("[x * den for x in a.dens]", "a.dens"),),
+    # the integer rows a matrix keeps over its denominators (Q among the fields)
+    Mutant("q-product-dens-not-multiplied", "linalg.py", "Matrix.__mul__",
+           (("[x * den for x in self.dens]", "self.dens"),),
            "tests/test_rational_core.py",
            "a product's rows stand over a's denominators alone, not times b's common one"),
     Mutant("q-matrix-rows-not-reduced", "linalg.py", "_q_matrix",
            (("g = gcd(den, *r) if den > 1 else 1", "g = 1"),),
            "tests/test_rational_core.py", "rows keep a factor shared with their denominator, so == and hash tell equal "
            "matrices apart"),
+    Mutant("q-matrix-unit-skip-on-some-den", "linalg.py", "_q_matrix",
+           (("if dens.count(1) == len(dens):", "if 1 in dens:"),),
+           "tests/test_rational_core.py", "the gcd loop is skipped when one den is 1, so the other rows keep a factor "
+           "shared with their denominator"),
+    Mutant("apply-vector-den-ignored", "linalg.py", "Matrix.apply",
+           (("div(r[0], x * den)", "div(r[0], x)"),),
+           "tests/test_rational_core.py", "M v is read as M times v's cleared integer row, not over v's denominator"),
     # the integer rows a Q subspace keeps
     Mutant("q-pivot-sign-not-normalised", "linalg.py", "Subspace.__init__",
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
@@ -137,8 +144,8 @@ CATALOGUE = (
            "tests/test_linalg.py", "subspaces over different fields with the same integer rows compare equal"),
     # the integer rows a GF(q) matrix shares with its raw rows
     Mutant("gf-ints-row-dropped", "linalg.py", "Matrix.__init__",
-           (("self.raw = self.ints = raw", "self.raw, self.ints = raw, raw[:-1]"),),
-           "tests/test_linalg.py", "a GF(q) matrix's integer rows lack its last row, so subspaces lose a basis row"),
+           (("self.ints, self.dens = raw, (1,) * len(raw)", "self.ints, self.dens = raw[:-1], (1,) * len(raw)"),),
+           "tests/test_linalg.py", "a GF(q) matrix built from raw rows lacks its last integer row, so subspaces lose a basis row"),
     Mutant("power-memo-not-cleared", "harness.py", "run_check",
            (("    _clear_power_memo()\n    try:", "    try:"),
             ("    finally:\n        _clear_power_memo()", "    finally:\n        pass")),
