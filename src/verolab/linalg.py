@@ -15,9 +15,10 @@ primitive integer multiples of its RREF rows, reduced by fraction-free
 Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
 22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
 2.2-2.3), and its basis Matrix is formed from ints on each read.
-Fractions are read only by annihilator, rref, Matrix.raw (formed on
-first read unless given), Matrix.apply's quotients and the public
-boundary; _echelon_extend divides the integer rows it is given into
+Fractions are read only by annihilator, rref, Matrix.raw and the public
+boundary.  _values forms them from integer rows over their dens, for
+Matrix.raw on first read (unless raw was given) and for Matrix.apply's
+quotients; _echelon_extend divides the integer rows it is given into
 Fractions.
 
 Scalars appear only where values cross the public boundary: Matrix.row,
@@ -42,7 +43,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, getitem, mul as _imul
+from operator import getitem, mul as _imul
 
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteField, LengthMismatch
 from .field import FieldSpec, Scalar, parse_field, scalar_from_str
@@ -74,8 +75,6 @@ def check_budget(quantity: str, count: int, allowed: int, base: int = 1, exponen
 
 Vector = tuple[Scalar, ...]
 
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
 
 # ----------------------------------------------------------------------
 # raw elimination
@@ -86,9 +85,9 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     of its denominators, is int_rows[i], and the two are coprime."""
     out, dens = [], []
     for r in rows:
-        den = lcm(*map(_denominator, r))
+        den = lcm(*[x.denominator for x in r])
         if den == 1:
-            out.append(list(map(_numerator, r)))
+            out.append([x.numerator for x in r])
         else:
             out.append([x.numerator * (den // x.denominator) for x in r])
         dens.append(den)
@@ -507,8 +506,8 @@ class Matrix:
     so equality reads the field, cols, ints and dens, and hashing the
     last three.  raw, one tuple of raw values per row, is ints over
     GF(q); over Q it is kept as given when the matrix is built from raw
-    values, and otherwise its Fractions are formed on first read and
-    kept."""
+    values, and otherwise its Fractions are formed (_values) on first
+    read and kept."""
 
     __slots__ = ("field", "rows", "cols", "ints", "dens", "_raw")
 
@@ -546,9 +545,7 @@ class Matrix:
     @property
     def raw(self) -> tuple[tuple, ...]:
         if self._raw is None:
-            self._raw = self.ints if self.field.is_finite else tuple(
-                tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
-                for r, den in zip(self.ints, self.dens))
+            self._raw = _values(self.field, self.ints, self.dens)
         return self._raw
 
     def row(self, i: int) -> Vector:
@@ -579,15 +576,17 @@ class Matrix:
         return _q_matrix(self.field, _dots(self.field, self.ints, cols), dens, other.cols)
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j,
-        the integer dot of row i with v cleared to an integer row over den,
-        divided by dens[i] * den (over GF(q) the raw one)."""
+        """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j.
+        v is read as a one-row Matrix, an integer row over its den; the
+        integer dot of row i with that row stands over dens[i] * den, and
+        the quotients are formed as raw's are (_values)."""
         if len(v) != self.cols:
             raise LengthMismatch(f"vector length {len(v)} != {self.cols}")
         f = self.field
-        (col,), (den,) = _int_rows([[s.v for s in v]])
-        div = f.div
-        return tuple([Scalar(f, div(r[0], x * den)) for r, x in zip(_dots(f, self.ints, [col]), self.dens)])
+        w = Matrix(f, (tuple([s.v for s in v]),), self.cols)
+        den = w.dens[0]
+        out = _values(f, _dots(f, self.ints, w.ints), self.dens if den == 1 else [x * den for x in self.dens])
+        return tuple([Scalar(f, y) for (y,) in out])
 
     def __eq__(self, other) -> bool:
         return (
@@ -604,6 +603,15 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(s) for s in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.field.name} {self.rows}x{self.cols}: {body})"
+
+
+def _values(f: FieldSpec, rows, dens) -> tuple[tuple, ...]:
+    """The raw values of the integer rows rows[i] / dens[i]: over GF(q),
+    where every den is 1, the rows themselves, and over Q Fractions."""
+    if f.is_finite:
+        return rows
+    return tuple(tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
+                 for r, den in zip(rows, dens))
 
 
 def _q_matrix(field: FieldSpec, rows, dens, cols: int) -> Matrix:

@@ -78,7 +78,7 @@ CATALOGUE = (
     Mutant("int-rows-first-den-one", "linalg.py", "_int_rows",
            (("dens.append(den)", "dens.append(den if dens else 1)"),),
            "tests/test_rational_core.py", "dens[0] forced to 1"),
-    Mutant("rref-q-int-zero-rows", "linalg.py", "Matrix.raw",
+    Mutant("rref-q-int-zero-rows", "linalg.py", "_values",
            (("tuple(map(Fraction, r)) if den == 1", "r if den == 1"),),
            "tests/test_rational_core.py",
            "rows over denominator 1, the zero rows past the rank among them, read as ints"),
@@ -127,7 +127,7 @@ CATALOGUE = (
            "tests/test_rational_core.py", "the gcd loop is skipped when one den is 1, so the other rows keep a factor "
            "shared with their denominator"),
     Mutant("apply-vector-den-ignored", "linalg.py", "Matrix.apply",
-           (("div(r[0], x * den)", "div(r[0], x)"),),
+           (("self.dens if den == 1 else [x * den for x in self.dens]", "self.dens"),),
            "tests/test_rational_core.py", "M v is read as M times v's cleared integer row, not over v's denominator"),
     # the integer rows a Q subspace keeps
     Mutant("q-pivot-sign-not-normalised", "linalg.py", "Subspace.__init__",
