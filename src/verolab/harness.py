@@ -47,7 +47,6 @@ from .linalg import (
     SUBSET_BUDGET,
     Matrix,
     Subspace,
-    _rref_raw,
     _span_int,
     check_budget,
     enumerate_vectors,
@@ -293,7 +292,7 @@ def _check_t1_1_sharp(f, seed, budget, n, d):
     # the pivot columns of the images taken as columns are their lex-first greedy basis, so the
     # first d + 2 are the lex-first independent (d + 2)-set; fewer than d + 2 means there is none
     cols = [[s.v for s in v] for v in images]
-    _, pivots = _rref_raw(f, [list(r) for r in zip(*cols)])
+    pivots = span_raw([list(r) for r in zip(*cols)], len(images), f).pivots
     if len(pivots) >= d + 2:
         return "exhaustive", True, False, tuple(pivots[:d + 2]), {}
     return "exhaustive", True, True, None, {"points_on_plane": len(images)}

@@ -8,16 +8,17 @@ their representations are equal; no separate equivalence test exists.
 Every Matrix and Subspace holds its rows in one integer form, ints, and
 the subspace ops (rank, _span_int, subspace_join, subspace_intersect,
 contained_in, meet_walk, and the searches and products above them) read
-ints only.  A Matrix, one class on every field, has row i = ints[i] /
-dens[i]; over GF(q) ints are the raw values (element indices, see the
-field module) and every den is 1.  A Subspace's ints are over Q the
-primitive integer multiples of its RREF rows, reduced by fraction-free
-Gauss-Jordan that divides out each row's content (Bareiss, Math. Comp.
-22, 1968; Cohen, A Course in Computational Algebraic Number Theory,
-2.2-2.3), and its basis Matrix is formed from ints on each read.
-Fractions are read only by annihilator, rref, Matrix.raw and the public
-boundary.  _values forms them from integer rows over their dens, for
-Matrix.raw on first read (unless raw was given) and for Matrix.apply's
+ints only.  A Matrix, one class on every field, is ints / den, one
+positive denominator for the whole matrix; over GF(q) ints are the raw
+values (element indices, see the field module) and den is 1, and over Q
+_cleared clears given Fractions into that form.  A Subspace's ints are
+over Q the primitive integer multiples of its RREF rows, reduced by
+fraction-free Gauss-Jordan that divides out each row's content
+(Bareiss, Math. Comp. 22, 1968; Cohen, A Course in Computational
+Algebraic Number Theory, 2.2-2.3), and its basis Matrix is formed from
+ints on each read.  Fractions are read only by annihilator, rref,
+Matrix.raw and the public boundary.  _values forms them from integer
+rows over one den, for Matrix.raw on first read and for Matrix.apply's
 quotients; _echelon_extend divides the integer rows it is given into
 Fractions.
 
@@ -80,18 +81,11 @@ Vector = tuple[Scalar, ...]
 # raw elimination
 # ----------------------------------------------------------------------
 
-def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Rows of Fractions as (int_rows, dens): row i times dens[i], the lcm
-    of its denominators, is int_rows[i], and the two are coprime."""
-    out, dens = [], []
-    for r in rows:
-        den = lcm(*[x.denominator for x in r])
-        if den == 1:
-            out.append([x.numerator for x in r])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in r])
-        dens.append(den)
-    return out, dens
+def _cleared(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of Fractions (or ints) as (ints, den): den is the lcm of every
+    denominator, ints the rows times den, and the two are coprime."""
+    den = lcm(*[x.denominator for r in rows for x in r])
+    return tuple(tuple([x.numerator * (den // x.denominator) for x in r]) for r in rows), den
 
 
 def _dots(f: FieldSpec, rows, cols) -> tuple[tuple, ...]:
@@ -500,27 +494,23 @@ def contained_in(anns, u: Subspace) -> list[bool]:
 
 class Matrix:
     """Immutable dense matrix over a field, row-major, one class on every
-    field: row i is ints[i] / dens[i], ints integer rows and dens positive
-    integers.  Over GF(q) ints are the raw element indices and every den
-    is 1; over Q each row and its den are coprime.  That form is unique,
-    so equality reads the field, cols, ints and dens, and hashing the
-    last three.  raw, one tuple of raw values per row, is ints over
-    GF(q); over Q it is kept as given when the matrix is built from raw
-    values, and otherwise its Fractions are formed (_values) on first
-    read and kept."""
+    field: the matrix is ints / den, ints integer rows and den one
+    positive integer.  Over GF(q) ints are the raw element indices and den
+    is 1; over Q den and the entries of ints are coprime.  That form is
+    unique, so equality reads the field, cols, den and ints, and hashing
+    the last three.  raw, one tuple of raw values per row, is formed from
+    ints and den (_values: ints itself over GF(q), Fractions over Q) on
+    first read and kept; the raw values a matrix is built from are not
+    kept, so every route to one matrix reads the same raw."""
 
-    __slots__ = ("field", "rows", "cols", "ints", "dens", "_raw")
+    __slots__ = ("field", "rows", "cols", "ints", "den", "_raw")
 
     def __init__(self, field: FieldSpec, raw: tuple[tuple, ...], cols: int) -> None:
         self.field = field
         self.rows = len(raw)
         self.cols = cols
-        self._raw = raw
-        if field.is_finite:
-            self.ints, self.dens = raw, (1,) * len(raw)
-        else:
-            ints, dens = _int_rows(raw)
-            self.ints, self.dens = tuple(map(tuple, ints)), tuple(dens)
+        self.ints, self.den = (raw, 1) if field.is_finite else _cleared(raw)
+        self._raw = None
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows) -> Matrix:
@@ -540,12 +530,12 @@ class Matrix:
         check_budget(f"entries of the {n} x {n} identity", n * n, ENUM_BUDGET)
         # integer rows; over GF(q) 0 and 1 are the raw zero and one
         rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
-        return _q_matrix(field, rows, (1,) * n, n)
+        return _q_matrix(field, rows, 1, n)
 
     @property
     def raw(self) -> tuple[tuple, ...]:
         if self._raw is None:
-            self._raw = _values(self.field, self.ints, self.dens)
+            self._raw = _values(self.field, self.ints, self.den)
         return self._raw
 
     def row(self, i: int) -> Vector:
@@ -563,29 +553,26 @@ class Matrix:
         return [list(r) for r in self.raw]
 
     def transpose(self) -> Matrix:
-        cols, den = _columns(self)
-        return _q_matrix(self.field, cols, (den,) * self.cols, self.rows)
+        return _q_matrix(self.field, _columns(self), self.den, self.rows)
 
     def __mul__(self, other: Matrix) -> Matrix:
-        """The integer dots of self's rows with other's columns over their
-        common denominator L, row i over self's dens[i] * L."""
+        """The integer dots of self's rows with other's columns, over the
+        product of the two denominators."""
         if self.cols != other.rows:
             raise LengthMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        cols, den = _columns(other)
-        dens = self.dens if den == 1 else [x * den for x in self.dens]
-        return _q_matrix(self.field, _dots(self.field, self.ints, cols), dens, other.cols)
+        f = self.field
+        return _q_matrix(f, _dots(f, self.ints, _columns(other)), self.den * other.den, other.cols)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix action on a column vector: (M v)_i = sum_j M[i][j] v_j.
         v is read as a one-row Matrix, an integer row over its den; the
-        integer dot of row i with that row stands over dens[i] * den, and
-        the quotients are formed as raw's are (_values)."""
+        integer dot of each row with it stands over the product of the two
+        denominators, and the quotients are formed as raw's are (_values)."""
         if len(v) != self.cols:
             raise LengthMismatch(f"vector length {len(v)} != {self.cols}")
         f = self.field
         w = Matrix(f, (tuple([s.v for s in v]),), self.cols)
-        den = w.dens[0]
-        out = _values(f, _dots(f, self.ints, w.ints), self.dens if den == 1 else [x * den for x in self.dens])
+        out = _values(f, _dots(f, self.ints, w.ints), self.den * w.den)
         return tuple([Scalar(f, y) for (y,) in out])
 
     def __eq__(self, other) -> bool:
@@ -593,52 +580,46 @@ class Matrix:
             isinstance(other, Matrix)
             and self.field == other.field
             and self.cols == other.cols
-            and self.dens == other.dens
+            and self.den == other.den
             and self.ints == other.ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self.ints, self.dens))
+        return hash((self.cols, self.ints, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(s) for s in self.row(i)) for i in range(self.rows))
         return f"Matrix({self.field.name} {self.rows}x{self.cols}: {body})"
 
 
-def _values(f: FieldSpec, rows, dens) -> tuple[tuple, ...]:
-    """The raw values of the integer rows rows[i] / dens[i]: over GF(q),
-    where every den is 1, the rows themselves, and over Q Fractions."""
+def _values(f: FieldSpec, rows, den: int) -> tuple[tuple, ...]:
+    """The raw values of the integer rows over den: over GF(q), where den
+    is 1, the rows themselves, and over Q Fractions."""
     if f.is_finite:
         return rows
-    return tuple(tuple(map(Fraction, r)) if den == 1 else tuple([Fraction(x, den) for x in r])
-                 for r, den in zip(rows, dens))
+    if den == 1:
+        return tuple(tuple(map(Fraction, r)) for r in rows)
+    return tuple(tuple([Fraction(x, den) for x in r]) for r in rows)
 
 
-def _q_matrix(field: FieldSpec, rows, dens, cols: int) -> Matrix:
-    """The matrix whose row i is rows[i] / dens[i] (tuples of integers,
-    dens[i] > 0), each row and its denominator divided by their gcd; when
-    every den is 1, as over GF(q) always, there is nothing to divide.
-    Its raw values are left to be formed when read."""
-    if dens.count(1) == len(dens):
-        ints = tuple(rows)
-    else:
-        ints, out = [], []
-        for r, den in zip(rows, dens):
-            g = gcd(den, *r) if den > 1 else 1
-            ints.append(tuple([x // g for x in r]) if g > 1 else r)
-            out.append(den // g)
-        ints, dens = tuple(ints), out
+def _q_matrix(field: FieldSpec, rows, den: int, cols: int) -> Matrix:
+    """The matrix rows / den (tuples of integers, den > 0), the rows and
+    den divided by the gcd of den and every entry; when den is 1, as over
+    GF(q) always, there is nothing to divide.  Its raw values are left to
+    be formed when read."""
+    rows = tuple(rows)
+    if den > 1:
+        g = gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            rows, den = tuple(tuple([x // g for x in r]) for r in rows), den // g
     m = Matrix.__new__(Matrix)
-    m.field, m.rows, m.cols, m.ints, m.dens, m._raw = field, len(ints), cols, ints, tuple(dens), None
+    m.field, m.rows, m.cols, m.ints, m.den, m._raw = field, len(rows), cols, rows, den, None
     return m
 
 
-def _columns(m: Matrix) -> tuple[tuple, int]:
-    """The columns of m as integer rows over one common denominator, the
-    lcm of its dens, and that denominator."""
-    den = lcm(*m.dens)
-    rows = m.ints if den == 1 else [[x * (den // y) for x in r] for r, y in zip(m.ints, m.dens)]
-    return (tuple(zip(*rows)) if rows else ((),) * m.cols), den
+def _columns(m: Matrix) -> tuple[tuple, ...]:
+    """The columns of m's integer rows, which stand over m's den."""
+    return tuple(zip(*m.ints)) if m.ints else ((),) * m.cols
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -675,7 +656,13 @@ class Subspace:
 
     @property
     def basis(self) -> Matrix:
-        return _q_matrix(self.field, self.ints, tuple(map(getitem, self.ints, self.pivots)), self.ambient_dim)
+        """The RREF rows as a Matrix: each row of ints scaled to the lcm of
+        the pivot entries (1 over GF(q)), which the rows then stand over."""
+        den = lcm(*map(getitem, self.ints, self.pivots))
+        rows = self.ints
+        if den > 1:
+            rows = tuple(tuple([x * (den // r[p]) for x in r]) for r, p in zip(rows, self.pivots))
+        return _q_matrix(self.field, rows, den, self.ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -713,7 +700,7 @@ def span_raw(rows: list[list], ambient_dim: int, field: FieldSpec) -> Subspace:
     """span() of raw coordinate lists, reduced in place over GF(q); over Q
     their Fractions are first cleared into new integer rows."""
     if not field.is_finite:
-        rows = _int_rows(rows)[0]
+        rows = list(_cleared(rows)[0])
     return _span_int(rows, ambient_dim, field)
 
 

@@ -24,7 +24,6 @@ not mentioned in a term have exponent 0.
 from __future__ import annotations
 
 import functools
-import math
 from operator import add
 
 from .errors import BadCharacteristic, DegreeMismatch, FieldMismatch
@@ -172,14 +171,11 @@ def sym_power(rows, d: int, field: FieldSpec) -> list[list]:
 
 def sym_matrix(m: Matrix, d: int) -> Matrix:
     """Sym^d of the rows of m (see sym_power), as a Matrix.  The table is
-    built on m's integer rows (ints), so over Q row beta stands over
-    prod_i dens[i]^beta_i, and no Fraction is formed."""
+    built on m's integer rows (ints), so over Q, where m is ints / den,
+    every row stands over den**d, and no Fraction is formed."""
     table = _sym_table(m.ints, d, m.field)
     cols = len(table[0]) if table else 0
-    dens = m.dens
-    scales = ((1,) * len(table) if dens.count(1) == len(dens)
-              else [math.prod(map(pow, dens, beta)) for beta in enumerate_exponents(m.rows, d)])
-    return _q_matrix(m.field, tuple(map(tuple, table)), scales, cols)
+    return _q_matrix(m.field, tuple(map(tuple, table)), m.den ** d, cols)
 
 
 def check_sym_budget(m: int, n: int, d: int) -> None:

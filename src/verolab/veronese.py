@@ -115,7 +115,7 @@ def random_invertible_matrix(rng: random.Random, f: FieldSpec, n: int) -> Matrix
             rows = [[rng.randrange(f.q) for _ in range(n)] for _ in range(n)]
         else:
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        m = _q_matrix(f, tuple(map(tuple, rows)), (1,) * n, n)
+        m = _q_matrix(f, tuple(map(tuple, rows)), 1, n)
         if rank(m) == n:
             return m
 

@@ -426,8 +426,9 @@ def test_every_route_to_one_matrix_builds_one_class(name):
     """One Matrix class on every field, whatever builds it: the identity,
     both constructors, a product, a transpose, rho_d, sym_matrix, a
     subspace's basis and a random invertible matrix.  The routes to one
-    matrix compare and hash equal, over Q whether its raw values were
-    given as Fractions or as ints or are formed on read."""
+    matrix compare and hash equal and read the same raw values, over Q
+    Fractions whether the matrix was built from Fractions, from ints or
+    from integer rows."""
     f = parse_field(name)
     n = 3
     one = Matrix.identity(f, n)
@@ -443,6 +444,9 @@ def test_every_route_to_one_matrix_builds_one_class(name):
     for w, others in routes.items():
         for m in (w, *others):
             assert type(m) is Matrix and m == w and hash(m) == hash(w)
+            assert m.raw == w.raw
+            if not f.is_finite:
+                assert all(type(x) is Fraction for r in m.raw for x in r)
         assert len({w, *others}) == 1
     bumped = t.raw_rows()
     bumped[-1][-1] = f.add(bumped[-1][-1], f.one_raw)

@@ -75,13 +75,13 @@ CATALOGUE = (
     Mutant("rref-int-no-initial-content", "linalg.py", "_rref_int",
            (("        if g > 1:\n            rows[i] = [x // g for x in row]", "        pass"),),
            "tests/test_rational_core.py", "the rows' content is not divided out before elimination"),
-    Mutant("int-rows-first-den-one", "linalg.py", "_int_rows",
-           (("dens.append(den)", "dens.append(den if dens else 1)"),),
-           "tests/test_rational_core.py", "dens[0] forced to 1"),
+    Mutant("cleared-den-first-row-only", "linalg.py", "_cleared",
+           (("for r in rows for x in r])", "for x in rows[0]])"),),
+           "tests/test_rational_core.py", "the den is the lcm of the first row's denominators only"),
     Mutant("rref-q-int-zero-rows", "linalg.py", "_values",
-           (("tuple(map(Fraction, r)) if den == 1", "r if den == 1"),),
+           (("return tuple(tuple(map(Fraction, r)) for r in rows)", "return rows"),),
            "tests/test_rational_core.py",
-           "rows over denominator 1, the zero rows past the rank among them, read as ints"),
+           "a matrix over denominator 1, zero rows past the rank among them, reads its values as ints"),
     # the fused multiply-add kernels
     Mutant("dots-column-last-nonzero-dropped", "linalg.py", "_dots",
            (("if y != zero] for bc in cols]", "if y != zero][:-1] for bc in cols]"),),
@@ -104,7 +104,7 @@ CATALOGUE = (
            (("s *= e", "pass"),),
            "tests/test_rational_core.py", "over Q the tag half is not scaled along with the residue it records"),
     Mutant("intersect-meet-not-divided", "linalg.py", "Subspace.basis",
-           (("tuple(map(getitem, self.ints, self.pivots))", "(1,) * len(self.ints)"),),
+           (("den = lcm(*map(getitem, self.ints, self.pivots))", "den = 1"),),
            "tests/test_rational_core.py",
            "a Q subspace's integer rows, the meet's among them, stand in its basis over 1, not over their pivot"),
     Mutant("intersect-pivots-unshifted", "linalg.py", "subspace_intersect",
@@ -113,22 +113,28 @@ CATALOGUE = (
     Mutant("rank-q-row-count", "linalg.py", "rank",
            (("return _span_int([list(r) for r in m.ints], m.cols, m.field).dim", "return m.rows"),),
            "tests/test_rational_core.py", "rank returns the row count, over Q among the fields"),
-    # the integer rows a matrix keeps over its denominators (Q among the fields)
+    # the integer rows a matrix keeps over its one denominator (Q among the fields)
     Mutant("q-product-dens-not-multiplied", "linalg.py", "Matrix.__mul__",
-           (("[x * den for x in self.dens]", "self.dens"),),
-           "tests/test_rational_core.py",
-           "a product's rows stand over a's denominators alone, not times b's common one"),
+           (("self.den * other.den", "self.den"),),
+           "tests/test_rational_core.py", "a product stands over a's denominator alone, not times b's"),
     Mutant("q-matrix-rows-not-reduced", "linalg.py", "_q_matrix",
-           (("g = gcd(den, *r) if den > 1 else 1", "g = 1"),),
-           "tests/test_rational_core.py", "rows keep a factor shared with their denominator, so == and hash tell equal "
-           "matrices apart"),
-    Mutant("q-matrix-unit-skip-on-some-den", "linalg.py", "_q_matrix",
-           (("if dens.count(1) == len(dens):", "if 1 in dens:"),),
-           "tests/test_rational_core.py", "the gcd loop is skipped when one den is 1, so the other rows keep a factor "
-           "shared with their denominator"),
+           (("g = gcd(den, *itertools.chain.from_iterable(rows))", "g = 1"),),
+           "tests/test_rational_core.py", "the rows keep a factor shared with their denominator, so == and hash tell "
+           "equal matrices apart"),
+    Mutant("q-matrix-gcd-first-row-only", "linalg.py", "_q_matrix",
+           (("*itertools.chain.from_iterable(rows))", "*rows[0])"),),
+           "tests/test_rational_core.py", "the gcd is taken over the den and the first row only, so the other rows "
+           "are divided by a factor they may not share"),
     Mutant("apply-vector-den-ignored", "linalg.py", "Matrix.apply",
-           (("self.dens if den == 1 else [x * den for x in self.dens]", "self.dens"),),
+           (("self.den * w.den", "self.den"),),
            "tests/test_rational_core.py", "M v is read as M times v's cleared integer row, not over v's denominator"),
+    Mutant("sym-matrix-den-not-powered", "polyalgebra.py", "sym_matrix",
+           (("m.den ** d", "m.den"),),
+           "tests/test_sym_power.py", "Sym^d of ints / den stands over den, not den**d"),
+    Mutant("q-raw-kept-as-given", "linalg.py", "Matrix.__init__",
+           (("self._raw = None", "self._raw = raw"),),
+           "tests/test_linalg.py", "a matrix keeps the raw values it was built from, so over Q one built from ints "
+           "reads ints where another route to it reads Fractions"),
     # the integer rows a Q subspace keeps
     Mutant("q-pivot-sign-not-normalised", "linalg.py", "Subspace.__init__",
            (("tuple(row) if row[p] > 0 else tuple([-x for x in row])", "tuple(row)"),),
@@ -144,7 +150,7 @@ CATALOGUE = (
            "tests/test_linalg.py", "subspaces over different fields with the same integer rows compare equal"),
     # the integer rows a GF(q) matrix shares with its raw rows
     Mutant("gf-ints-row-dropped", "linalg.py", "Matrix.__init__",
-           (("self.ints, self.dens = raw, (1,) * len(raw)", "self.ints, self.dens = raw[:-1], (1,) * len(raw)"),),
+           (("(raw, 1) if field.is_finite", "(raw[:-1], 1) if field.is_finite"),),
            "tests/test_linalg.py", "a GF(q) matrix built from raw rows lacks its last integer row, so subspaces lose a basis row"),
     Mutant("power-memo-not-cleared", "harness.py", "run_check",
            (("    _clear_power_memo()\n    try:", "    try:"),
